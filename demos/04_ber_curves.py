@@ -47,7 +47,8 @@ def scenario(pe, g0):
 
 curves = {}
 for name, pe in models.items():
-    curves[name] = np.array([ber_bpsk(derive(scenario(pe, 10 ** (g / 10)))) for g in sweep_db])
+    channels = [derive(scenario(pe, 10 ** (g / 10))) for g in sweep_db]
+    curves[name] = np.array([ber_bpsk(ch.m, ch.gamma_bar) for ch in channels])
 
 sim_points = {}
 if "--simulate" in sys.argv:

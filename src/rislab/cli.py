@@ -160,8 +160,8 @@ def _cmd_ber(args) -> int:
         derive(LrsScenario(scenario.n, g0, scenario.fading_sr, scenario.fading_rd, scenario.phase_error))
         for g0 in points
     ]
-    analytic = [performance.ber_bpsk(ch) for ch in channels]
-    asymptote = [performance.ber_high_snr(ch) for ch in channels]
+    analytic = [performance.ber_bpsk(ch.m, ch.gamma_bar) for ch in channels]
+    asymptote = [performance.ber_high_snr(ch.m, ch.gamma_bar) for ch in channels]
 
     sim = [None] * len(points)
     halfwidth = [None] * len(points)

@@ -11,12 +11,19 @@ conditional error probability Q(sqrt(2 n^2 gamma0 |H|^2)) and averages
 it over the H draws (semi-analytic, variance reduced).  This is the
 ground truth every analytic module is validated against.
 
-Reproducibility contract: trials are partitioned into fixed blocks of
-2^14; block b of sweep point i draws from a Philox stream seeded by
-(master_seed, stream tag, i, b), and block partials are reduced in block
-order.  Results therefore depend only on (config, master_seed), never on
-how many workers executed the blocks.  Worker count defaults to the
+Every simulation runs through one block engine.  Trials are partitioned
+into fixed blocks of 2^14; block b draws from a Philox stream seeded by
+(master_seed, stream tag, b), and block results are reduced in block
+order.  Results therefore depend only on (config, master_seed), never
+on how many workers executed the blocks.  Worker count defaults to the
 RIS_LAB_WORKERS environment variable.
+
+The law of H does not depend on gamma0, so a BER sweep draws each block
+once and evaluates every sweep point on the same draws (common random
+numbers); the direct estimator also shares the block's symbols and
+noise across points.  Differences between sweep points then carry far
+less noise than the points themselves, and a simulated BER curve never
+rises along an increasing sweep.
 """
 
 from __future__ import annotations
@@ -25,19 +32,21 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import numerics
+from .config import ConfigError
 from .equiv_channel import LrsScenario
 
 __all__ = [
     "BLOCK_TRIALS",
     "HMoments",
     "SimConfig",
+    "SimConfigError",
     "SimResult",
     "SnrSample",
-    "draw_h",
     "draw_h_batch",
     "sample_snr",
     "simulate_ber",
@@ -50,6 +59,12 @@ _STREAM_BER = 0
 _STREAM_SNR = 1
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+class SimConfigError(ConfigError, numerics.DomainError):
+    """A simulation run was asked for with a bad trial count, seed, sweep
+    point or estimator.  It is a configuration error to the command line
+    (exit 2) and a ``DomainError`` to library callers."""
 
 
 @dataclass(frozen=True)
@@ -68,16 +83,20 @@ class SimConfig:
     estimator: str = "semianalytic"
 
     def __post_init__(self):
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SimConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
-            raise numerics.DomainError(f"trials must be >= 1, got {self.trials!r}")
+            raise SimConfigError(f"trials must be >= 1, got {self.trials!r}")
         if self.master_seed < 0:
-            raise numerics.DomainError("master_seed must be a non-negative integer")
+            raise SimConfigError("master_seed must be a non-negative integer")
         points = tuple(self.snr_points) or (self.scenario.gamma0,)
-        if any(not g > 0.0 for g in points):
-            raise numerics.DomainError("snr points must be positive")
+        if any(not (g > 0.0 and math.isfinite(g)) for g in points):
+            raise SimConfigError("snr points must be positive and finite")
         object.__setattr__(self, "snr_points", points)
         if self.estimator not in ("semianalytic", "direct"):
-            raise numerics.DomainError(f"unknown estimator {self.estimator!r}")
+            raise SimConfigError(f"unknown estimator {self.estimator!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +149,9 @@ def _draw_h_chunk(scenario: LrsScenario, rng: np.random.Generator, count: int) -
     m1 = scenario.fading_sr.sample_magnitude(rng, shape)
     m2 = scenario.fading_rd.sample_magnitude(rng, shape)
     theta = scenario.phase_error.sample(rng, shape)
-    return np.mean(m1 * m2 * np.exp(1j * theta), axis=1)
+    r = m1 * m2
+    # two real means cost about half of one complex exp(1j*theta) mean
+    return np.mean(r * np.cos(theta), axis=1) + 1j * np.mean(r * np.sin(theta), axis=1)
 
 
 def draw_h_batch(
@@ -148,13 +169,8 @@ def draw_h_batch(
     return np.concatenate(parts)
 
 
-def draw_h(scenario: LrsScenario, rng: np.random.Generator) -> complex:
-    """One realization of the composite coefficient."""
-    return complex(_draw_h_chunk(scenario, rng, 1)[0])
-
-
 # ---------------------------------------------------------------------------
-# per-block work
+# the block engine
 # ---------------------------------------------------------------------------
 
 
@@ -163,49 +179,66 @@ def _block_counts(trials: int) -> list[int]:
     return [BLOCK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _ber_block(task) -> tuple:
-    """One (sweep point, block) partial; pure function of its arguments."""
-    scenario, estimator, gamma0, point_idx, block_idx, count, master_seed = task
-    rng = _rng_for(master_seed, _STREAM_BER, point_idx, block_idx)
-    h = _draw_h_chunk(scenario, rng, count)
-    u = h.real
-    v = h.imag
-
-    sum_p = 0.0
-    sum_p2 = 0.0
-    errors = 0
-    if estimator == "semianalytic":
-        # exact conditional BPSK error probability given H
-        p = numerics.gauss_q(scenario.n * math.sqrt(gamma0) * np.abs(h) * math.sqrt(2.0))
-        sum_p = float(np.sum(p))
-        sum_p2 = float(np.sum(p * p))
-    else:
-        x = rng.integers(0, 2, size=count) * 2 - 1
-        w = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
-        y = scenario.n * math.sqrt(gamma0) * h * x + w
-        z = np.exp(-1j * np.angle(h)) * y
-        detected = np.where(z.real >= 0.0, 1, -1)
-        errors = int(np.count_nonzero(detected != x))
-
-    return (
-        point_idx,
-        block_idx,
-        sum_p,
-        sum_p2,
-        errors,
-        float(np.sum(u)),
-        float(np.sum(v)),
-        float(np.sum(u * u)),
-        float(np.sum(v * v)),
-        float(np.sum(u * v)),
-        count,
-    )
-
-
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         workers = int(os.environ.get("RIS_LAB_WORKERS", "1") or "1")
     return max(1, workers)
+
+
+def _run_block(reduce, task):
+    """One block: seed its stream, draw H and reduce; a pure function of
+    its arguments."""
+    scenario, master_seed, stream, block, count = task
+    rng = _rng_for(master_seed, stream, block)
+    return reduce(_draw_h_chunk(scenario, rng, count), rng, block)
+
+
+def _map_blocks(reduce, scenario, master_seed, stream, trials, workers) -> list:
+    """``reduce(h, rng, block)`` over the blocks of ``trials`` draws of H,
+    returned in block order.  ``reduce`` is a module-level function or a
+    ``partial`` of one, so that it pickles for the worker processes."""
+    tasks = [(scenario, master_seed, stream, b, c) for b, c in enumerate(_block_counts(trials))]
+    run = partial(_run_block, reduce)
+    workers = min(_resolve_workers(workers), len(tasks))
+    if workers == 1:
+        return [run(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+
+
+def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block) -> tuple:
+    """Per-point ``[sum p, sum p^2, errors]`` rows and the H moment sums of
+    one block; every sweep point is evaluated on the same draws."""
+    mag = np.abs(h)
+    rows = np.zeros((len(points), 3))
+    if estimator == "semianalytic":
+        for row, g in zip(rows, points):
+            # exact conditional BPSK error probability given H
+            p = numerics.gauss_q(n * math.sqrt(g) * mag * math.sqrt(2.0))
+            row[0] = np.sum(p)
+            row[1] = np.sum(p * p)
+    else:
+        x = rng.integers(0, 2, size=h.size) * 2 - 1
+        w = (rng.standard_normal(h.size) + 1j * rng.standard_normal(h.size)) / math.sqrt(2.0)
+        # coherent detection rotates Y = n sqrt(g) H x + w by -arg(H),
+        # which leaves n sqrt(g) |H| x plus the rotated noise
+        w_rot = (np.exp(-1j * np.angle(h)) * w).real
+        for row, g in zip(rows, points):
+            detected = np.where(n * math.sqrt(g) * mag * x + w_rot >= 0.0, 1, -1)
+            row[2] = np.count_nonzero(detected != x)
+    u = h.real
+    v = h.imag
+    moments = np.array([np.sum(u), np.sum(v), np.sum(u * u), np.sum(v * v), np.sum(u * v)])
+    return rows, moments
+
+
+def _snr_block(scale: float, bin_edges, h, rng, block) -> tuple:
+    """Histogram counts of one block and the prefix of its SNR draws that
+    still fits under ``SNR_RETAIN_CAP``."""
+    snr = scale * np.abs(h) ** 2
+    keep = min(snr.size, max(0, SNR_RETAIN_CAP - block * BLOCK_TRIALS))
+    hist = None if bin_edges is None else np.histogram(snr, bins=bin_edges)[0]
+    return snr[:keep].copy(), hist
 
 
 def _wilson_halfwidth(k: int, n: int) -> float:
@@ -225,55 +258,31 @@ def simulate_ber(config: SimConfig, workers: int | None = None) -> SimResult:
     The semi-analytic estimator averages the exact conditional error
     probability over the H draws (unbiased, far lower variance); the
     direct estimator transmits a random symbol per trial, adds receiver
-    noise, rotates by the channel phase and counts sign errors.  95%
-    confidence half-widths use the normal approximation, switching to a
-    Wilson interval for direct counts below 100 errors.
+    noise, rotates by the channel phase and counts sign errors.  All
+    sweep points share the same draws.  95% confidence half-widths use
+    the normal approximation, switching to a Wilson interval for direct
+    counts below 100 errors.
     """
-    workers = _resolve_workers(workers)
-    counts = _block_counts(config.trials)
-    tasks = [
-        (config.scenario, config.estimator, g, pi, bi, c, config.master_seed)
-        for pi, g in enumerate(config.snr_points)
-        for bi, c in enumerate(counts)
-    ]
-
-    if workers == 1:
-        partials = [_ber_block(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(tasks) // (workers * 4))
-            partials = list(pool.map(_ber_block, tasks, chunksize=chunksize))
-    partials.sort(key=lambda r: (r[0], r[1]))
-
-    npoints = len(config.snr_points)
-    sum_p = [0.0] * npoints
-    sum_p2 = [0.0] * npoints
-    errors = [0] * npoints
-    su = sv = suu = svv = suv = 0.0
-    total_h = 0
-    for pi, _bi, sp, sp2, err, bu, bv, buu, bvv, buv, c in partials:
-        sum_p[pi] += sp
-        sum_p2[pi] += sp2
-        errors[pi] += err
-        su += bu
-        sv += bv
-        suu += buu
-        svv += bvv
-        suv += buv
-        total_h += c
+    scenario = config.scenario
+    reduce = partial(_ber_block, scenario.n, config.snr_points, config.estimator)
+    parts = _map_blocks(reduce, scenario, config.master_seed, _STREAM_BER, config.trials, workers)
+    point_sums = sum(rows for rows, _ in parts)
+    su, sv, suu, svv, suv = (float(s) for s in sum(moments for _, moments in parts))
 
     n = config.trials
     ber = []
     halfwidth = []
-    for pi in range(npoints):
+    errors = []
+    for sum_p, sum_p2, k in point_sums.tolist():
         if config.estimator == "semianalytic":
-            mean = sum_p[pi] / n
-            var = max(0.0, (sum_p2[pi] - n * mean * mean) / max(1, n - 1))
+            mean = sum_p / n
+            var = max(0.0, (sum_p2 - n * mean * mean) / max(1, n - 1))
             hw = _Z95 * math.sqrt(var / n)
             if 0.0 < mean < 1.0:
                 hw = max(hw, np.finfo(float).eps * mean)  # roundoff floor
         else:
-            k = errors[pi]
+            k = int(k)
+            errors.append(k)
             mean = k / n
             if k >= 100:
                 hw = _Z95 * math.sqrt(mean * (1.0 - mean) / n)
@@ -282,16 +291,16 @@ def simulate_ber(config: SimConfig, workers: int | None = None) -> SimResult:
         ber.append(mean)
         halfwidth.append(hw)
 
-    mu_u = su / total_h
-    mu_v = sv / total_h
-    denom = max(1, total_h - 1)
+    mu_u = su / n
+    mu_v = sv / n
+    denom = max(1, n - 1)
     moments = HMoments(
         mean_u=mu_u,
         mean_v=mu_v,
-        var_u=(suu - total_h * mu_u * mu_u) / denom,
-        var_v=(svv - total_h * mu_v * mu_v) / denom,
-        cov_uv=(suv - total_h * mu_u * mu_v) / denom,
-        count=total_h,
+        var_u=(suu - n * mu_u * mu_u) / denom,
+        var_v=(svv - n * mu_v * mu_v) / denom,
+        cov_uv=(suv - n * mu_u * mu_v) / denom,
+        count=n,
     )
     return SimResult(
         gamma0=config.snr_points,
@@ -310,24 +319,15 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
 
     At most ``SNR_RETAIN_CAP`` values are kept in memory; when
     ``bin_edges`` is given, histogram counts accumulate over all trials
-    regardless of the cap.
+    regardless of the cap.  Blocks run on as many worker processes as
+    the RIS_LAB_WORKERS environment variable says; the result does not
+    depend on their number.
     """
     scenario = config.scenario
-    scale = scenario.n**2 * scenario.gamma0
-    counts = _block_counts(config.trials)
-    retained: list[np.ndarray] = []
-    kept = 0
-    hist = None if bin_edges is None else np.zeros(len(bin_edges) - 1, dtype=np.int64)
-    for bi, c in enumerate(counts):
-        rng = _rng_for(config.master_seed, _STREAM_SNR, bi)
-        h = _draw_h_chunk(scenario, rng, c)
-        snr = scale * np.abs(h) ** 2
-        if kept < SNR_RETAIN_CAP:
-            take = min(c, SNR_RETAIN_CAP - kept)
-            retained.append(snr[:take])
-            kept += take
-        if hist is not None:
-            hist += np.histogram(snr, bins=bin_edges)[0]
+    reduce = partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges)
+    parts = _map_blocks(reduce, scenario, config.master_seed, _STREAM_SNR, config.trials, None)
     return SnrSample(
-        values=np.concatenate(retained), total_trials=config.trials, histogram=hist
+        values=np.concatenate([values for values, _ in parts]),
+        total_trials=config.trials,
+        histogram=None if bin_edges is None else sum(hist for _, hist in parts),
     )

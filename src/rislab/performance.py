@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .equiv_channel import EquivChannel, LrsScenario, derive, m_from_moments
+from .equiv_channel import LrsScenario, derive, m_from_moments
 
 __all__ = [
     "CodingGainPlan",
@@ -65,21 +65,21 @@ class CodingGainPlan:
     searched_up_to: int
 
 
-def ber_bpsk(ch: EquivChannel) -> float:
-    """Exact average BPSK error probability for the channel."""
-    m = ch.m
-    gbar = ch.gamma_bar
+def ber_bpsk(m: float, gamma_bar: float) -> float:
+    """Exact average BPSK error probability over a Nakagami-``m`` link with
+    average SNR ``gamma_bar`` (the ``m`` and ``gamma_bar`` of an
+    :class:`EquivChannel`)."""
     if not m > 0.0:
         raise numerics.DomainError(f"m must be > 0, got {m!r}")
-    if gbar < 0.0:
-        raise numerics.DomainError(f"gamma_bar must be >= 0, got {gbar!r}")
-    if gbar == 0.0:
+    if gamma_bar < 0.0:
+        raise numerics.DomainError(f"gamma_bar must be >= 0, got {gamma_bar!r}")
+    if gamma_bar == 0.0:
         return 0.5
 
     def integrand(theta):
         s = np.sin(theta)
         with np.errstate(divide="ignore", under="ignore"):
-            return np.exp(-m * np.log1p(gbar / (m * s * s)))
+            return np.exp(-m * np.log1p(gamma_bar / (m * s * s)))
 
     return numerics.integrate(integrand, 0.0, 0.5 * math.pi, _BER_QUAD) / math.pi
 
@@ -95,17 +95,17 @@ def _log_asymptote_bracket(m: float) -> float:
     )
 
 
-def ber_high_snr(ch: EquivChannel) -> float:
+def ber_high_snr(m: float, gamma_bar: float) -> float:
     """High-SNR power-law asymptote of :func:`ber_bpsk`.
 
     It is an upper bound on the exact BER, with relative error
     ``≈ m^2 (2m+1) / ((2m+2) gamma_bar)``: the first-order term of
     ``(1 + gamma_bar/(m sin^2 theta))^(-m)`` averaged over the integrand.
     """
-    if not ch.gamma_bar > 0.0:
+    if not gamma_bar > 0.0:
         raise numerics.DomainError("asymptote requires gamma_bar > 0")
     with np.errstate(under="ignore"):
-        return math.exp(_log_asymptote_bracket(ch.m) - ch.m * math.log(ch.gamma_bar))
+        return math.exp(_log_asymptote_bracket(m) - m * math.log(gamma_bar))
 
 
 def gains(scenario: LrsScenario) -> GainDecomposition:

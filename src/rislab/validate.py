@@ -16,7 +16,6 @@ import numpy as np
 
 from . import performance, phase_models, stats
 from .equiv_channel import (
-    EquivChannel,
     LrsScenario,
     cgf_exact,
     cgf_gamma_approx,
@@ -59,8 +58,8 @@ def _error_models() -> dict[str, phase_models.PhaseErrorModel]:
 def _gamma0_db_at_level(pe: phase_models.PhaseErrorModel, level: float, n: int = 32) -> float:
     """Single-reflector SNR (dB) where the analytic BER crosses ``level``."""
     def ber_at(gdb: float) -> float:
-        sc = LrsScenario(n, 10.0 ** (gdb / 10.0), Rician(1.0), Rayleigh(), pe)
-        return performance.ber_bpsk(derive(sc))
+        ch = derive(LrsScenario(n, 10.0 ** (gdb / 10.0), Rician(1.0), Rayleigh(), pe))
+        return performance.ber_bpsk(ch.m, ch.gamma_bar)
 
     lo, hi = -45.0, 15.0
     for _ in range(80):
@@ -174,9 +173,8 @@ def check_ber_agreement(
             workers=workers,
         )
         for gdb, g0, sim, hw in zip(gdbs, points, res.ber, res.ci_halfwidth):
-            ana = performance.ber_bpsk(
-                derive(LrsScenario(n, g0, Rician(1.0), Rayleigh(), pe))
-            )
+            ch = derive(LrsScenario(n, g0, Rician(1.0), Rayleigh(), pe))
+            ana = performance.ber_bpsk(ch.m, ch.gamma_bar)
             if ana < 1e-5:
                 continue
             z = abs(sim - ana) / hw
@@ -278,13 +276,10 @@ def check_asymptote(ms: tuple[float, ...] = (1.0, 2.0, 12.879566079348178)) -> C
         target = 10.0 ** (-2.0 * m)
         c1 = m * m * (2.0 * m + 1.0) / (2.0 * m + 2.0)
 
-        def ch_at(gdb: float):
-            return EquivChannel(0.0, 0.0, 0.0, m, 1.0, 10.0 ** (gdb / 10.0), 1, 1.0)
-
         lo, hi = 0.0, 60.0 + 6.0 * m
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if performance.ber_bpsk(ch_at(mid)) > target:
+            if performance.ber_bpsk(m, 10.0 ** (mid / 10.0)) > target:
                 lo = mid
             else:
                 hi = mid
@@ -292,8 +287,8 @@ def check_asymptote(ms: tuple[float, ...] = (1.0, 2.0, 12.879566079348178)) -> C
 
         grid = [cross_db + d for d in np.arange(0.0, 15.1, 0.5)]
         gbar = np.array([10.0 ** (g / 10.0) for g in grid])
-        table = np.array([performance.ber_high_snr(ch_at(g)) for g in grid])
-        ratios = table / np.array([performance.ber_bpsk(ch_at(g)) for g in grid])
+        table = np.array([performance.ber_high_snr(m, g) for g in gbar])
+        ratios = table / np.array([performance.ber_bpsk(m, g) for g in gbar])
 
         upper_ok = bool(np.all(ratios >= 1.0))
         c1_dev = np.abs((ratios - 1.0) * gbar / c1 - 1.0)

@@ -213,5 +213,21 @@ def test_malformed_config_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_non_finite_sweep_point_exits_2(tmp_path):
+    sweep = {"start_db": 4000.0, "stop_db": 4000.0, "step_db": 1.0}  # 10^400 overflows to inf
+    cfg = write_config(tmp_path, {**REFERENCE_CONFIG, "sweep": sweep})
+    res = run_cli("ber", "--config", cfg, "--simulate", "--trials", "100", "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--seed", "-1"]], ids=["trials-0", "seed-negative"])
+def test_bad_simulation_input_exits_2(tmp_path, flags):
+    cfg = write_config(tmp_path, REFERENCE_CONFIG)
+    res = run_cli("ber", "--config", cfg, "--simulate", *flags, "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+
+
 def test_usage_error_exits_2():
     assert run_cli("frobnicate").returncode == 2

@@ -24,10 +24,8 @@ def ref_scenario(n=32, gamma0=1.0, pe=None):
 
 def test_draw_h_pure_line_of_sight_is_one():
     sc = ec.LrsScenario(1, 1.0, fd.Rician(1e9), fd.Rician(1e9), pm.NoError())
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        h = mc.draw_h(sc, rng)
-        assert abs(h - 1.0) < 1e-3
+    h = mc.draw_h_batch(sc, np.random.default_rng(0), 20)
+    assert np.all(np.abs(h - 1.0) < 1e-3)
 
 
 def test_draw_h_exact_phases_give_real_coefficient():
@@ -156,6 +154,32 @@ def test_result_carries_metadata():
     assert 0.0 <= res.ber[0] <= 1.0
 
 
+def fine_sweep(start_db=-20.0, count=20, step_db=0.05):
+    # steps far finer than the estimator noise of independent draws
+    return tuple(10.0 ** ((start_db + i * step_db) / 10.0) for i in range(count))
+
+
+def test_semianalytic_ber_never_rises_along_a_sweep():
+    pts = fine_sweep()
+    for seed in (1, 2, 3, 4):
+        cfg = mc.SimConfig(ref_scenario(gamma0=pts[0]), 4096, seed, snr_points=pts)
+        ber = mc.simulate_ber(cfg).ber
+        assert all(b <= a for a, b in zip(ber, ber[1:])), seed
+
+
+def test_direct_error_counts_never_rise_along_a_sweep():
+    pts = fine_sweep(start_db=-22.0)
+    cfg = mc.SimConfig(ref_scenario(gamma0=pts[0]), 20000, 8, snr_points=pts, estimator="direct")
+    counts = mc.simulate_ber(cfg).error_counts
+    assert counts[0] > 100
+    assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+def test_h_moments_pool_each_trial_once_across_sweep_points():
+    cfg = mc.SimConfig(ref_scenario(), 20000, 5, snr_points=(0.01, 0.02, 0.04))
+    assert mc.simulate_ber(cfg).h_moments.count == 20000
+
+
 def test_config_validation():
     sc = ref_scenario()
     with pytest.raises(nx.DomainError):
@@ -164,6 +188,23 @@ def test_config_validation():
         mc.SimConfig(sc, trials=10, master_seed=1, snr_points=(0.0,))
     with pytest.raises(nx.DomainError):
         mc.SimConfig(sc, trials=10, master_seed=1, estimator="genie")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 1.5},
+        {"trials": True},
+        {"master_seed": 1.5},
+        {"master_seed": False},
+        {"snr_points": (0.01, math.inf)},
+        {"snr_points": (math.nan,)},
+    ],
+    ids=["fractional-trials", "bool-trials", "fractional-seed", "bool-seed", "inf-point", "nan-point"],
+)
+def test_config_rejects_malformed_input(kwargs):
+    with pytest.raises(nx.DomainError):
+        mc.SimConfig(ref_scenario(), **{"trials": 10, "master_seed": 1, **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +235,14 @@ def test_sample_snr_histogram_counts_all_trials():
     assert smp.histogram.sum() <= 40000  # values beyond the last edge are out of range
     assert smp.histogram.sum() > 39000
     assert smp.values.size == 40000
+
+
+def test_sample_snr_worker_independent(monkeypatch):
+    cfg = mc.SimConfig(ref_scenario(n=16, gamma0=1.0), 40000, 9)
+    edges = np.linspace(0.0, 3000.0, 31)
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    a = mc.sample_snr(cfg, bin_edges=edges)
+    monkeypatch.setenv("RIS_LAB_WORKERS", "3")
+    b = mc.sample_snr(cfg, bin_edges=edges)
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.histogram, b.histogram)

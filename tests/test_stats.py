@@ -129,11 +129,8 @@ def test_slope_fit_window():
 
 def test_slope_fit_exact_ber_curve_deep_in_high_snr():
     from rislab import performance as pf
-    from rislab.equiv_channel import EquivChannel
 
     m = 3.0
     gbar = 10.0 ** (np.arange(38.0, 44.1, 0.5) / 10.0)
-    ber = np.array(
-        [pf.ber_bpsk(EquivChannel(0.0, 0.0, 0.0, m, 1.0, g, 1, g)) for g in gbar]
-    )
+    ber = np.array([pf.ber_bpsk(m, g) for g in gbar])
     assert st.slope_fit(gbar, ber) == pytest.approx(m, rel=0.05)
