@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, numerics, performance, validate
 from .config import (
     ConfigError,
+    config_errors,
     db_to_linear,
     linear_to_db,
     load_config,
@@ -33,6 +34,7 @@ from .config import (
     sweep_from_config,
 )
 from .equiv_channel import LrsScenario, derive, snr_cdf, snr_pdf
+from .fading import from_config as fading_from_config
 from .montecarlo import SimConfig, sample_snr, simulate_ber
 from .phase_models import from_config as phase_from_config
 from .phase_models import moment_by_integration
@@ -105,10 +107,8 @@ def _write_manifest(out_dir: str, subcommand: str, resolved: dict, seed, outputs
 
 def _cmd_moments(args) -> int:
     cfg = load_config(args.config)
-    try:
+    with config_errors():
         model = phase_from_config(cfg["phase_error"])
-    except KeyError as exc:
-        raise ConfigError(f"config is missing {exc.args[0]!r}") from exc
     orders = int(cfg.get("orders", 4))
     rows = []
     for p in range(1, orders + 1):
@@ -206,6 +206,8 @@ def _cmd_ber(args) -> int:
 
 
 def _cmd_snr_pdf(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
     ch = derive(scenario)
@@ -252,19 +254,13 @@ def _cmd_snr_pdf(args) -> int:
 
 def _cmd_plan(args) -> int:
     cfg = load_config(args.config)
-    try:
+    with config_errors():
         pe = phase_from_config(cfg["phase_error"])
-        from .fading import from_config as fading_from_config
-
-        a = math.sqrt(
-            fading_from_config(cfg["fading_sr"]).mean_magnitude()
-            * fading_from_config(cfg["fading_rd"]).mean_magnitude()
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing {exc.args[0]!r}") from exc
+        hops = fading_from_config(cfg["fading_sr"]), fading_from_config(cfg["fading_rd"])
+        gamma0 = db_to_linear(float(cfg.get("gamma0_db", 0.0)))
+    a = math.sqrt(hops[0].mean_magnitude() * hops[1].mean_magnitude())
     phi1 = pe.trig_moment(1)
     phi2 = pe.trig_moment(2)
-    gamma0 = db_to_linear(float(cfg.get("gamma0_db", 0.0)))
 
     report: dict = {"phi1": phi1, "phi2": phi2, "a": a}
     if "target_gd" not in cfg and "target_gc" not in cfg:
@@ -272,9 +268,7 @@ def _cmd_plan(args) -> int:
     if "target_gd" in cfg:
         target = float(cfg["target_gd"])
         n = performance.reflectors_for_diversity(target, a, phi1, phi2)
-        g = performance.gains(
-            LrsScenario(n, gamma0, *_plan_fading(cfg), pe)
-        )
+        g = performance.gains(LrsScenario(n, gamma0, *hops, pe))
         report["diversity"] = {
             "target_gd": target,
             "n": n,
@@ -292,7 +286,7 @@ def _cmd_plan(args) -> int:
             "searched_up_to": plan.searched_up_to,
         }
         if plan.feasible:
-            g = performance.gains(LrsScenario(plan.n, gamma0, *_plan_fading(cfg), pe))
+            g = performance.gains(LrsScenario(plan.n, gamma0, *hops, pe))
             entry["achieved_gd"] = g.diversity_gain
         report["coding"] = entry
 
@@ -301,12 +295,6 @@ def _cmd_plan(args) -> int:
     _write_manifest(args.out, "plan", cfg, None, [path])
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
-
-
-def _plan_fading(cfg):
-    from .fading import from_config as fading_from_config
-
-    return fading_from_config(cfg["fading_sr"]), fading_from_config(cfg["fading_rd"])
 
 
 def _cmd_validate(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .equiv_channel import LrsScenario
 
 __all__ = [
     "ConfigError",
+    "config_errors",
     "db_to_linear",
     "linear_to_db",
     "load_config",
@@ -38,6 +40,18 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A configuration document is missing keys or holds bad values."""
+
+
+@contextmanager
+def config_errors():
+    """Report a missing key or a bad value met while parsing a config
+    document as a :class:`ConfigError`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"config is missing {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def db_to_linear(db: float) -> float:
@@ -68,27 +82,23 @@ def _gamma0_from(cfg: dict) -> float:
 
 
 def scenario_from_config(cfg: dict) -> LrsScenario:
-    try:
+    with config_errors():
         return LrsScenario(
-            n=int(cfg["n"]),
+            n=cfg["n"],
             gamma0=_gamma0_from(cfg),
             fading_sr=fading.from_config(cfg["fading_sr"]),
             fading_rd=fading.from_config(cfg["fading_rd"]),
             phase_error=phase_models.from_config(cfg["phase_error"]),
         )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def scenario_to_config(scenario: LrsScenario) -> dict:
     return {
         "n": scenario.n,
         "gamma0_db": linear_to_db(scenario.gamma0),
-        "fading_sr": fading.to_config(scenario.fading_sr),
-        "fading_rd": fading.to_config(scenario.fading_rd),
-        "phase_error": phase_models.to_config(scenario.phase_error),
+        "fading_sr": scenario.fading_sr.to_config(),
+        "fading_rd": scenario.fading_rd.to_config(),
+        "phase_error": scenario.phase_error.to_config(),
     }
 
 
@@ -105,4 +115,8 @@ def sweep_from_config(cfg: dict) -> np.ndarray:
         raise ConfigError("sweep needs step_db > 0 and stop_db >= start_db")
     count = int(round((stop - start) / step))
     grid = start + step * np.arange(count + 1)
-    return grid[grid <= stop + 1e-9]
+    grid = grid[grid <= stop + 1e-9]
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(10.0 ** (grid / 10.0))):
+            raise ConfigError("sweep reaches an SNR beyond the floating-point range")
+    return grid

@@ -63,8 +63,8 @@ class LrsScenario:
         if self.n != int(self.n) or self.n < 1:
             raise numerics.DomainError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if not self.gamma0 > 0.0:
-            raise numerics.DomainError(f"gamma0 must be > 0, got {self.gamma0!r}")
+        if not (self.gamma0 > 0.0 and math.isfinite(self.gamma0)):
+            raise numerics.DomainError(f"gamma0 must be finite and > 0, got {self.gamma0!r}")
 
     @property
     def a_squared(self) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 
-__all__ = ["FadingModel", "Rayleigh", "Rician", "from_config", "to_config"]
+__all__ = ["FadingModel", "Rayleigh", "Rician", "from_config"]
 
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 
@@ -101,10 +101,6 @@ class Rician(FadingModel):
 
     def to_config(self) -> dict:
         return {"type": "rician", "k_factor": self.k_factor}
-
-
-def to_config(model: FadingModel) -> dict:
-    return model.to_config()
 
 
 def from_config(cfg: dict) -> FadingModel:

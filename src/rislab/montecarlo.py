@@ -15,8 +15,8 @@ Every simulation runs through one block engine.  Trials are partitioned
 into fixed blocks of 2^14; block b draws from a Philox stream seeded by
 (master_seed, stream tag, b), and block results are reduced in block
 order.  Results therefore depend only on (config, master_seed), never
-on how many workers executed the blocks.  Worker count defaults to the
-RIS_LAB_WORKERS environment variable.
+on how many workers executed the blocks.  The RIS_LAB_WORKERS
+environment variable sets the worker count.
 
 The law of H does not depend on gamma0, so a BER sweep draws each block
 once and evaluates every sweep point on the same draws (common random
@@ -42,7 +42,6 @@ from .equiv_channel import LrsScenario
 
 __all__ = [
     "BLOCK_TRIALS",
-    "HMoments",
     "SimConfig",
     "SimConfigError",
     "SimResult",
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 1 << 14
+_DRAW_CHUNK = 1 << 13
 SNR_RETAIN_CAP = 10**6
 
 _STREAM_BER = 0
@@ -100,27 +100,13 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class HMoments:
-    """Sample moments of H = U + jV pooled over all drawn trials."""
-
-    mean_u: float
-    mean_v: float
-    var_u: float
-    var_v: float
-    cov_uv: float
-    count: int
-
-
-@dataclass(frozen=True)
 class SimResult:
-    gamma0: tuple[float, ...]
+    """Per sweep point of the config: BER estimate, 95% confidence
+    half-width and, for the direct estimator only, the error count."""
+
     ber: tuple[float, ...]
     ci_halfwidth: tuple[float, ...]
     error_counts: tuple[int, ...] | None
-    h_moments: HMoments
-    trials: int
-    master_seed: int
-    estimator: str
 
 
 @dataclass(frozen=True)
@@ -154,16 +140,15 @@ def _draw_h_chunk(scenario: LrsScenario, rng: np.random.Generator, count: int) -
     return np.mean(r * np.cos(theta), axis=1) + 1j * np.mean(r * np.sin(theta), axis=1)
 
 
-def draw_h_batch(
-    scenario: LrsScenario, rng: np.random.Generator, size: int, chunk: int = 1 << 13
-) -> np.ndarray:
-    """``size`` independent draws of H, chunked to bound peak memory."""
+def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` independent draws of H, in chunks of ``_DRAW_CHUNK`` to
+    bound peak memory; the chunk size fixes how the stream is consumed."""
     if size < 1:
         raise numerics.DomainError(f"size must be >= 1, got {size!r}")
     parts = []
     remaining = size
     while remaining > 0:
-        take = min(chunk, remaining)
+        take = min(_DRAW_CHUNK, remaining)
         parts.append(_draw_h_chunk(scenario, rng, take))
         remaining -= take
     return np.concatenate(parts)
@@ -179,12 +164,6 @@ def _block_counts(trials: int) -> list[int]:
     return [BLOCK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("RIS_LAB_WORKERS", "1") or "1")
-    return max(1, workers)
-
-
 def _run_block(reduce, task):
     """One block: seed its stream, draw H and reduce; a pure function of
     its arguments."""
@@ -193,22 +172,22 @@ def _run_block(reduce, task):
     return reduce(_draw_h_chunk(scenario, rng, count), rng, block)
 
 
-def _map_blocks(reduce, scenario, master_seed, stream, trials, workers) -> list:
+def _map_blocks(reduce, scenario, master_seed, stream, trials) -> list:
     """``reduce(h, rng, block)`` over the blocks of ``trials`` draws of H,
     returned in block order.  ``reduce`` is a module-level function or a
     ``partial`` of one, so that it pickles for the worker processes."""
     tasks = [(scenario, master_seed, stream, b, c) for b, c in enumerate(_block_counts(trials))]
     run = partial(_run_block, reduce)
-    workers = min(_resolve_workers(workers), len(tasks))
+    workers = min(max(1, int(os.environ.get("RIS_LAB_WORKERS", "1") or "1")), len(tasks))
     if workers == 1:
         return [run(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
 
 
-def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block) -> tuple:
-    """Per-point ``[sum p, sum p^2, errors]`` rows and the H moment sums of
-    one block; every sweep point is evaluated on the same draws."""
+def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block) -> np.ndarray:
+    """Per-point ``[sum p, sum p^2, errors]`` rows of one block; every
+    sweep point is evaluated on the same draws."""
     mag = np.abs(h)
     rows = np.zeros((len(points), 3))
     if estimator == "semianalytic":
@@ -226,10 +205,7 @@ def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block)
         for row, g in zip(rows, points):
             detected = np.where(n * math.sqrt(g) * mag * x + w_rot >= 0.0, 1, -1)
             row[2] = np.count_nonzero(detected != x)
-    u = h.real
-    v = h.imag
-    moments = np.array([np.sum(u), np.sum(v), np.sum(u * u), np.sum(v * v), np.sum(u * v)])
-    return rows, moments
+    return rows
 
 
 def _snr_block(scale: float, bin_edges, h, rng, block) -> tuple:
@@ -252,7 +228,7 @@ def _wilson_halfwidth(k: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def simulate_ber(config: SimConfig, workers: int | None = None) -> SimResult:
+def simulate_ber(config: SimConfig) -> SimResult:
     """Estimate the BER at every sweep point of ``config``.
 
     The semi-analytic estimator averages the exact conditional error
@@ -261,13 +237,13 @@ def simulate_ber(config: SimConfig, workers: int | None = None) -> SimResult:
     noise, rotates by the channel phase and counts sign errors.  All
     sweep points share the same draws.  95% confidence half-widths use
     the normal approximation, switching to a Wilson interval for direct
-    counts below 100 errors.
+    counts below 100 errors.  Blocks run on as many worker processes as
+    the RIS_LAB_WORKERS environment variable says; the result does not
+    depend on their number.
     """
     scenario = config.scenario
     reduce = partial(_ber_block, scenario.n, config.snr_points, config.estimator)
-    parts = _map_blocks(reduce, scenario, config.master_seed, _STREAM_BER, config.trials, workers)
-    point_sums = sum(rows for rows, _ in parts)
-    su, sv, suu, svv, suv = (float(s) for s in sum(moments for _, moments in parts))
+    point_sums = sum(_map_blocks(reduce, scenario, config.master_seed, _STREAM_BER, config.trials))
 
     n = config.trials
     ber = []
@@ -291,26 +267,10 @@ def simulate_ber(config: SimConfig, workers: int | None = None) -> SimResult:
         ber.append(mean)
         halfwidth.append(hw)
 
-    mu_u = su / n
-    mu_v = sv / n
-    denom = max(1, n - 1)
-    moments = HMoments(
-        mean_u=mu_u,
-        mean_v=mu_v,
-        var_u=(suu - n * mu_u * mu_u) / denom,
-        var_v=(svv - n * mu_v * mu_v) / denom,
-        cov_uv=(suv - n * mu_u * mu_v) / denom,
-        count=n,
-    )
     return SimResult(
-        gamma0=config.snr_points,
         ber=tuple(ber),
         ci_halfwidth=tuple(halfwidth),
         error_counts=tuple(errors) if config.estimator == "direct" else None,
-        h_moments=moments,
-        trials=n,
-        master_seed=config.master_seed,
-        estimator=config.estimator,
     )
 
 
@@ -325,7 +285,7 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
     """
     scenario = config.scenario
     reduce = partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges)
-    parts = _map_blocks(reduce, scenario, config.master_seed, _STREAM_SNR, config.trials, None)
+    parts = _map_blocks(reduce, scenario, config.master_seed, _STREAM_SNR, config.trials)
     return SnrSample(
         values=np.concatenate([values for values, _ in parts]),
         total_trials=config.trials,

@@ -36,7 +36,6 @@ __all__ = [
     "VonMises",
     "from_config",
     "moment_by_integration",
-    "to_config",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -151,6 +150,7 @@ class Quantizer(PhaseErrorModel):
     def __post_init__(self):
         if self.bits != int(self.bits) or self.bits < 1:
             raise numerics.DomainError(f"bits must be a positive integer, got {self.bits!r}")
+        object.__setattr__(self, "bits", int(self.bits))
 
     @property
     def half_width(self) -> float:
@@ -176,7 +176,7 @@ class Quantizer(PhaseErrorModel):
         return float(out) if size is None else out
 
     def to_config(self) -> dict:
-        return {"type": "quantizer", "bits": int(self.bits)}
+        return {"type": "quantizer", "bits": self.bits}
 
 
 @dataclass(frozen=True)
@@ -311,10 +311,6 @@ def moment_by_integration(
 # ---------------------------------------------------------------------------
 
 
-def to_config(model: PhaseErrorModel) -> dict:
-    return model.to_config()
-
-
 def from_config(cfg: dict) -> PhaseErrorModel:
     """Build a model from its JSON form, e.g. {"type": "von_mises", "kappa": 8}."""
     try:
@@ -326,7 +322,7 @@ def from_config(cfg: dict) -> PhaseErrorModel:
     if kind == "von_mises":
         return VonMises(kappa=float(cfg["kappa"]))
     if kind == "quantizer":
-        return Quantizer(bits=int(cfg["bits"]))
+        return Quantizer(bits=cfg["bits"])
     if kind == "uniform":
         return UniformCircle()
     if kind == "product":

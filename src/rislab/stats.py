@@ -114,21 +114,15 @@ def db_gap(curve_a, curve_b, level: float) -> float:
     return _crossing_db(xa, ya, level) - _crossing_db(xb, yb, level)
 
 
-def slope_fit(gamma_bar, ber, window: tuple[float, float] | None = None) -> float:
+def slope_fit(gamma_bar, ber) -> float:
     """Diversity order of a BER-vs-average-SNR table.
 
-    Least-squares slope of ln(BER) against ln(gamma_bar), negated.  The
-    optional ``window`` restricts the fit to gamma_bar in [lo, hi].
+    Least-squares slope of ln(BER) against ln(gamma_bar), negated.
     """
     g = np.asarray(gamma_bar, dtype=float)
     p = np.asarray(ber, dtype=float)
-    if window is not None:
-        lo, hi = window
-        mask = (g >= lo) & (g <= hi)
-        g = g[mask]
-        p = p[mask]
     if g.size < 3:
-        raise numerics.DomainError("slope fit needs at least 3 points in the window")
+        raise numerics.DomainError("slope fit needs at least 3 points")
     if np.any(p <= 0.0) or np.any(g <= 0.0):
         raise numerics.DomainError("slope fit needs positive BER and SNR values")
     lx = np.log(g)

@@ -154,7 +154,6 @@ def check_ber_agreement(
     seed: int = 1234,
     levels: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5),
     n: int = 32,
-    workers: int | None = None,
 ) -> CheckResult:
     """Simulated BER against the equivalent-channel prediction, n=32.
 
@@ -168,10 +167,7 @@ def check_ber_agreement(
         gdbs = [_gamma0_db_at_level(pe, lv, n) for lv in levels]
         points = tuple(10.0 ** (g / 10.0) for g in gdbs)
         sc = LrsScenario(n, points[0], Rician(1.0), Rayleigh(), pe)
-        res = simulate_ber(
-            SimConfig(sc, trials=trials, master_seed=seed, snr_points=points),
-            workers=workers,
-        )
+        res = simulate_ber(SimConfig(sc, trials=trials, master_seed=seed, snr_points=points))
         for gdb, g0, sim, hw in zip(gdbs, points, res.ber, res.ci_halfwidth):
             ch = derive(LrsScenario(n, g0, Rician(1.0), Rayleigh(), pe))
             ana = performance.ber_bpsk(ch.m, ch.gamma_bar)

@@ -157,6 +157,30 @@ def test_snr_pdf_command(tmp_path):
     assert fit["sample_count"] == 40000
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_snr_pdf_rejects_bins_below_one(tmp_path, bins):
+    cfg = write_config(tmp_path, REFERENCE_CONFIG)
+    res = run_cli("snr-pdf", "--config", cfg, "--bins", bins, "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("plan", {"fading_sr": {"type": "nakagami"}}),
+        ("equiv", {"fading_sr": {"type": "nakagami"}}),
+        ("moments", {"phase_error": {"type": "wrapped_cauchy"}}),
+    ],
+    ids=["plan-fading", "equiv-fading", "moments-phase"],
+)
+def test_unknown_model_type_exits_2(tmp_path, command, field):
+    payload = {**REFERENCE_CONFIG, "target_gd": 10.0, **field}
+    res = run_cli(command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+
+
 def test_plan_command_round_trip(tmp_path):
     payload = {
         "fading_sr": {"type": "rayleigh"},

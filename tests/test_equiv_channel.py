@@ -8,6 +8,7 @@ from _stubs import FixedMeanMagnitude, FixedMoments
 
 from rislab import equiv_channel as ec
 from rislab import fading as fd
+from rislab.config import ConfigError, scenario_from_config
 from rislab import numerics as nx
 from rislab import phase_models as pm
 
@@ -114,6 +115,31 @@ def test_scenario_validation():
         ec.LrsScenario(0, 1.0, fd.Rayleigh(), fd.Rayleigh(), pm.NoError())
     with pytest.raises(nx.DomainError):
         ec.LrsScenario(4, 0.0, fd.Rayleigh(), fd.Rayleigh(), pm.NoError())
+    with pytest.raises(nx.DomainError):
+        ec.LrsScenario(4, math.inf, fd.Rayleigh(), fd.Rayleigh(), pm.NoError())
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"n": 32.7},
+        {"phase_error": {"type": "quantizer", "bits": 2.9}},
+        {"gamma0": math.inf},
+        {"gamma0_db": 4000.0},
+    ],
+    ids=["fractional-n", "fractional-bits", "inf-gamma0", "overflowing-gamma0-db"],
+)
+def test_config_rejects_fractional_counts_and_infinite_gamma0(field):
+    cfg = {
+        "n": 32,
+        "gamma0": 1.0,
+        "fading_sr": {"type": "rician", "k_factor": 1.0},
+        "fading_rd": {"type": "rayleigh"},
+        "phase_error": {"type": "von_mises", "kappa": 8.0},
+    }
+    assert scenario_from_config(cfg).n == 32
+    with pytest.raises(ConfigError):
+        scenario_from_config({**cfg, **field})
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,13 @@ def test_draw_h_moments_match_gaussian_limit():
 
 def test_draw_h_batch_reproducible_for_fixed_chunking():
     sc = ref_scenario(n=8)
-    a = mc.draw_h_batch(sc, np.random.default_rng(7), 1000, chunk=64)
-    b = mc.draw_h_batch(sc, np.random.default_rng(7), 1000, chunk=64)
+    a = mc.draw_h_batch(sc, np.random.default_rng(7), 1000)
+    b = mc.draw_h_batch(sc, np.random.default_rng(7), 1000)
     np.testing.assert_array_equal(a, b)
-    # a different chunking consumes the stream differently but must keep
-    # the law: compare first moments at 5 standard errors
-    c = mc.draw_h_batch(sc, np.random.default_rng(7), 10**5, chunk=10**5)
-    d = mc.draw_h_batch(sc, np.random.default_rng(8), 10**5, chunk=512)
+    # independent streams spanning many chunks keep the law: compare
+    # first moments at 5 standard errors
+    c = mc.draw_h_batch(sc, np.random.default_rng(7), 10**5)
+    d = mc.draw_h_batch(sc, np.random.default_rng(8), 10**5)
     se = math.hypot(c.real.std(ddof=1), d.real.std(ddof=1)) / math.sqrt(10**5)
     assert abs(c.real.mean() - d.real.mean()) < 5.0 * se
 
@@ -78,16 +78,16 @@ def test_standardized_re_part_converges_to_normal():
 # ---------------------------------------------------------------------------
 
 
-def test_simulation_is_deterministic_and_worker_independent():
+def test_simulation_is_deterministic_and_worker_independent(monkeypatch):
     cfg = mc.SimConfig(
         ref_scenario(gamma0=0.02), trials=50000, master_seed=42, snr_points=(0.01, 0.02)
     )
-    a = mc.simulate_ber(cfg, workers=1)
-    b = mc.simulate_ber(cfg, workers=1)
-    c = mc.simulate_ber(cfg, workers=3)
-    assert a.ber == b.ber == c.ber
-    assert a.ci_halfwidth == c.ci_halfwidth
-    assert a.h_moments == c.h_moments
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    a = mc.simulate_ber(cfg)
+    b = mc.simulate_ber(cfg)
+    monkeypatch.setenv("RIS_LAB_WORKERS", "3")
+    c = mc.simulate_ber(cfg)
+    assert a == b == c
 
 
 def test_workers_env_override(monkeypatch):
@@ -145,13 +145,11 @@ def test_direct_estimator_wilson_interval_on_rare_errors():
 
 
 def test_result_carries_metadata():
-    cfg = mc.SimConfig(ref_scenario(gamma0=0.01), trials=20000, master_seed=123)
+    cfg = mc.SimConfig(ref_scenario(), trials=20000, master_seed=123, snr_points=(0.01, 0.02))
     res = mc.simulate_ber(cfg)
-    assert res.master_seed == 123
-    assert res.trials == 20000
-    assert res.estimator == "semianalytic"
-    assert res.h_moments.count == 20000
-    assert 0.0 <= res.ber[0] <= 1.0
+    assert len(res.ber) == len(res.ci_halfwidth) == 2
+    assert res.error_counts is None  # only the direct estimator counts errors
+    assert all(0.0 <= b <= 1.0 for b in res.ber)
 
 
 def fine_sweep(start_db=-20.0, count=20, step_db=0.05):
@@ -173,11 +171,6 @@ def test_direct_error_counts_never_rise_along_a_sweep():
     counts = mc.simulate_ber(cfg).error_counts
     assert counts[0] > 100
     assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-
-def test_h_moments_pool_each_trial_once_across_sweep_points():
-    cfg = mc.SimConfig(ref_scenario(), 20000, 5, snr_points=(0.01, 0.02, 0.04))
-    assert mc.simulate_ber(cfg).h_moments.count == 20000
 
 
 def test_config_validation():

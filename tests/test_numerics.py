@@ -1,101 +1,66 @@
 """Special-function kernels against independent oracles.
 
-Oracles here are deliberately naive: direct factorial series, Taylor
-expansions and algebraic closed forms, coded without reference to the
+The oracles are mpmath evaluations at 50 significant digits, algebraic
+closed forms and identities, coded without reference to the
 implementations under test.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from rislab import numerics as nx
 
-
-# ---------------------------------------------------------------------------
-# in-test oracles
-# ---------------------------------------------------------------------------
+mp = mpmath.MPContext()
+mp.dps = 50
 
 
-def bessel_series_oracle(p, x, terms=400):
-    """sum_k (x/2)^(2k+p) / (k! (k+p)!), each term through libm lgamma."""
-    total = 0.0
-    lh = math.log(x / 2.0)
-    for k in range(terms):
-        total += math.exp((2 * k + p) * lh - math.lgamma(k + 1) - math.lgamma(k + p + 1))
-    return total
-
-
-def erf_taylor_oracle(x, terms=80):
-    """erf(x) = 2/sqrt(pi) sum_k (-1)^k x^(2k+1) / (k! (2k+1)).
-
-    Accurate only while cancellation is mild (x up to about 1.5)."""
-    total = 0.0
-    for k in range(terms):
-        total += (-1.0) ** k * x ** (2 * k + 1) / (math.factorial(k) * (2 * k + 1))
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-def erfc_cf_oracle(z, depth=120):
-    """Continued fraction erfc(z) = exp(-z^2)/sqrt(pi) / (z + (1/2)/(z + 1/(z + ...)))
-    evaluated bottom-up; reliable for z >= 1."""
-    tail = 0.0
-    for k in range(depth, 0, -1):
-        tail = (k / 2.0) / (z + tail)
-    return math.exp(-z * z) / math.sqrt(math.pi) / (z + tail)
+def bessel_scaled_oracle(p, x):
+    """exp(-x) I_p(x) from mpmath's unscaled I_p."""
+    return float(mp.besseli(p, x) * mp.exp(-x))
 
 
 def q_oracle(x):
-    """Gaussian tail by whichever oracle is accurate at this argument."""
-    z = x / math.sqrt(2.0)
-    if z < 1.5:
-        return 0.5 * (1.0 - erf_taylor_oracle(z))
-    return 0.5 * erfc_cf_oracle(z)
-
-
-def hyp1f1_oracle(a, b, z, terms=300):
-    total = 1.0
-    term = 1.0
-    for k in range(terms):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
-    return total
+    return float(mp.erfc(mp.mpf(x) / mp.sqrt(2)) / 2)
 
 
 # ---------------------------------------------------------------------------
-# bessel_i
+# bessel_i_scaled
 # ---------------------------------------------------------------------------
 
 
 def test_bessel_at_zero():
-    assert nx.bessel_i(0, 0.0) == 1.0
-    assert nx.bessel_i(1, 0.0) == 0.0
-    assert nx.bessel_i(5, 0.0) == 0.0
+    assert nx.bessel_i_scaled(0, 0.0) == 1.0
+    assert nx.bessel_i_scaled(1, 0.0) == 0.0
+    assert nx.bessel_i_scaled(5, 0.0) == 0.0
 
 
 def test_bessel_small_argument_vs_series_oracle():
-    assert nx.bessel_i(0, 1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
+    # power-series branch: x < 50, or p*p >= x
+    i0_at_1 = 1.2660658777520084
+    assert nx.bessel_i_scaled(0, 1.0) == pytest.approx(i0_at_1 * math.exp(-1.0), rel=1e-12)
     for p in (0, 1, 2, 5):
         for x in (0.1, 1.0, 4.0, 10.0, 25.0):
-            assert nx.bessel_i(p, x) == pytest.approx(bessel_series_oracle(p, x), rel=1e-12)
+            assert nx.bessel_i_scaled(p, x) == pytest.approx(bessel_scaled_oracle(p, x), rel=1e-12)
 
 
 def test_bessel_large_argument_recurrence():
-    # I_{p-1}(x) - I_{p+1}(x) = (2p/x) I_p(x)
+    # I_{p-1}(x) - I_{p+1}(x) = (2p/x) I_p(x), scaled by exp(-x) on both sides;
+    # x = 50 and up mixes the asymptotic (p*p < x) and series branches
     for x in (0.1, 1.0, 7.0, 50.0, 120.0, 400.0):
         for p in range(1, 11):
-            lhs = nx.bessel_i(p - 1, x) - nx.bessel_i(p + 1, x)
-            rhs = 2.0 * p / x * nx.bessel_i(p, x)
+            lhs = nx.bessel_i_scaled(p - 1, x) - nx.bessel_i_scaled(p + 1, x)
+            rhs = 2.0 * p / x * nx.bessel_i_scaled(p, x)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_bessel_scaled_consistent_with_plain():
+    # the unscaled I_p times exp(-x), across the series and asymptotic branches
     for p in (0, 1, 3):
         for x in (0.5, 10.0, 60.0, 300.0):
-            assert nx.bessel_i_scaled(p, x) == pytest.approx(
-                nx.bessel_i(p, x) * math.exp(-x), rel=1e-12
-            )
+            assert nx.bessel_i_scaled(p, x) == pytest.approx(bessel_scaled_oracle(p, x), rel=1e-12)
 
 
 def test_bessel_scaled_survives_huge_arguments():
@@ -105,13 +70,14 @@ def test_bessel_scaled_survives_huge_arguments():
 
 
 def test_bessel_range_and_domain_errors():
+    # past x = 700 only the asymptotic branch (p*p < x) is available
     with pytest.raises(nx.RangeError):
-        nx.bessel_i(0, 701.0)
+        nx.bessel_i_scaled(27, 701.0)
     with pytest.raises(nx.DomainError):
-        nx.bessel_i(-1, 1.0)
+        nx.bessel_i_scaled(-1, 1.0)
     with pytest.raises(nx.DomainError):
-        nx.bessel_i(0, -0.5)
-    assert nx.bessel_i(0, 700.0) > 0.0  # boundary stays finite
+        nx.bessel_i_scaled(0, -0.5)
+    assert nx.bessel_i_scaled(27, 700.0) > 0.0  # series boundary stays finite
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +113,8 @@ def test_ln_gamma_domain_error():
 
 def test_gauss_q_reference_points():
     assert nx.gauss_q(0.0) == 0.5
-    # frozen from the Taylor-series erf oracle: Q(1) = (1 - erf(1/sqrt 2))/2
-    oracle = 0.5 * (1.0 - erf_taylor_oracle(1.0 / math.sqrt(2.0)))
-    assert oracle == pytest.approx(0.1586552539314571, rel=1e-12)
+    # frozen from the oracle: Q(1) = erfc(1/sqrt 2)/2
+    assert q_oracle(1.0) == pytest.approx(0.1586552539314571, rel=1e-12)
     assert nx.gauss_q(1.0) == pytest.approx(0.1586552539314571, rel=1e-12)
 
 
@@ -190,7 +155,7 @@ def test_gamma_p_half_is_erf():
     # P(1/2, x) = erf(sqrt(x))
     for x in (0.05, 0.3, 1.0, 2.5, 6.0):
         assert nx.regularized_gamma_p(0.5, x) == pytest.approx(
-            erf_taylor_oracle(math.sqrt(x)), abs=1e-10
+            float(mp.erf(mp.sqrt(x))), abs=1e-10
         )
 
 
@@ -219,34 +184,14 @@ def test_gamma_p_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# confluent hypergeometric pieces
+# Laguerre function of the Rician mean magnitude
 # ---------------------------------------------------------------------------
 
 
-def test_hyp1f1_half_at_zero_and_slope():
-    assert nx.hyp1f1_half(0.0) == 1.0
-    h = 1e-7
-    slope = (nx.hyp1f1_half(h) - nx.hyp1f1_half(0.0)) / h
-    assert slope == pytest.approx(-0.5, abs=1e-6)
-
-
-def test_hyp1f1_half_vs_series_oracle():
-    for k in (0.25, 1.0, 3.0, 10.0, 50.0):
-        assert nx.hyp1f1_half(k) == pytest.approx(hyp1f1_oracle(-0.5, 1.0, k), rel=1e-11)
-
-
-def test_hyp1f1_half_range_error():
-    with pytest.raises(nx.RangeError):
-        nx.hyp1f1_half(50.5)
-    with pytest.raises(nx.DomainError):
-        nx.hyp1f1_half(-1.0)
-
-
 def test_laguerre_half_vs_kummer_transformed_oracle():
-    # L_{1/2}(-k) = exp(-k) * 1F1(3/2; 1; k); the oracle sums the
-    # all-positive series directly (safe up to k ~ 30 in doubles)
+    # L_{1/2}(-k) = exp(-k) * 1F1(3/2; 1; k)
     for k in (0.0, 0.5, 1.0, 5.0, 20.0):
-        want = math.exp(-k) * hyp1f1_oracle(1.5, 1.0, k, terms=500)
+        want = float(mp.exp(-k) * mp.hyp1f1(1.5, 1, k))
         assert nx.laguerre_half(k) == pytest.approx(want, rel=1e-11)
 
 
@@ -299,15 +244,8 @@ def test_integrate_rejects_bad_interval_and_nonfinite():
         nx.integrate(nan_left_of_half, 0.0, 1.0)
 
 
-def test_fixed_order_rule():
-    spec = nx.QuadratureSpec(method="fixed", tolerance=1e-9, order=30)
-    assert nx.integrate(np.sin, 0.0, math.pi, spec) == pytest.approx(2.0, abs=1e-9)
-
-
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         nx.QuadratureSpec(tolerance=0.0)
     with pytest.raises(ValueError):
         nx.QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        nx.QuadratureSpec(method="simpson")
