@@ -26,7 +26,7 @@ print(f"{'model':32s} {'phi_1':>10s} {'phi_2':>10s} {'phi_1 (quad)':>14s}")
 for name, model in models.items():
     phi1 = model.trig_moment(1)
     phi2 = model.trig_moment(2)
-    if model.has_density or isinstance(model, pm.Product):
+    if not isinstance(model, pm.NoError):
         quad = pm.moment_by_integration(model, 1)
         print(f"{name:32s} {phi1:10.6f} {phi2:10.6f} {quad:14.10f}")
     else:

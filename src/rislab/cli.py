@@ -37,7 +37,7 @@ from .equiv_channel import LrsScenario, derive, snr_cdf, snr_pdf
 from .fading import from_config as fading_from_config
 from .montecarlo import SimConfig, sample_snr, simulate_ber
 from .phase_models import from_config as phase_from_config
-from .phase_models import moment_by_integration
+from .phase_models import MAX_INTEGRATION_ORDER, moment_by_integration
 from .stats import ks_test
 
 _DEFAULT_SEED = 20200709
@@ -109,7 +109,11 @@ def _cmd_moments(args) -> int:
     cfg = load_config(args.config)
     with config_errors():
         model = phase_from_config(cfg["phase_error"])
-    orders = int(cfg.get("orders", 4))
+        orders = cfg.get("orders", 4)
+        top = MAX_INTEGRATION_ORDER
+        if isinstance(orders, bool) or orders != int(orders) or not 1 <= orders <= top:
+            raise ConfigError(f"orders must be an integer in [1, {top}], got {orders!r}")
+        orders = int(orders)
     rows = []
     for p in range(1, orders + 1):
         closed = model.trig_moment(p)
@@ -258,15 +262,16 @@ def _cmd_plan(args) -> int:
         pe = phase_from_config(cfg["phase_error"])
         hops = fading_from_config(cfg["fading_sr"]), fading_from_config(cfg["fading_rd"])
         gamma0 = db_to_linear(float(cfg.get("gamma0_db", 0.0)))
+        targets = {key: float(cfg[key]) for key in ("target_gd", "target_gc") if key in cfg}
+    if not targets:
+        raise ConfigError("plan config needs 'target_gd' and/or 'target_gc'")
     a = math.sqrt(hops[0].mean_magnitude() * hops[1].mean_magnitude())
     phi1 = pe.trig_moment(1)
     phi2 = pe.trig_moment(2)
 
     report: dict = {"phi1": phi1, "phi2": phi2, "a": a}
-    if "target_gd" not in cfg and "target_gc" not in cfg:
-        raise ConfigError("plan config needs 'target_gd' and/or 'target_gc'")
-    if "target_gd" in cfg:
-        target = float(cfg["target_gd"])
+    if "target_gd" in targets:
+        target = targets["target_gd"]
         n = performance.reflectors_for_diversity(target, a, phi1, phi2)
         g = performance.gains(LrsScenario(n, gamma0, *hops, pe))
         report["diversity"] = {
@@ -275,8 +280,8 @@ def _cmd_plan(args) -> int:
             "achieved_gd": g.diversity_gain,
             "achieved_gc": g.coding_gain,
         }
-    if "target_gc" in cfg:
-        target = float(cfg["target_gc"])
+    if "target_gc" in targets:
+        target = targets["target_gc"]
         plan = performance.reflectors_for_coding_gain(target, gamma0, a, phi1, phi2)
         entry = {
             "target_gc": target,

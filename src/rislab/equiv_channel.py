@@ -194,6 +194,8 @@ def nakagami_pdf(ch: EquivChannel, x):
     """
     m = ch.m
     omega = ch.omega
+    if not m > 0.0:
+        raise numerics.DomainError(f"m must be > 0, got {m!r}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise numerics.DomainError("magnitude must be >= 0")
@@ -220,6 +222,8 @@ def snr_pdf(ch: EquivChannel, gamma):
     """Gamma density of the instantaneous SNR, shape m and mean gamma_bar."""
     m = ch.m
     gbar = ch.gamma_bar
+    if not m > 0.0:
+        raise numerics.DomainError(f"m must be > 0, got {m!r}")
     arr = np.asarray(gamma, dtype=float)
     if np.any(arr < 0.0):
         raise numerics.DomainError("snr must be >= 0")

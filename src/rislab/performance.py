@@ -102,10 +102,19 @@ def ber_high_snr(m: float, gamma_bar: float) -> float:
     ``≈ m^2 (2m+1) / ((2m+2) gamma_bar)``: the first-order term of
     ``(1 + gamma_bar/(m sin^2 theta))^(-m)`` averaged over the integrand.
     """
+    if not m > 0.0:
+        raise numerics.DomainError(f"m must be > 0, got {m!r}")
     if not gamma_bar > 0.0:
         raise numerics.DomainError("asymptote requires gamma_bar > 0")
     with np.errstate(under="ignore"):
         return math.exp(_log_asymptote_bracket(m) - m * math.log(gamma_bar))
+
+
+def _coding_gain(n: int, a: float, phi1: float, phi2: float) -> float:
+    """G_c = n^2 phi_1^2 a^4 exp(-L(m)/m), L the log asymptote bracket."""
+    a2 = a * a
+    m = m_from_moments(n, a2, phi1, phi2)
+    return n * n * phi1 * phi1 * a2 * a2 * math.exp(-_log_asymptote_bracket(m) / m)
 
 
 def gains(scenario: LrsScenario) -> GainDecomposition:
@@ -115,11 +124,9 @@ def gains(scenario: LrsScenario) -> GainDecomposition:
         raise numerics.DomainError(
             "gains are undefined when the first trigonometric moment is zero"
         )
-    m = ch.m
-    phi1 = scenario.phi(1)
-    a4 = scenario.a_squared**2
-    coding = scenario.n**2 * phi1 * phi1 * a4 * math.exp(-_log_asymptote_bracket(m) / m)
-    return GainDecomposition(diversity_gain=m, coding_gain=coding)
+    a = math.sqrt(scenario.a_squared)
+    coding = _coding_gain(scenario.n, a, scenario.phi(1), scenario.phi(2))
+    return GainDecomposition(diversity_gain=ch.m, coding_gain=coding)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +158,6 @@ def reflectors_for_diversity(target_gd: float, a: float, phi1: float, phi2: floa
     while m_from_moments(n, a2, phi1, phi2) < target_gd * slack:
         n += 1
     return n
-
-
-def _coding_gain(n: int, a: float, phi1: float, phi2: float) -> float:
-    a2 = a * a
-    m = m_from_moments(n, a2, phi1, phi2)
-    return n * n * phi1 * phi1 * a2 * a2 * math.exp(-_log_asymptote_bracket(m) / m)
 
 
 def reflectors_for_coding_gain(

@@ -42,6 +42,7 @@ _TWO_PI = 2.0 * math.pi
 
 # numerical-integration oracle is limited to moderately oscillatory orders
 MAX_INTEGRATION_ORDER = 16
+_MOMENT_QUAD = numerics.QuadratureSpec(tolerance=1e-12, max_subdivisions=4000)
 
 
 def _check_order(p: int) -> int:
@@ -69,10 +70,6 @@ class PhaseErrorModel(abc.ABC):
         """Density on [-pi, pi); raises for models without one."""
         raise numerics.DomainError(f"{type(self).__name__} has no density")
 
-    @property
-    def has_density(self) -> bool:
-        return True
-
     @abc.abstractmethod
     def to_config(self) -> dict:
         """JSON-serializable description of the model."""
@@ -88,10 +85,6 @@ class NoError(PhaseErrorModel):
 
     def sample(self, rng, size=None):
         return 0.0 if size is None else np.zeros(size)
-
-    @property
-    def has_density(self) -> bool:
-        return False
 
     def to_config(self) -> dict:
         return {"type": "none"}
@@ -229,10 +222,6 @@ class Product(PhaseErrorModel):
         wrapped = (total + math.pi) % _TWO_PI - math.pi
         return float(wrapped) if size is None else wrapped
 
-    @property
-    def has_density(self) -> bool:
-        return any(c.has_density for c in self.components)
-
     def to_config(self) -> dict:
         return {"type": "product", "components": [c.to_config() for c in self.components]}
 
@@ -277,14 +266,14 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def moment_by_integration(
-    model: PhaseErrorModel, p: int, spec: numerics.QuadratureSpec | None = None
-) -> float:
+def moment_by_integration(model: PhaseErrorModel, p: int) -> float:
     """p-th trigonometric moment by direct quadrature of cos(p theta) pdf.
 
     Independent of the closed forms in :meth:`PhaseErrorModel.trig_moment`;
     products recurse over their components (expectations of independent
     factors multiply), with a degenerate component contributing exactly 1.
+    Any other model without a density raises :class:`DomainError` from its
+    ``pdf``.
     """
     p = _check_order(p)
     if p > MAX_INTEGRATION_ORDER:
@@ -294,14 +283,11 @@ def moment_by_integration(
     if isinstance(model, Product):
         out = 1.0
         for comp in model.components:
-            out *= 1.0 if isinstance(comp, NoError) else moment_by_integration(comp, p, spec)
+            out *= 1.0 if isinstance(comp, NoError) else moment_by_integration(comp, p)
         return out
-    if not model.has_density:
-        raise numerics.DomainError(f"{type(model).__name__} has no density to integrate")
-    spec = spec or numerics.QuadratureSpec(tolerance=1e-12, max_subdivisions=4000)
     # symmetric densities: the sine part vanishes and the cosine part doubles
     value = numerics.integrate(
-        lambda th: np.cos(p * th) * model.pdf(th), 0.0, math.pi, spec
+        lambda th: np.cos(p * th) * model.pdf(th), 0.0, math.pi, _MOMENT_QUAD
     )
     return 2.0 * value
 

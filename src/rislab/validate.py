@@ -55,13 +55,9 @@ def _error_models() -> dict[str, phase_models.PhaseErrorModel]:
     }
 
 
-def _gamma0_db_at_level(pe: phase_models.PhaseErrorModel, level: float, n: int = 32) -> float:
-    """Single-reflector SNR (dB) where the analytic BER crosses ``level``."""
-    def ber_at(gdb: float) -> float:
-        ch = derive(LrsScenario(n, 10.0 ** (gdb / 10.0), Rician(1.0), Rayleigh(), pe))
-        return performance.ber_bpsk(ch.m, ch.gamma_bar)
-
-    lo, hi = -45.0, 15.0
+def _db_at_level(ber_at, level: float, lo: float, hi: float) -> float:
+    """SNR (dB) in [lo, hi] where the falling curve ``ber_at(db)`` crosses
+    ``level``, by 80 bisection steps."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if ber_at(mid) > level:
@@ -69,6 +65,15 @@ def _gamma0_db_at_level(pe: phase_models.PhaseErrorModel, level: float, n: int =
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _gamma0_db_at_level(pe: phase_models.PhaseErrorModel, level: float, n: int = 32) -> float:
+    """Single-reflector SNR (dB) where the analytic BER crosses ``level``."""
+    def ber_at(gdb: float) -> float:
+        ch = derive(LrsScenario(n, 10.0 ** (gdb / 10.0), Rician(1.0), Rayleigh(), pe))
+        return performance.ber_bpsk(ch.m, ch.gamma_bar)
+
+    return _db_at_level(ber_at, level, -45.0, 15.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +101,11 @@ def check_moment_formulas(tol: float = 1e-8) -> CheckResult:
     )
 
 
-def check_gaussian_limit(draws: int = 10**5, seed: int = 4242, n: int = 256) -> CheckResult:
+def check_gaussian_limit(trials: int = 10**5, seed: int = 4242, n: int = 256) -> CheckResult:
     """Sample moments of H against the limit-Gaussian parameters (5 SE)."""
     sc = reference_scenario(n)
     ch = derive(sc)
-    h = draw_h_batch(sc, np.random.default_rng(seed), draws)
+    h = draw_h_batch(sc, np.random.default_rng(seed), trials)
     u, v = h.real, h.imag
     count = u.size
 
@@ -119,11 +124,11 @@ def check_gaussian_limit(draws: int = 10**5, seed: int = 4242, n: int = 256) -> 
     return CheckResult(
         "gaussian-limit",
         passed,
-        {"n": n, "draws": draws, "seed": seed, "z_scores": z, "bound": 5.0},
+        {"n": n, "trials": trials, "seed": seed, "z_scores": z, "bound": 5.0},
     )
 
 
-def check_snr_fit(draws: int = 10**5, seed: int = 777) -> CheckResult:
+def check_snr_fit(trials: int = 10**5, seed: int = 777) -> CheckResult:
     """KS distance of sampled instantaneous SNR against the gamma law.
 
     Thresholds 0.05 (n=16) and 0.03 (n=256) are calibrated values; the
@@ -135,7 +140,7 @@ def check_snr_fit(draws: int = 10**5, seed: int = 777) -> CheckResult:
     for n, thr in thresholds.items():
         sc = reference_scenario(n)
         ch = derive(sc)
-        smp = sample_snr(SimConfig(sc, trials=draws, master_seed=seed))
+        smp = sample_snr(SimConfig(sc, trials=trials, master_seed=seed))
         rep = stats.ks_test(smp.values, lambda g: snr_cdf(ch, g), threshold=thr)
         distances[n] = rep.statistic
         reports[n] = rep.to_dict()
@@ -145,7 +150,7 @@ def check_snr_fit(draws: int = 10**5, seed: int = 777) -> CheckResult:
     return CheckResult(
         "snr-fit",
         passed,
-        {"draws": draws, "seed": seed, "reports": {str(k): v for k, v in reports.items()}},
+        {"trials": trials, "seed": seed, "reports": {str(k): v for k, v in reports.items()}},
     )
 
 
@@ -272,14 +277,9 @@ def check_asymptote(ms: tuple[float, ...] = (1.0, 2.0, 12.879566079348178)) -> C
         target = 10.0 ** (-2.0 * m)
         c1 = m * m * (2.0 * m + 1.0) / (2.0 * m + 2.0)
 
-        lo, hi = 0.0, 60.0 + 6.0 * m
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if performance.ber_bpsk(m, 10.0 ** (mid / 10.0)) > target:
-                lo = mid
-            else:
-                hi = mid
-        cross_db = 0.5 * (lo + hi)
+        cross_db = _db_at_level(
+            lambda gdb: performance.ber_bpsk(m, 10.0 ** (gdb / 10.0)), target, 0.0, 60.0 + 6.0 * m
+        )
 
         grid = [cross_db + d for d in np.arange(0.0, 15.1, 0.5)]
         gbar = np.array([10.0 ** (g / 10.0) for g in grid])

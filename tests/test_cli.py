@@ -181,6 +181,24 @@ def test_unknown_model_type_exits_2(tmp_path, command, field):
     assert "config error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "orders", [2.5, 0, 17, "abc"], ids=["fractional", "zero", "above-oracle-cap", "text"]
+)
+def test_moments_rejects_bad_orders(tmp_path, orders):
+    payload = {"phase_error": {"type": "quantizer", "bits": 1}, "orders": orders}
+    res = run_cli("moments", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("key", ["target_gd", "target_gc"])
+def test_plan_rejects_non_numeric_target(tmp_path, key):
+    payload = {**REFERENCE_CONFIG, key: "abc"}
+    res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+
+
 def test_plan_command_round_trip(tmp_path):
     payload = {
         "fading_sr": {"type": "rayleigh"},
@@ -205,6 +223,15 @@ def test_validate_command(tmp_path):
     payload = json.loads((out / "validate_shape_identity.json").read_text())
     assert payload["passed"] is True
     assert payload["checks"][0]["name"] == "shape-identity"
+
+
+def test_validate_snr_fit_honours_trials(tmp_path):
+    out = tmp_path / "out"
+    res = run_cli("validate", "snr-fit", "--trials", "2000", "--seed", "5", "--out", str(out))
+    assert res.returncode in (0, 4), res.stderr
+    details = json.loads((out / "validate_snr_fit.json").read_text())["checks"][0]["details"]
+    assert details["trials"] == 2000
+    assert [r["sample_count"] for r in details["reports"].values()] == [2000, 2000]
 
 
 def test_validate_failing_suite_exits_4(tmp_path):

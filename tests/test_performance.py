@@ -112,6 +112,21 @@ def test_asymptote_requires_positive_gamma_bar():
         pf.ber_high_snr(2.0, 0.0)
 
 
+@pytest.mark.parametrize("m", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda m: pf.ber_high_snr(m, 10.0),
+        lambda m: ec.snr_pdf(ec.EquivChannel(0.0, 0.0, 0.0, m, 1.0, 10.0, 1, 10.0), 1.0),
+        lambda m: ec.nakagami_pdf(ec.EquivChannel(0.0, 0.0, 0.0, m, 1.0, 10.0, 1, 10.0), 0.5),
+    ],
+    ids=["ber_high_snr", "snr_pdf", "nakagami_pdf"],
+)
+def test_kernels_reject_non_positive_shape(kernel, m):
+    with pytest.raises(nx.DomainError):
+        kernel(m)
+
+
 # ---------------------------------------------------------------------------
 # gains
 # ---------------------------------------------------------------------------
@@ -150,6 +165,16 @@ def test_unit_shape_coding_gain_closed_form():
     assert ch.m == pytest.approx(1.0, rel=1e-12)
     g = pf.gains(sc)
     assert g.coding_gain == pytest.approx(4.0 * n**2 * x, rel=1e-10)
+
+
+def test_gains_and_coding_planner_agree_exactly():
+    # one coding-gain formula: the planner's G_c(n) is gains(...) at n
+    pe = pm.Quantizer(2)
+    phi1, phi2 = pe.trig_moment(1), pe.trig_moment(2)
+    for n in (1, 7, 64):
+        sc = ref_scenario(n=n, pe=pe)
+        want = pf._coding_gain(n, math.sqrt(sc.a_squared), phi1, phi2)
+        assert pf.gains(sc).coding_gain == want
 
 
 def test_gains_undefined_without_alignment():

@@ -222,7 +222,6 @@ def test_pdfs_normalize():
 
 
 def test_no_error_has_no_density():
-    assert not pm.NoError().has_density
     with pytest.raises(nx.DomainError):
         pm.NoError().pdf(0.0)
 
