@@ -42,7 +42,7 @@ print(f"analytic second moment (omega): {ch.omega:.5f}")
 edges = np.linspace(0.0, mags.max() * 1.05, 60)
 hist, _ = np.histogram(mags, bins=edges, density=True)
 centers = 0.5 * (edges[:-1] + edges[1:])
-pdf = nakagami_pdf(ch, centers)
+pdf = nakagami_pdf(ch.m, ch.omega, centers)
 worst = np.max(np.abs(hist - pdf))
 print(f"max |histogram - density| over 60 bins: {worst:.3f} (density peak {pdf.max():.3f})")
 

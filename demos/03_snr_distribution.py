@@ -26,8 +26,10 @@ for n in (16, 256):
     smp = sample_snr(SimConfig(scenario, trials=10**5, master_seed=33), bin_edges=edges)
     density = smp.histogram / (smp.total_trials * (edges[1] - edges[0]))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    fit = ks_test(smp.values, lambda g: snr_cdf(ch, g), threshold=0.05 if n == 16 else 0.03)
-    panels[n] = (centers, density, snr_pdf(ch, centers), ch)
+    fit = ks_test(
+        smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g), threshold=0.05 if n == 16 else 0.03
+    )
+    panels[n] = (centers, density, snr_pdf(ch.m, ch.gamma_bar, centers), ch)
     print(
         f"n={n:4d}: shape m={ch.m:8.3f}  mean={ch.gamma_bar:9.2f}"
         f"  KS distance={fit.statistic:.4f} (threshold {fit.threshold})"

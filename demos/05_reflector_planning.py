@@ -31,11 +31,11 @@ for name, pe in models.items():
 print("\nreflectors needed for a coding gain of 2000 (33 dB):")
 for name, pe in models.items():
     phi1, phi2 = pe.trig_moment(1), pe.trig_moment(2)
-    plan = reflectors_for_coding_gain(2000.0, 1.0, a, phi1, phi2)
+    plan = reflectors_for_coding_gain(2000.0, a, phi1, phi2)
     print(f"  {name:20s} n={plan.n:4d}  (achieved G_c={plan.achieved:.1f})")
 
 print("\nan unreachable target reports the best achievable value instead:")
-plan = reflectors_for_coding_gain(1e9, 1.0, a, 0.9, 0.7, n_max=10**5)
+plan = reflectors_for_coding_gain(1e9, a, 0.9, 0.7, n_max=10**5)
 print(
     f"  target 1e9 with n capped at 1e5: feasible={plan.feasible}, "
     f"best G_c={plan.achieved:.3e} at n={plan.searched_up_to}"

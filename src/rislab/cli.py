@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -38,7 +39,7 @@ from .fading import from_config as fading_from_config
 from .montecarlo import SimConfig, sample_snr, simulate_ber
 from .phase_models import from_config as phase_from_config
 from .phase_models import MAX_INTEGRATION_ORDER, moment_by_integration
-from .stats import ks_test
+from .stats import KS_MIN_SAMPLES, ks_test
 
 _DEFAULT_SEED = 20200709
 
@@ -120,24 +121,9 @@ def _cmd_moments(args) -> int:
         integ = moment_by_integration(model, p)
         rows.append([p, closed, integ, abs(closed - integ)])
 
-    outputs = []
-    if args.format == "json":
-        path = os.path.join(args.out, "moments.json")
-        _write_json(
-            path,
-            {
-                "phase_error": model.to_config(),
-                "rows": [
-                    {"p": p, "closed_form": c, "integration": i, "abs_diff": d}
-                    for p, c, i, d in rows
-                ],
-            },
-        )
-    else:
-        path = os.path.join(args.out, "moments.csv")
-        _write_csv(path, ["p", "closed_form", "integration", "abs_diff"], rows)
-    outputs.append(path)
-    _write_manifest(args.out, "moments", {**cfg, "orders": orders}, None, outputs)
+    path = os.path.join(args.out, "moments.csv")
+    _write_csv(path, ["p", "closed_form", "integration", "abs_diff"], rows)
+    _write_manifest(args.out, "moments", {**cfg, "orders": orders}, None, [path])
     for p, c, i, d in rows:
         print(f"p={p}  closed={c!r}  integration={i!r}  |diff|={d:.3e}")
     return 0
@@ -160,10 +146,7 @@ def _cmd_ber(args) -> int:
     sweep_db = sweep_from_config(cfg)
     points = tuple(db_to_linear(g) for g in sweep_db)
 
-    channels = [
-        derive(LrsScenario(scenario.n, g0, scenario.fading_sr, scenario.fading_rd, scenario.phase_error))
-        for g0 in points
-    ]
+    channels = [derive(replace(scenario, gamma0=g0)) for g0 in points]
     analytic = [performance.ber_bpsk(ch.m, ch.gamma_bar) for ch in channels]
     asymptote = [performance.ber_high_snr(ch.m, ch.gamma_bar) for ch in channels]
 
@@ -189,14 +172,8 @@ def _cmd_ber(args) -> int:
         )
     ]
     header = ["gamma0_db", "gamma_bar_db", "ber_analytic", "ber_asymptote", "ber_sim", "ci_halfwidth"]
-    outputs = []
-    if args.format == "json":
-        path = os.path.join(args.out, "ber.json")
-        _write_json(path, {"rows": [dict(zip(header, r)) for r in rows]})
-    else:
-        path = os.path.join(args.out, "ber.csv")
-        _write_csv(path, header, rows)
-    outputs.append(path)
+    path = os.path.join(args.out, "ber.csv")
+    _write_csv(path, header, rows)
     resolved = {
         **scenario_to_config(scenario),
         "sweep": cfg.get("sweep"),
@@ -204,7 +181,7 @@ def _cmd_ber(args) -> int:
         "trials": args.trials,
         "estimator": args.estimator,
     }
-    _write_manifest(args.out, "ber", resolved, args.seed if args.simulate else None, outputs)
+    _write_manifest(args.out, "ber", resolved, args.seed if args.simulate else None, [path])
     print(f"wrote {path} ({len(rows)} sweep points)")
     return 0
 
@@ -212,6 +189,8 @@ def _cmd_ber(args) -> int:
 def _cmd_snr_pdf(args) -> int:
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    if args.simulate and args.trials < KS_MIN_SAMPLES:
+        raise ConfigError(f"--trials must be >= {KS_MIN_SAMPLES} for the fit, got {args.trials}")
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
     ch = derive(scenario)
@@ -219,7 +198,7 @@ def _cmd_snr_pdf(args) -> int:
     edges = np.linspace(0.0, upper, args.bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = float(edges[1] - edges[0])
-    pdf = snr_pdf(ch, centers)
+    pdf = snr_pdf(ch.m, ch.gamma_bar, centers)
 
     outputs = []
     fit = None
@@ -228,8 +207,7 @@ def _cmd_snr_pdf(args) -> int:
             SimConfig(scenario, trials=args.trials, master_seed=args.seed), bin_edges=edges
         )
         density = smp.histogram / (smp.total_trials * width)
-        threshold = cfg.get("ks_threshold")  # calibrated per scenario; default is the 99% critical value
-        fit = ks_test(smp.values, lambda g: snr_cdf(ch, g), threshold=threshold)
+        fit = ks_test(smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g))
         fit_path = os.path.join(args.out, "snr_fit.json")
         _write_json(fit_path, fit.to_dict())
         outputs.append(fit_path)
@@ -263,6 +241,9 @@ def _cmd_plan(args) -> int:
         hops = fading_from_config(cfg["fading_sr"]), fading_from_config(cfg["fading_rd"])
         gamma0 = db_to_linear(float(cfg.get("gamma0_db", 0.0)))
         targets = {key: float(cfg[key]) for key in ("target_gd", "target_gc") if key in cfg}
+        for key, target in targets.items():
+            if not (math.isfinite(target) and target > 0.0):
+                raise ConfigError(f"{key} must be finite and > 0, got {target!r}")
     if not targets:
         raise ConfigError("plan config needs 'target_gd' and/or 'target_gc'")
     a = math.sqrt(hops[0].mean_magnitude() * hops[1].mean_magnitude())
@@ -282,7 +263,7 @@ def _cmd_plan(args) -> int:
         }
     if "target_gc" in targets:
         target = targets["target_gc"]
-        plan = performance.reflectors_for_coding_gain(target, gamma0, a, phi1, phi2)
+        plan = performance.reflectors_for_coding_gain(target, a, phi1, phi2)
         entry = {
             "target_gc": target,
             "feasible": plan.feasible,
@@ -346,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="trigonometric moments, closed form vs quadrature")
     common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("equiv", help="equivalent-channel parameters")
@@ -359,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p.add_argument("--estimator", choices=("direct", "semianalytic"), default="semianalytic")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_ber)
 
     p = sub.add_parser("snr-pdf", help="analytic SNR density, histogram and fit report")

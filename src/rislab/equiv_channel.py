@@ -23,7 +23,7 @@ quality of that reduction can be measured directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,18 +96,7 @@ class EquivChannel:
     rayleigh_equivalent: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma_u2": self.sigma_u2,
-            "sigma_v2": self.sigma_v2,
-            "m": self.m,
-            "omega": self.omega,
-            "gamma_bar": self.gamma_bar,
-            "gamma_bar_db": 10.0 * math.log10(self.gamma_bar),
-            "n": self.n,
-            "gamma0": self.gamma0,
-            "rayleigh_equivalent": self.rayleigh_equivalent,
-        }
+        return {**asdict(self), "gamma_bar_db": 10.0 * math.log10(self.gamma_bar)}
 
 
 def m_from_moments(n: int, a_squared: float, phi1: float, phi2: float) -> float:
@@ -186,42 +175,26 @@ def finite_n_second_moment(scenario: LrsScenario) -> float:
 # ---------------------------------------------------------------------------
 
 
-def nakagami_pdf(ch: EquivChannel, x):
+def nakagami_pdf(m: float, omega: float, x):
     """Density of |H|: 2 m^m x^(2m-1) exp(-m x^2 / omega) / (Gamma(m) omega^m).
 
-    Evaluated in the log domain; m grows linearly with n so m^m and
-    omega^m overflow long before the density does.
+    |H|^2 is gamma distributed with shape m and mean omega, so this is the
+    change of variables 2x snr_pdf(m, omega, x^2).
     """
-    m = ch.m
-    omega = ch.omega
-    if not m > 0.0:
-        raise numerics.DomainError(f"m must be > 0, got {m!r}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise numerics.DomainError("magnitude must be >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if np.any(pos):
-        xs = arr[pos]
-        log_pdf = (
-            math.log(2.0)
-            + m * math.log(m)
-            + (2.0 * m - 1.0) * np.log(xs)
-            - m * xs * xs / omega
-            - numerics.ln_gamma(m)
-            - m * math.log(omega)
-        )
-        with np.errstate(under="ignore"):
-            out[pos] = np.exp(log_pdf)
-    return float(out[0]) if scalar else out
+    out = 2.0 * arr * snr_pdf(m, omega, arr * arr)
+    return float(out) if arr.ndim == 0 else out
 
 
-def snr_pdf(ch: EquivChannel, gamma):
-    """Gamma density of the instantaneous SNR, shape m and mean gamma_bar."""
-    m = ch.m
-    gbar = ch.gamma_bar
+def snr_pdf(m: float, gamma_bar: float, gamma):
+    """Gamma density with shape m and mean gamma_bar: the law of the
+    instantaneous SNR.
+
+    Evaluated in the log domain; m grows linearly with n so m^m and
+    gamma_bar^m overflow long before the density does.
+    """
     if not m > 0.0:
         raise numerics.DomainError(f"m must be > 0, got {m!r}")
     arr = np.asarray(gamma, dtype=float)
@@ -236,23 +209,23 @@ def snr_pdf(ch: EquivChannel, gamma):
         log_pdf = (
             m * math.log(m)
             + (m - 1.0) * np.log(g)
-            - m * g / gbar
+            - m * g / gamma_bar
             - numerics.ln_gamma(m)
-            - m * math.log(gbar)
+            - m * math.log(gamma_bar)
         )
         with np.errstate(under="ignore"):
             out[pos] = np.exp(log_pdf)
     if m == 1.0:
-        out[~pos] = 1.0 / gbar  # exponential density is finite at the origin
+        out[~pos] = 1.0 / gamma_bar  # exponential density is finite at the origin
     return float(out[0]) if scalar else out
 
 
-def snr_cdf(ch: EquivChannel, gamma):
-    """Distribution function of the instantaneous SNR."""
+def snr_cdf(m: float, gamma_bar: float, gamma):
+    """Distribution function of the gamma law with shape m and mean gamma_bar."""
     arr = np.asarray(gamma, dtype=float)
     if np.any(arr < 0.0):
         raise numerics.DomainError("snr must be >= 0")
-    return numerics.regularized_gamma_p(ch.m, arr * (ch.m / ch.gamma_bar))
+    return numerics.regularized_gamma_p(m, arr * (m / gamma_bar))
 
 
 # ---------------------------------------------------------------------------

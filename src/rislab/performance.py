@@ -162,7 +162,6 @@ def reflectors_for_diversity(target_gd: float, a: float, phi1: float, phi2: floa
 
 def reflectors_for_coding_gain(
     target_gc: float,
-    gamma0: float,
     a: float,
     phi1: float,
     phi2: float,
@@ -173,13 +172,9 @@ def reflectors_for_coding_gain(
     The coding gain is searched by doubling plus bisection and the
     bracket is verified afterwards; should the verification detect a
     non-monotone stretch, the bracket is scanned exhaustively.
-    ``gamma0`` does not influence the gain itself (the gain is defined
-    relative to it) and is only validated.
     """
     if not target_gc > 0.0:
         raise numerics.DomainError(f"target coding gain must be > 0, got {target_gc!r}")
-    if not gamma0 > 0.0:
-        raise numerics.DomainError(f"gamma0 must be > 0, got {gamma0!r}")
     if not phi1 > 0.0:
         raise numerics.DomainError("planner requires phi_1 > 0")
 

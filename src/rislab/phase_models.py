@@ -270,20 +270,22 @@ def moment_by_integration(model: PhaseErrorModel, p: int) -> float:
     """p-th trigonometric moment by direct quadrature of cos(p theta) pdf.
 
     Independent of the closed forms in :meth:`PhaseErrorModel.trig_moment`;
-    products recurse over their components (expectations of independent
-    factors multiply), with a degenerate component contributing exactly 1.
-    Any other model without a density raises :class:`DomainError` from its
-    ``pdf``.
+    the degenerate :class:`NoError` has every moment exactly 1, and products
+    recurse over their components (expectations of independent factors
+    multiply).  Any other model without a density raises
+    :class:`DomainError` from its ``pdf``.
     """
     p = _check_order(p)
     if p > MAX_INTEGRATION_ORDER:
         raise numerics.RangeError(
             f"integration oracle capped at order {MAX_INTEGRATION_ORDER}, got {p}"
         )
+    if isinstance(model, NoError):
+        return 1.0
     if isinstance(model, Product):
         out = 1.0
         for comp in model.components:
-            out *= 1.0 if isinstance(comp, NoError) else moment_by_integration(comp, p)
+            out *= moment_by_integration(comp, p)
         return out
     # symmetric densities: the sine part vanishes and the cosine part doubles
     value = numerics.integrate(

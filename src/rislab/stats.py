@@ -16,7 +16,9 @@ import numpy as np
 
 from . import numerics
 
-__all__ = ["FitReport", "db_gap", "ks_test", "slope_fit"]
+__all__ = ["FitReport", "KS_MIN_SAMPLES", "db_gap", "ks_test", "slope_fit"]
+
+KS_MIN_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,13 @@ def ks_test(samples, cdf: Callable, threshold: float | None = None) -> FitReport
 
     ``cdf`` must map an array of points to probabilities.  The p-value
     uses the asymptotic Kolmogorov law with the small-sample size
-    correction; at least 100 samples are required.  When ``threshold``
-    is omitted the 99% critical distance 1.6276/sqrt(N) is used.
+    correction; at least ``KS_MIN_SAMPLES`` samples are required.  When
+    ``threshold`` is omitted the 99% critical distance 1.6276/sqrt(N) is
+    used.
     """
     xs = np.asarray(samples, dtype=float).ravel()
-    if xs.size < 100:
-        raise numerics.DomainError(f"ks_test needs >= 100 samples, got {xs.size}")
+    if xs.size < KS_MIN_SAMPLES:
+        raise numerics.DomainError(f"ks_test needs >= {KS_MIN_SAMPLES} samples, got {xs.size}")
     if np.any(np.isnan(xs)):
         raise numerics.DomainError("ks_test rejects NaN samples")
     xs = np.sort(xs)

@@ -165,6 +165,15 @@ def test_snr_pdf_rejects_bins_below_one(tmp_path, bins):
     assert "config error" in res.stderr
 
 
+def test_snr_pdf_rejects_too_few_trials_before_simulating(tmp_path):
+    cfg = write_config(tmp_path, REFERENCE_CONFIG)
+    out = tmp_path / "out"
+    res = run_cli("snr-pdf", "--config", cfg, "--simulate", "--trials", "99", "--out", str(out))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+    assert not (out / "snr_pdf.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command, field",
     [
@@ -197,6 +206,25 @@ def test_plan_rejects_non_numeric_target(tmp_path, key):
     res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
     assert res.returncode == 2
     assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0], ids=["negative", "zero"])
+@pytest.mark.parametrize("key", ["target_gd", "target_gc"])
+def test_plan_rejects_non_positive_target(tmp_path, key, value):
+    payload = {**REFERENCE_CONFIG, key: value}
+    res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+
+
+def test_moments_of_no_error_are_one(tmp_path):
+    cfg = write_config(tmp_path, {"phase_error": {"type": "none"}, "orders": 3})
+    out = tmp_path / "out"
+    res = run_cli("moments", "--config", cfg, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    _, rows = read_csv(out / "moments.csv")
+    assert len(rows) == 3
+    assert all(float(r[1]) == 1.0 and float(r[2]) == 1.0 for r in rows)
 
 
 def test_plan_command_round_trip(tmp_path):

@@ -37,12 +37,11 @@ def test_ber_rayleigh_closed_form():
 def test_ber_matches_conditional_average_oracle():
     # independent route: integrate Q(sqrt(2 g)) against the SNR density
     for m, gbar in ((1.7, 8.0), (5.0, 30.0), (14.171, 60.0)):
-        ch = ec.EquivChannel(0.0, 0.0, 0.0, m, 1.0, gbar, 1, gbar)
         hi = gbar * (1.0 + 20.0 / math.sqrt(m))
         spec = nx.QuadratureSpec(tolerance=1e-12, rel_tolerance=1e-10, max_subdivisions=6000)
         oracle = nx.integrate(
-            lambda g: nx.gauss_q(np.sqrt(2.0 * g)) * ec.snr_pdf(ch, g), 1e-13, hi, spec
-        ) + 0.5 * ec.snr_cdf(ch, 1e-13)
+            lambda g: nx.gauss_q(np.sqrt(2.0 * g)) * ec.snr_pdf(m, gbar, g), 1e-13, hi, spec
+        ) + 0.5 * ec.snr_cdf(m, gbar, 1e-13)
         assert pf.ber_bpsk(m, gbar) == pytest.approx(oracle, abs=1e-8)
 
 
@@ -117,8 +116,8 @@ def test_asymptote_requires_positive_gamma_bar():
     "kernel",
     [
         lambda m: pf.ber_high_snr(m, 10.0),
-        lambda m: ec.snr_pdf(ec.EquivChannel(0.0, 0.0, 0.0, m, 1.0, 10.0, 1, 10.0), 1.0),
-        lambda m: ec.nakagami_pdf(ec.EquivChannel(0.0, 0.0, 0.0, m, 1.0, 10.0, 1, 10.0), 0.5),
+        lambda m: ec.snr_pdf(m, 10.0, 1.0),
+        lambda m: ec.nakagami_pdf(m, 1.0, 0.5),
     ],
     ids=["ber_high_snr", "snr_pdf", "nakagami_pdf"],
 )
@@ -216,11 +215,11 @@ def test_coding_planner_round_trip_and_floor():
     a = math.sqrt(fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude())
     for n_star in (3, 48, 270):
         target = pf._coding_gain(n_star, a, phi1, phi2)
-        plan = pf.reflectors_for_coding_gain(target, 1.0, a, phi1, phi2)
+        plan = pf.reflectors_for_coding_gain(target, a, phi1, phi2)
         assert plan.feasible and plan.n <= n_star
         assert plan.achieved >= target
     tiny = pf._coding_gain(1, a, phi1, phi2) * 0.5
-    assert pf.reflectors_for_coding_gain(tiny, 1.0, a, phi1, phi2).n == 1
+    assert pf.reflectors_for_coding_gain(tiny, a, phi1, phi2).n == 1
 
 
 def test_coding_planner_matches_exhaustive_scan():
@@ -228,7 +227,7 @@ def test_coding_planner_matches_exhaustive_scan():
     phi2 = pm.VonMises(8.0).trig_moment(2)
     a = math.sqrt(fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude())
     target = 300.0
-    plan = pf.reflectors_for_coding_gain(target, 1.0, a, phi1, phi2)
+    plan = pf.reflectors_for_coding_gain(target, a, phi1, phi2)
     brute = next(
         n for n in range(1, 1025) if pf._coding_gain(n, a, phi1, phi2) >= target
     )
@@ -237,7 +236,7 @@ def test_coding_planner_matches_exhaustive_scan():
 
 def test_coding_planner_infeasible_reports_best():
     phi1, phi2 = 0.9, 0.7
-    plan = pf.reflectors_for_coding_gain(1e12, 1.0, 0.8, phi1, phi2, n_max=10**4)
+    plan = pf.reflectors_for_coding_gain(1e12, 0.8, phi1, phi2, n_max=10**4)
     assert not plan.feasible
     assert plan.n is None
     assert plan.searched_up_to == 10**4
@@ -256,10 +255,10 @@ def test_coding_planner_handles_small_shape_dip():
     # G_c here: 83.3 at n=1, dipping to 27.6 at n=4, then growing; a
     # target inside the dip is already met by a single reflector
     phi1, phi2, a = 0.9, 0.7, 0.85
-    plan = pf.reflectors_for_coding_gain(30.0, 1.0, a, phi1, phi2)
+    plan = pf.reflectors_for_coding_gain(30.0, a, phi1, phi2)
     assert plan.feasible and plan.n == 1
     # a target above G_c(1) must land past the dip, at the true minimum
     target = 100.0
-    plan = pf.reflectors_for_coding_gain(target, 1.0, a, phi1, phi2)
+    plan = pf.reflectors_for_coding_gain(target, a, phi1, phi2)
     brute = next(n for n in range(1, 4097) if pf._coding_gain(n, a, phi1, phi2) >= target)
     assert plan.feasible and plan.n == brute

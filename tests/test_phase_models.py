@@ -134,8 +134,7 @@ def test_product_integration_moment_composes():
 
 
 def test_integration_oracle_guards():
-    with pytest.raises(nx.DomainError):
-        pm.moment_by_integration(pm.NoError(), 1)
+    assert pm.moment_by_integration(pm.NoError(), 1) == 1.0
     with pytest.raises(nx.RangeError):
         pm.moment_by_integration(pm.VonMises(1.0), 17)
 

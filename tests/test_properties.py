@@ -1,0 +1,44 @@
+"""Invariants of the gamma-law kernels over random shapes and mean SNRs."""
+
+import numpy as np
+import pytest
+
+from rislab import equiv_channel as ec
+from rislab import performance as pf
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given = hypothesis.given
+
+PROPERTY = hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+
+shapes = st.floats(min_value=0.3, max_value=30.0)
+mean_snrs = st.floats(min_value=1e-2, max_value=1e3)
+
+
+@PROPERTY
+@given(
+    m=shapes,
+    gamma_bar=mean_snrs,
+    points=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=2, max_size=20),
+)
+def test_snr_cdf_is_a_distribution_function(m, gamma_bar, points):
+    gs = np.sort(np.array(points))
+    vals = ec.snr_cdf(m, gamma_bar, gs)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) >= 0.0)
+
+
+@PROPERTY
+@given(m=shapes, gamma_bar=mean_snrs, factor=st.floats(min_value=1.0, max_value=10.0))
+def test_ber_is_bounded_and_falls_in_gamma_bar_and_m(m, gamma_bar, factor):
+    ber = pf.ber_bpsk(m, gamma_bar)
+    assert 0.0 < ber <= 0.5
+    assert pf.ber_bpsk(m, gamma_bar * factor) <= ber
+    assert pf.ber_bpsk(min(m * factor, 30.0), gamma_bar) <= ber
+
+
+@PROPERTY
+@given(m=shapes, gamma_bar=mean_snrs)
+def test_asymptote_bounds_exact_ber_from_above(m, gamma_bar):
+    assert pf.ber_high_snr(m, gamma_bar) >= pf.ber_bpsk(m, gamma_bar)
