@@ -239,7 +239,6 @@ def _cmd_plan(args) -> int:
     with config_errors():
         pe = phase_from_config(cfg["phase_error"])
         hops = fading_from_config(cfg["fading_sr"]), fading_from_config(cfg["fading_rd"])
-        gamma0 = db_to_linear(float(cfg.get("gamma0_db", 0.0)))
         targets = {key: float(cfg[key]) for key in ("target_gd", "target_gc") if key in cfg}
         for key, target in targets.items():
             if not (math.isfinite(target) and target > 0.0):
@@ -251,10 +250,11 @@ def _cmd_plan(args) -> int:
     phi2 = pe.trig_moment(2)
 
     report: dict = {"phi1": phi1, "phi2": phi2, "a": a}
+    # the gains are ratios to the single-reflector SNR, so gamma0 cancels
     if "target_gd" in targets:
         target = targets["target_gd"]
         n = performance.reflectors_for_diversity(target, a, phi1, phi2)
-        g = performance.gains(LrsScenario(n, gamma0, *hops, pe))
+        g = performance.gains(LrsScenario(n, 1.0, *hops, pe))
         report["diversity"] = {
             "target_gd": target,
             "n": n,
@@ -272,7 +272,7 @@ def _cmd_plan(args) -> int:
             "searched_up_to": plan.searched_up_to,
         }
         if plan.feasible:
-            g = performance.gains(LrsScenario(plan.n, gamma0, *hops, pe))
+            g = performance.gains(LrsScenario(plan.n, 1.0, *hops, pe))
             entry["achieved_gd"] = g.diversity_gain
         report["coding"] = entry
 

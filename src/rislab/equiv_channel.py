@@ -182,7 +182,7 @@ def nakagami_pdf(m: float, omega: float, x):
     change of variables 2x snr_pdf(m, omega, x^2).
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise numerics.DomainError("magnitude must be >= 0")
     out = 2.0 * arr * snr_pdf(m, omega, arr * arr)
     return float(out) if arr.ndim == 0 else out
@@ -198,7 +198,7 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
     if not m > 0.0:
         raise numerics.DomainError(f"m must be > 0, got {m!r}")
     arr = np.asarray(gamma, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise numerics.DomainError("snr must be >= 0")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -223,7 +223,7 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
 def snr_cdf(m: float, gamma_bar: float, gamma):
     """Distribution function of the gamma law with shape m and mean gamma_bar."""
     arr = np.asarray(gamma, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise numerics.DomainError("snr must be >= 0")
     return numerics.regularized_gamma_p(m, arr * (m / gamma_bar))
 

@@ -137,21 +137,17 @@ def gains(scenario: LrsScenario) -> GainDecomposition:
 def reflectors_for_diversity(target_gd: float, a: float, phi1: float, phi2: float) -> int:
     """Smallest n whose shape parameter reaches ``target_gd``.
 
-    The shape parameter is linear in n, so the answer is a ceiling; the
-    final adjustment below removes one-ulp artifacts so that a target
-    taken from an integer-n evaluation round-trips exactly.
+    The shape parameter is n times the per-reflector shape, so the
+    answer is a ceiling; the final adjustment below removes one-ulp
+    artifacts so that a target taken from an integer-n evaluation
+    round-trips exactly.
     """
     if not target_gd > 0.0:
         raise numerics.DomainError(f"target diversity gain must be > 0, got {target_gd!r}")
     if not phi1 > 0.0:
         raise numerics.DomainError("planner requires phi_1 > 0")
     a2 = a * a
-    x = phi1 * phi1 * a2 * a2
-    denom = 1.0 + phi2 - 2.0 * x
-    if not denom > 0.0:
-        raise numerics.DomainError("moment combination leaves no spread in Re(H)")
-
-    n = max(1, math.ceil(2.0 * target_gd * denom / x))
+    n = max(1, math.ceil(target_gd / m_from_moments(1, a2, phi1, phi2)))
     slack = 1.0 - 1e-12
     while n > 1 and m_from_moments(n - 1, a2, phi1, phi2) >= target_gd * slack:
         n -= 1

@@ -63,8 +63,8 @@ class PhaseErrorModel(abc.ABC):
         """Closed-form trigonometric moment E[exp(j p Theta)], real valued."""
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw angles in [-pi, pi); scalar when ``size`` is None."""
+    def sample(self, rng: np.random.Generator, size):
+        """Draw an array of angles in [-pi, pi) with shape ``size``."""
 
     def pdf(self, theta):
         """Density on [-pi, pi); raises for models without one."""
@@ -83,8 +83,8 @@ class NoError(PhaseErrorModel):
         _check_order(p)
         return 1.0
 
-    def sample(self, rng, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def sample(self, rng, size):
+        return np.zeros(size)
 
     def to_config(self) -> dict:
         return {"type": "none"}
@@ -118,13 +118,8 @@ class VonMises(PhaseErrorModel):
         i0e = numerics.bessel_i_scaled(0, self.kappa)
         return np.exp(self.kappa * (np.cos(theta) - 1.0)) / (_TWO_PI * i0e)
 
-    def sample(self, rng, size=None):
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
-        out = _sample_von_mises(self.kappa, rng, n)
-        if scalar:
-            return float(out[0])
-        return out.reshape(size)
+    def sample(self, rng, size):
+        return _sample_von_mises(self.kappa, rng, int(np.prod(size))).reshape(size)
 
     def to_config(self) -> dict:
         return {"type": "von_mises", "kappa": self.kappa}
@@ -163,10 +158,9 @@ class Quantizer(PhaseErrorModel):
         w = self.half_width
         return np.where(np.abs(theta) <= w, 1.0 / (2.0 * w), 0.0)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         w = self.half_width
-        out = rng.uniform(-w, w, size)
-        return float(out) if size is None else out
+        return rng.uniform(-w, w, size)
 
     def to_config(self) -> dict:
         return {"type": "quantizer", "bits": self.bits}
@@ -184,9 +178,8 @@ class UniformCircle(PhaseErrorModel):
         theta = np.asarray(theta, dtype=float)
         return np.full_like(theta, 1.0 / _TWO_PI)
 
-    def sample(self, rng, size=None):
-        out = rng.uniform(-math.pi, math.pi, size)
-        return float(out) if size is None else out
+    def sample(self, rng, size):
+        return rng.uniform(-math.pi, math.pi, size)
 
     def to_config(self) -> dict:
         return {"type": "uniform"}
@@ -215,12 +208,11 @@ class Product(PhaseErrorModel):
             out *= comp.trig_moment(p)
         return out
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         total = self.components[0].sample(rng, size)
         for comp in self.components[1:]:
             total = total + comp.sample(rng, size)
-        wrapped = (total + math.pi) % _TWO_PI - math.pi
-        return float(wrapped) if size is None else wrapped
+        return (total + math.pi) % _TWO_PI - math.pi
 
     def to_config(self) -> dict:
         return {"type": "product", "components": [c.to_config() for c in self.components]}

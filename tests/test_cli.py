@@ -244,6 +244,23 @@ def test_plan_command_round_trip(tmp_path):
     assert report["coding"]["achieved_gc"] >= 40.0
 
 
+def test_plan_ignores_gamma0_db(tmp_path):
+    payload = {
+        "fading_sr": {"type": "rician", "k_factor": 1.0},
+        "fading_rd": {"type": "rayleigh"},
+        "phase_error": {"type": "von_mises", "kappa": 8.0},
+        "target_gd": 20.0,
+        "target_gc": 5.0,
+    }
+    reports = []
+    for name, cfg in (("plain", payload), ("far", dict(payload, gamma0_db=-4000.0))):
+        out = tmp_path / name
+        res = run_cli("plan", "--config", write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        reports.append((out / "plan.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_validate_command(tmp_path):
     out = tmp_path / "out"
     res = run_cli("validate", "shape-identity", "--out", str(out))

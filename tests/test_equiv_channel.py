@@ -204,6 +204,17 @@ def test_snr_cdf_boundaries_and_exponential_case():
     ch = ec.derive(REFERENCE)
     assert ec.snr_cdf(ch.m, ch.gamma_bar, 0.0) == 0.0
     assert ec.snr_cdf(1.0, 1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert ec.snr_cdf(2.0, 1.0, math.inf) == 1.0
+
+
+@pytest.mark.parametrize(
+    "kernel", [ec.snr_cdf, ec.snr_pdf, ec.nakagami_pdf], ids=lambda f: f.__name__
+)
+def test_density_kernels_reject_nan(kernel):
+    with pytest.raises(nx.DomainError):
+        kernel(2.0, 1.0, math.nan)
+    with pytest.raises(nx.DomainError):
+        kernel(2.0, 1.0, np.array([1.0, math.nan]))
 
 
 def test_snr_cdf_median_against_pdf_quadrature():

@@ -147,6 +147,8 @@ def test_gauss_q_vectorized_matches_scalar():
 
 def test_gamma_p_boundaries():
     assert nx.regularized_gamma_p(3.7, 0.0) == 0.0
+    assert nx.regularized_gamma_p(2.0, math.inf) == 1.0
+    assert nx.regularized_gamma_p(2.0, np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
     for x in (0.2, 1.0, 5.0):
         assert nx.regularized_gamma_p(1.0, x) == pytest.approx(1.0 - math.exp(-x), abs=1e-12)
 
@@ -181,6 +183,26 @@ def test_gamma_p_domain_errors():
         nx.regularized_gamma_p(0.0, 1.0)
     with pytest.raises(nx.DomainError):
         nx.regularized_gamma_p(1.0, -0.1)
+    with pytest.raises(nx.DomainError):
+        nx.regularized_gamma_p(2.0, math.nan)
+
+
+@pytest.mark.parametrize("m", [0.3, 1.0, 3.7, 14.5, 60.0, 250.0])
+def test_gamma_p_against_scipy_gammainc(m):
+    gammainc = pytest.importorskip("scipy.special").gammainc
+    split = m + 1.0
+    xs = np.concatenate(
+        [
+            [0.0, split, np.nextafter(split, 0.0), np.nextafter(split, math.inf), math.inf],
+            np.geomspace(1e-3, 0.999 * split, 40),
+            np.geomspace(1.001 * split, 5.0 * split + 40.0, 40),
+        ]
+    )
+    out = nx.regularized_gamma_p(m, xs)
+    assert np.max(np.abs(out - gammainc(m, xs))) <= 1e-12
+    scalars = [nx.regularized_gamma_p(m, float(x)) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == out.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,6 @@ def test_integration_oracle_guards():
 
 def test_no_error_samples_are_zero():
     rng = np.random.default_rng(1)
-    assert pm.NoError().sample(rng) == 0.0
     assert np.all(pm.NoError().sample(rng, 1000) == 0.0)
 
 
@@ -202,10 +201,12 @@ def test_tiny_concentration_sampling_is_near_uniform():
     assert abs(np.cos(th).mean()) < 5.0 / math.sqrt(2.0 * 10**5)
 
 
-def test_scalar_sample_shape():
+def test_sample_returns_the_requested_shape():
     rng = np.random.default_rng(6)
     for model in ALL_VARIANTS:
-        assert np.ndim(model.sample(rng)) == 0
+        assert model.sample(rng, (3, 4)).shape == (3, 4)
+        with pytest.raises(TypeError):
+            model.sample(rng)
 
 
 # ---------------------------------------------------------------------------
