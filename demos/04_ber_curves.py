@@ -52,12 +52,21 @@ for name, pe in models.items():
 
 sim_points = {}
 if "--simulate" in sys.argv:
-    for name, pe in models.items():
-        points = tuple(10 ** (g / 10) for g in sweep_db[::3])
-        res = simulate_ber(
-            SimConfig(scenario(pe, points[0]), trials=10**5, master_seed=4, snr_points=points)
+    # one run for every model: the hop magnitudes are drawn once and shared
+    sim_db = sweep_db[::3]
+    points = tuple(10 ** (g / 10) for g in sim_db) * len(models)
+    errors = tuple(pe for pe in models.values() for _ in sim_db)
+    res = simulate_ber(
+        SimConfig(
+            scenario(errors[0], points[0]),
+            trials=10**5,
+            master_seed=4,
+            snr_points=points,
+            phase_errors=errors,
         )
-        sim_points[name] = (sweep_db[::3], np.array(res.ber))
+    )
+    for i, name in enumerate(models):
+        sim_points[name] = (sim_db, np.array(res.ber[i * len(sim_db) : (i + 1) * len(sim_db)]))
 
 print(f"{'gamma0 (dB)':>12s}  " + "  ".join(f"{k:>18s}" for k in models))
 for i, g in enumerate(sweep_db):

@@ -184,7 +184,10 @@ def nakagami_pdf(m: float, omega: float, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
         raise numerics.DomainError("magnitude must be >= 0")
-    out = 2.0 * arr * snr_pdf(m, omega, arr * arr)
+    # the density is 0 at infinity, where 2x snr_pdf(x^2) would read inf * 0
+    finite = arr < math.inf
+    safe = np.where(finite, arr, 0.0)
+    out = np.where(finite, 2.0 * safe * snr_pdf(m, omega, safe * safe), 0.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -203,7 +206,7 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.zeros_like(arr)
-    pos = arr > 0.0
+    pos = (arr > 0.0) & (arr < math.inf)  # the density is 0 at infinity
     if np.any(pos):
         g = arr[pos]
         log_pdf = (
@@ -216,7 +219,7 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
         with np.errstate(under="ignore"):
             out[pos] = np.exp(log_pdf)
     if m == 1.0:
-        out[~pos] = 1.0 / gamma_bar  # exponential density is finite at the origin
+        out[arr == 0.0] = 1.0 / gamma_bar  # exponential density is finite at the origin
     return float(out[0]) if scalar else out
 
 

@@ -24,6 +24,12 @@ numbers); the direct estimator also shares the block's symbols and
 noise across points.  Differences between sweep points then carry far
 less noise than the points themselves, and a simulated BER curve never
 rises along an increasing sweep.
+
+The common random numbers extend across phase-error models, whose law
+the hop magnitudes do not depend on: a block draws its magnitudes once,
+and each model restarts the block's stream after them to draw its phases
+(and the direct estimator's symbols and noise).  A model thus reads the
+numbers a run of its own would read, with the same result bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import numpy as np
 from . import numerics
 from .config import ConfigError
 from .equiv_channel import LrsScenario
+from .phase_models import PhaseErrorModel
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -73,7 +80,10 @@ class SimConfig:
 
     ``snr_points`` are single-reflector SNR values (linear scale) that
     override ``scenario.gamma0`` for BER sweeps; the default is the
-    scenario's own value.  ``estimator`` is "semianalytic" or "direct".
+    scenario's own value.  ``phase_errors`` holds one phase-error model
+    per sweep point and overrides ``scenario.phase_error`` for BER
+    sweeps; the default is the scenario's own model at every point.
+    ``estimator`` is "semianalytic" or "direct".
     """
 
     scenario: LrsScenario
@@ -81,6 +91,7 @@ class SimConfig:
     master_seed: int
     snr_points: tuple[float, ...] = ()
     estimator: str = "semianalytic"
+    phase_errors: tuple[PhaseErrorModel, ...] = ()
 
     def __post_init__(self):
         for name in ("trials", "master_seed"):
@@ -95,6 +106,12 @@ class SimConfig:
         if any(not (g > 0.0 and math.isfinite(g)) for g in points):
             raise SimConfigError("snr points must be positive and finite")
         object.__setattr__(self, "snr_points", points)
+        models = tuple(self.phase_errors) or (self.scenario.phase_error,) * len(points)
+        if len(models) != len(points):
+            raise SimConfigError(
+                f"phase_errors needs one model per snr point: {len(models)} for {len(points)}"
+            )
+        object.__setattr__(self, "phase_errors", models)
         if self.estimator not in ("semianalytic", "direct"):
             raise SimConfigError(f"unknown estimator {self.estimator!r}")
 
@@ -128,29 +145,32 @@ def _rng_for(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([master_seed, *key])))
 
 
-def _draw_h_chunk(scenario: LrsScenario, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` draws of H, vectorized over reflectors. Draw order is
-    fixed (source magnitudes, destination magnitudes, phases)."""
+def _hop_product(scenario: LrsScenario, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` rows of the n products |H_i1| |H_i2|; the source
+    magnitudes are drawn before the destination magnitudes."""
     shape = (count, scenario.n)
     m1 = scenario.fading_sr.sample_magnitude(rng, shape)
-    m2 = scenario.fading_rd.sample_magnitude(rng, shape)
-    theta = scenario.phase_error.sample(rng, shape)
-    r = m1 * m2
+    return m1 * scenario.fading_rd.sample_magnitude(rng, shape)
+
+
+def _reduce_h(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """H = mean over reflectors of r exp(j theta), one value per row."""
     # two real means cost about half of one complex exp(1j*theta) mean
     return np.mean(r * np.cos(theta), axis=1) + 1j * np.mean(r * np.sin(theta), axis=1)
 
 
 def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` independent draws of H, in chunks of ``_DRAW_CHUNK`` to
-    bound peak memory; the chunk size fixes how the stream is consumed."""
+    bound peak memory; the chunk size fixes how the stream is consumed,
+    magnitudes before phases within each chunk."""
     if size < 1:
         raise numerics.DomainError(f"size must be >= 1, got {size!r}")
     parts = []
     remaining = size
     while remaining > 0:
-        take = min(_DRAW_CHUNK, remaining)
-        parts.append(_draw_h_chunk(scenario, rng, take))
-        remaining -= take
+        r = _hop_product(scenario, rng, min(_DRAW_CHUNK, remaining))
+        parts.append(_reduce_h(r, scenario.phase_error.sample(rng, r.shape)))
+        remaining -= len(r)
     return np.concatenate(parts)
 
 
@@ -164,21 +184,38 @@ def _block_counts(trials: int) -> list[int]:
     return [BLOCK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _run_block(reduce, task):
-    """One block: seed its stream, draw H and reduce; a pure function of
-    its arguments."""
+def _run_block(jobs, task):
+    """One block: seed its stream, draw the hop magnitudes once, then for
+    each ``(model, reduce)`` job restart the stream after the magnitudes,
+    draw that model's phases and reduce its H; a pure function of its
+    arguments."""
     scenario, master_seed, stream, block, count = task
     rng = _rng_for(master_seed, stream, block)
-    return reduce(_draw_h_chunk(scenario, rng, count), rng, block)
+    r = _hop_product(scenario, rng, count)
+    after_hops = rng.bit_generator.state
+    out = []
+    for model, reduce in jobs:
+        rng.bit_generator.state = after_hops
+        out.append(reduce(_reduce_h(r, model.sample(rng, r.shape)), rng, block))
+    return out
 
 
-def _map_blocks(reduce, scenario, master_seed, stream, trials) -> list:
-    """``reduce(h, rng, block)`` over the blocks of ``trials`` draws of H,
-    returned in block order.  ``reduce`` is a module-level function or a
+def _worker_count() -> int:
+    raw = os.environ.get("RIS_LAB_WORKERS", "1") or "1"
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise SimConfigError(f"RIS_LAB_WORKERS must be an integer, got {raw!r}") from None
+
+
+def _map_blocks(jobs, scenario, master_seed, stream, trials) -> list:
+    """For each block of ``trials`` draws, the list of ``reduce(h, rng,
+    block)`` over the ``(model, reduce)`` pairs of ``jobs``, returned in
+    block order.  Each ``reduce`` is a module-level function or a
     ``partial`` of one, so that it pickles for the worker processes."""
     tasks = [(scenario, master_seed, stream, b, c) for b, c in enumerate(_block_counts(trials))]
-    run = partial(_run_block, reduce)
-    workers = min(max(1, int(os.environ.get("RIS_LAB_WORKERS", "1") or "1")), len(tasks))
+    run = partial(_run_block, jobs)
+    workers = min(_worker_count(), len(tasks))
     if workers == 1:
         return [run(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -235,15 +272,26 @@ def simulate_ber(config: SimConfig) -> SimResult:
     probability over the H draws (unbiased, far lower variance); the
     direct estimator transmits a random symbol per trial, adds receiver
     noise, rotates by the channel phase and counts sign errors.  All
-    sweep points share the same draws.  95% confidence half-widths use
-    the normal approximation, switching to a Wilson interval for direct
+    sweep points share the same draws, and points with different
+    phase-error models share the hop magnitudes: each point is evaluated
+    on the draws a run of its model alone would make, so grouping models
+    into one call changes no result.  95% confidence half-widths use the
+    normal approximation, switching to a Wilson interval for direct
     counts below 100 errors.  Blocks run on as many worker processes as
     the RIS_LAB_WORKERS environment variable says; the result does not
     depend on their number.
     """
-    scenario = config.scenario
-    reduce = partial(_ber_block, scenario.n, config.snr_points, config.estimator)
-    point_sums = sum(_map_blocks(reduce, scenario, config.master_seed, _STREAM_BER, config.trials))
+    scenario, points = config.scenario, config.snr_points
+    models = list(dict.fromkeys(config.phase_errors))
+    owned = [[i for i, pe in enumerate(config.phase_errors) if pe == model] for model in models]
+    jobs = [
+        (model, partial(_ber_block, scenario.n, tuple(points[i] for i in idx), config.estimator))
+        for model, idx in zip(models, owned)
+    ]
+    blocks = _map_blocks(jobs, scenario, config.master_seed, _STREAM_BER, config.trials)
+    point_sums = np.empty((len(points), 3))
+    for k, idx in enumerate(owned):
+        point_sums[idx] = sum(block[k] for block in blocks)
 
     n = config.trials
     ber = []
@@ -275,7 +323,9 @@ def simulate_ber(config: SimConfig) -> SimResult:
 
 
 def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSample:
-    """Instantaneous-SNR draws n^2 gamma0 |H|^2 at the scenario's gamma0.
+    """Instantaneous-SNR draws n^2 gamma0 |H|^2 at the scenario's gamma0
+    and phase-error model (``snr_points`` and ``phase_errors`` are not
+    read).
 
     At most ``SNR_RETAIN_CAP`` values are kept in memory; when
     ``bin_edges`` is given, histogram counts accumulate over all trials
@@ -284,8 +334,8 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
     depend on their number.
     """
     scenario = config.scenario
-    reduce = partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges)
-    parts = _map_blocks(reduce, scenario, config.master_seed, _STREAM_SNR, config.trials)
+    jobs = [(scenario.phase_error, partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges))]
+    parts = [part for part, in _map_blocks(jobs, scenario, config.master_seed, _STREAM_SNR, config.trials)]
     return SnrSample(
         values=np.concatenate([values for values, _ in parts]),
         total_trials=config.trials,

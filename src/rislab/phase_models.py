@@ -101,8 +101,8 @@ class VonMises(PhaseErrorModel):
     kappa: float
 
     def __post_init__(self):
-        if not self.kappa >= 0.0:
-            raise numerics.DomainError(f"kappa must be >= 0, got {self.kappa!r}")
+        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
+            raise numerics.DomainError(f"kappa must be finite and >= 0, got {self.kappa!r}")
 
     def trig_moment(self, p: int) -> float:
         p = _check_order(p)
@@ -224,7 +224,9 @@ class Product(PhaseErrorModel):
 
 
 def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    if kappa == 0.0:
+    # below ~5.6e-309 1/kappa overflows, no proposal could be accepted,
+    # and the law differs from uniform by less than kappa anyway
+    if kappa == 0.0 or math.isinf(1.0 / kappa):
         return rng.uniform(-math.pi, math.pi, n)
     if kappa < 1e-5:
         r = 1.0 / kappa + kappa  # Taylor form, avoids cancellation

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+
+from rislab import cli
 
 REFERENCE_CONFIG = {
     "n": 32,
@@ -323,6 +326,23 @@ def test_bad_simulation_input_exits_2(tmp_path, flags):
     res = run_cli("ber", "--config", cfg, "--simulate", *flags, "--out", str(tmp_path))
     assert res.returncode == 2
     assert "config error" in res.stderr
+
+
+def test_non_finite_kappa_exits_2(tmp_path):
+    # json writes and reads math.inf as Infinity
+    cfg = write_config(tmp_path, {**REFERENCE_CONFIG, "phase_error": {"type": "von_mises", "kappa": math.inf}})
+    res = run_cli("equiv", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "kappa" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["ber", "snr-pdf"])
+def test_non_integer_worker_count_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("RIS_LAB_WORKERS", "abc")
+    cfg = write_config(tmp_path, REFERENCE_CONFIG)
+    argv = [command, "--config", cfg, "--simulate", "--trials", "200", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "RIS_LAB_WORKERS" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,18 @@ def test_density_kernels_reject_nan(kernel):
         kernel(2.0, 1.0, math.nan)
     with pytest.raises(nx.DomainError):
         kernel(2.0, 1.0, np.array([1.0, math.nan]))
+
+
+@pytest.mark.parametrize(
+    "kernel, m",
+    [(ec.snr_pdf, 2.0), (ec.snr_pdf, 1.0), (ec.nakagami_pdf, 2.0)],
+    ids=["snr_pdf-m2", "snr_pdf-m1", "nakagami_pdf-m2"],
+)
+def test_densities_vanish_at_infinity(kernel, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel(m, 1.0, math.inf) == 0.0
+        np.testing.assert_array_equal(kernel(m, 1.0, np.array([0.0, math.inf]))[1:], [0.0])
 
 
 def test_snr_cdf_median_against_pdf_quadrature():

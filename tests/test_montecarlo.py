@@ -173,6 +173,53 @@ def test_direct_error_counts_never_rise_along_a_sweep():
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
+GROUPED_MODELS = (pm.VonMises(2.0), pm.Quantizer(2), pm.Product((pm.VonMises(8.0), pm.Quantizer(1))))
+
+
+@pytest.mark.parametrize("estimator", ["semianalytic", "direct"])
+def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimator):
+    # models interleaved, one to three points each, over two blocks
+    a, b, c = GROUPED_MODELS
+    errors = (b, a, c, b, c, b)
+    points = (0.01, 0.02, 0.015, 0.03, 0.04, 0.05)
+    trials = mc.BLOCK_TRIALS + 3000
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    want = {}
+    for pe in GROUPED_MODELS:
+        own = [i for i, e in enumerate(errors) if e == pe]
+        cfg = mc.SimConfig(ref_scenario(n=8, pe=pe), trials, 31, tuple(points[i] for i in own), estimator)
+        res = mc.simulate_ber(cfg)
+        counts = res.error_counts or (None,) * len(own)
+        want.update(zip(own, zip(res.ber, res.ci_halfwidth, counts)))
+    grouped = mc.SimConfig(ref_scenario(n=8), trials, 31, points, estimator, phase_errors=errors)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("RIS_LAB_WORKERS", workers)
+        res = mc.simulate_ber(grouped)
+        assert res.ber == tuple(want[i][0] for i in range(len(points)))
+        assert res.ci_halfwidth == tuple(want[i][1] for i in range(len(points)))
+        if estimator == "direct":
+            assert res.error_counts == tuple(want[i][2] for i in range(len(points)))
+
+
+def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):
+    calls = []
+    draw = fd.Rician.sample_magnitude
+
+    def counted(self, rng, size=None):
+        calls.append(size)
+        return draw(self, rng, size)
+
+    monkeypatch.setattr(fd.Rician, "sample_magnitude", counted)
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    trials = 2 * mc.BLOCK_TRIALS + 5  # three blocks
+    for models in (GROUPED_MODELS[:1], GROUPED_MODELS):
+        calls.clear()
+        errors = tuple(pe for pe in models for _ in range(2))
+        cfg = mc.SimConfig(ref_scenario(n=4), trials, 5, (0.01, 0.02) * len(models), phase_errors=errors)
+        mc.simulate_ber(cfg)
+        assert len(calls) == 3
+
+
 def test_config_validation():
     sc = ref_scenario()
     with pytest.raises(nx.DomainError):
@@ -181,6 +228,10 @@ def test_config_validation():
         mc.SimConfig(sc, trials=10, master_seed=1, snr_points=(0.0,))
     with pytest.raises(nx.DomainError):
         mc.SimConfig(sc, trials=10, master_seed=1, estimator="genie")
+    with pytest.raises(mc.SimConfigError):
+        mc.SimConfig(sc, trials=10, master_seed=1, snr_points=(0.01, 0.02), phase_errors=(pm.NoError(),))
+    with pytest.raises(mc.SimConfigError):
+        mc.SimConfig(sc, trials=10, master_seed=1, phase_errors=(pm.NoError(), pm.NoError()))
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,8 @@ def test_bad_parameters_rejected():
     with pytest.raises(nx.DomainError):
         pm.VonMises(-0.5)
     with pytest.raises(nx.DomainError):
+        pm.VonMises(math.inf)
+    with pytest.raises(nx.DomainError):
         pm.Quantizer(0)
     with pytest.raises(nx.DomainError):
         pm.Product(())
@@ -199,6 +201,12 @@ def test_tiny_concentration_sampling_is_near_uniform():
     rng = np.random.default_rng(5)
     th = pm.VonMises(1e-9).sample(rng, 10**5)
     assert abs(np.cos(th).mean()) < 5.0 / math.sqrt(2.0 * 10**5)
+
+
+def test_subnormal_concentration_samples_uniformly():
+    # 1/kappa overflows here; the rejection sampler could accept nothing
+    th = pm.VonMises(1e-310).sample(np.random.default_rng(7), (10,))
+    np.testing.assert_array_equal(th, np.random.default_rng(7).uniform(-math.pi, math.pi, 10))
 
 
 def test_sample_returns_the_requested_shape():
