@@ -32,10 +32,11 @@ for name, model in models.items():
     else:
         print(f"{name:32s} {phi1:10.6f} {phi2:10.6f} {'(degenerate)':>14s}")
 
-# sampling agrees with the moments: empirical mean of cos(Theta)
+# sampling agrees with the moments: empirical mean of cos(Theta), the
+# real part of the sampled phasors exp(j Theta)
 print("\nempirical first moments from 10^5 draws:")
 rng = np.random.default_rng(1)
 for name in ("von Mises, kappa=8", "quantizer, 1 bit", "kappa=8 plus 2-bit quantizer"):
     model = models[name]
-    theta = model.sample(rng, 10**5)
-    print(f"{name:32s} {np.cos(theta).mean():10.6f}  (closed {model.trig_moment(1):.6f})")
+    z = model.sample(rng, 10**5)
+    print(f"{name:32s} {z.real.mean():10.6f}  (closed {model.trig_moment(1):.6f})")

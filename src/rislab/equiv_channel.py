@@ -187,7 +187,10 @@ def nakagami_pdf(m: float, omega: float, x):
     # the density is 0 at infinity, where 2x snr_pdf(x^2) would read inf * 0
     finite = arr < math.inf
     safe = np.where(finite, arr, 0.0)
-    out = np.where(finite, 2.0 * safe * snr_pdf(m, omega, safe * safe), 0.0)
+    # x^2 overflows above ~1.3e154 to the infinity where the density is 0
+    with np.errstate(over="ignore"):
+        sq = safe * safe
+    out = np.where(finite, 2.0 * safe * snr_pdf(m, omega, sq), 0.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -209,14 +212,16 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
     pos = (arr > 0.0) & (arr < math.inf)  # the density is 0 at infinity
     if np.any(pos):
         g = arr[pos]
-        log_pdf = (
-            m * math.log(m)
-            + (m - 1.0) * np.log(g)
-            - m * g / gamma_bar
-            - numerics.ln_gamma(m)
-            - m * math.log(gamma_bar)
-        )
-        with np.errstate(under="ignore"):
+        # m g overflows to inf for g near the float maximum, and the
+        # density underflows to its limit 0
+        with np.errstate(over="ignore", under="ignore"):
+            log_pdf = (
+                m * math.log(m)
+                + (m - 1.0) * np.log(g)
+                - m * g / gamma_bar
+                - numerics.ln_gamma(m)
+                - m * math.log(gamma_bar)
+            )
             out[pos] = np.exp(log_pdf)
     if m == 1.0:
         out[arr == 0.0] = 1.0 / gamma_bar  # exponential density is finite at the origin

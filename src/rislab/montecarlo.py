@@ -149,14 +149,15 @@ def _hop_product(scenario: LrsScenario, rng: np.random.Generator, count: int) ->
     """``count`` rows of the n products |H_i1| |H_i2|; the source
     magnitudes are drawn before the destination magnitudes."""
     shape = (count, scenario.n)
-    m1 = scenario.fading_sr.sample_magnitude(rng, shape)
-    return m1 * scenario.fading_rd.sample_magnitude(rng, shape)
+    r = scenario.fading_sr.sample_magnitude(rng, shape)
+    r *= scenario.fading_rd.sample_magnitude(rng, shape)
+    return r
 
 
-def _reduce_h(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """H = mean over reflectors of r exp(j theta), one value per row."""
-    # two real means cost about half of one complex exp(1j*theta) mean
-    return np.mean(r * np.cos(theta), axis=1) + 1j * np.mean(r * np.sin(theta), axis=1)
+def _reduce_h(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """H = mean over reflectors of r z for unit phasors z, one value per row."""
+    # two real means cost about half of one complex mean
+    return np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1)
 
 
 def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -4,7 +4,9 @@ Each model describes the random deviation of a reflector phase from its
 ideal setting as a zero-mean, symmetric distribution on [-pi, pi).  The
 quantities the analytics consume are the trigonometric moments
 E[exp(j p Theta)], which are real for every supported model because of
-the symmetry; the Monte Carlo engine additionally needs exact sampling.
+the symmetry; the Monte Carlo engine additionally needs exact sampling,
+which every model delivers as unit phasors exp(j Theta), the form the
+engine consumes.
 
 Supported variants:
 
@@ -14,7 +16,7 @@ Supported variants:
                           [-pi/2^q, pi/2^q]
 * :class:`UniformCircle`  no phase knowledge at all
 * :class:`Product`        independent composition of the above (moments
-                          multiply; samples add and wrap)
+                          and sampled phasors multiply)
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ class PhaseErrorModel(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size):
-        """Draw an array of angles in [-pi, pi) with shape ``size``."""
+        """Draw unit phasors exp(j Theta), a complex array of shape ``size``.
+
+        The simulator needs only cos Theta and sin Theta, so a sampler
+        that finds them without the angle (the von Mises one) skips the
+        round trip through arccos and back."""
 
     def pdf(self, theta):
         """Density on [-pi, pi); raises for models without one."""
@@ -84,7 +90,7 @@ class NoError(PhaseErrorModel):
         return 1.0
 
     def sample(self, rng, size):
-        return np.zeros(size)
+        return np.ones(size, dtype=complex)
 
     def to_config(self) -> dict:
         return {"type": "none"}
@@ -160,7 +166,7 @@ class Quantizer(PhaseErrorModel):
 
     def sample(self, rng, size):
         w = self.half_width
-        return rng.uniform(-w, w, size)
+        return _phasors(rng.uniform(-w, w, size))
 
     def to_config(self) -> dict:
         return {"type": "quantizer", "bits": self.bits}
@@ -179,7 +185,7 @@ class UniformCircle(PhaseErrorModel):
         return np.full_like(theta, 1.0 / _TWO_PI)
 
     def sample(self, rng, size):
-        return rng.uniform(-math.pi, math.pi, size)
+        return _phasors(rng.uniform(-math.pi, math.pi, size))
 
     def to_config(self) -> dict:
         return {"type": "uniform"}
@@ -190,8 +196,8 @@ class Product(PhaseErrorModel):
     """Sum of independent errors, e.g. estimation plus quantization.
 
     The trigonometric moments of a sum of independent angles are the
-    products of the component moments; sampling adds the component draws
-    and wraps back to [-pi, pi).
+    products of the component moments; sampling draws the components in
+    order and multiplies their phasors, exp(j(T1 + T2)) = exp(j T1) exp(j T2).
     """
 
     components: tuple[PhaseErrorModel, ...]
@@ -211,47 +217,103 @@ class Product(PhaseErrorModel):
     def sample(self, rng, size):
         total = self.components[0].sample(rng, size)
         for comp in self.components[1:]:
-            total = total + comp.sample(rng, size)
-        return (total + math.pi) % _TWO_PI - math.pi
+            total *= comp.sample(rng, size)
+        return total
 
     def to_config(self) -> dict:
         return {"type": "product", "components": [c.to_config() for c in self.components]}
 
 
 # ---------------------------------------------------------------------------
-# von Mises sampling, Best-Fisher rejection
+# sampling: unit phasors, and Best-Fisher rejection for von Mises
 # ---------------------------------------------------------------------------
 
 
+def _phasors(theta: np.ndarray) -> np.ndarray:
+    """exp(j theta) from the contiguous cos and sin of ``theta``."""
+    out = np.empty(theta.shape, dtype=complex)
+    out.real = np.cos(theta)
+    out.imag = np.sin(theta)
+    return out
+
+
+# above this r - 1 ~ 1/(2 kappa) is kept apart from r: in r itself it
+# loses every digit from kappa ~ 1e16 on, and no proposal is accepted
+_LARGE_KAPPA = 1e4
+
+
 def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` phasors exp(j Theta) by Best-Fisher rejection (Best & Fisher
+    1979, wrapped-Cauchy envelope): a proposal is f = cos Theta; an
+    accepted one gives Re = f and Im = +-sqrt((1 - f)(1 + f)).
+
+    The loop works with d = r - 1 and kc = kappa (r - 1)(r + 1) of the
+    envelope parameter r, so that f = (1 + r z) / (r + z) is never formed:
+    c = kappa (r - f) = kc / (r + z) and 1 - f = d (1 - z) / (r + z)."""
     # below ~5.6e-309 1/kappa overflows, no proposal could be accepted,
     # and the law differs from uniform by less than kappa anyway
     if kappa == 0.0 or math.isinf(1.0 / kappa):
-        return rng.uniform(-math.pi, math.pi, n)
-    if kappa < 1e-5:
-        r = 1.0 / kappa + kappa  # Taylor form, avoids cancellation
+        return _phasors(rng.uniform(-math.pi, math.pi, n))
+    if kappa > _LARGE_KAPPA:
+        # with t = tau / (2 kappa): rho = t - sqrt(t / kappa), and
+        # sqrt(kappa) (1 - rho) = sqrt(t) - sqrt(kappa) (t - 1) has no cancellation
+        h = 0.5 / kappa
+        t1 = h + h * h / (math.sqrt(1.0 + h * h) + 1.0)  # t - 1
+        e = math.sqrt(1.0 + t1) - math.sqrt(kappa) * t1
+        kd = e * e / (2.0 - 2.0 * e / math.sqrt(kappa))  # kappa (r - 1)
+        d = kd / kappa
     else:
-        tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
-        rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
-        r = (1.0 + rho * rho) / (2.0 * rho)
+        if kappa < 1e-5:
+            r = 1.0 / kappa + kappa  # Taylor form, avoids cancellation
+        else:
+            tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
+            rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
+            r = (1.0 + rho * rho) / (2.0 * rho)
+        d = r - 1.0
+        kd = kappa * d
+    kc = kd * (2.0 + d)
 
-    out = np.empty(n)
+    out = np.empty(n, dtype=complex)
     filled = 0
     while filled < n:
         todo = n - filled
         u1 = rng.random(todo)
         u2 = rng.random(todo)
         u3 = rng.random(todo)
-        z = np.cos(np.pi * u1)
-        f = (1.0 + r * z) / (r + z)
-        c = kappa * (r - f)
+        z = np.cos(np.multiply(u1, np.pi, out=u1), out=u1)
+        # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on,
+        # and z = -1 would leave a zero denominator
+        den = z + 1.0
+        den += d
+        with np.errstate(over="ignore"):
+            c = np.divide(kc, den)
+        # squeeze test c (2 - c) > u2 first; the log test only where it fails
+        squeeze = np.subtract(2.0, c)
+        squeeze *= c
+        squeeze -= u2
+        accept = squeeze > 0.0
+        del squeeze
+        rejected = np.flatnonzero(~accept)
+        c_rej = c[rejected]
         with np.errstate(divide="ignore", invalid="ignore"):
-            accept = (c * (2.0 - c) - u2 > 0.0) | (np.log(c / u2) + 1.0 - c >= 0.0)
-        theta = np.sign(u3 - 0.5) * np.arccos(np.clip(f, -1.0, 1.0))
-        good = theta[accept]
-        take = min(todo, good.size)
-        out[filled : filled + take] = good[:take]
-        filled += take
+            accept[rejected] = np.log(c_rej / u2[rejected]) + 1.0 - c_rej >= 0.0
+        del c, c_rej, rejected, u2
+        idx = np.flatnonzero(accept)
+        # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
+        # dividing first keeps d (1 - z) from overflowing at tiny kappa
+        one_minus_f = np.divide(d, den[idx])
+        one_minus_f *= np.subtract(1.0, z[idx])
+        del z, den
+        part = slice(filled, filled + idx.size)
+        out.real[part] = 1.0 - one_minus_f
+        im = np.subtract(2.0, one_minus_f)
+        im *= one_minus_f
+        np.sqrt(im, out=im)
+        u3 = u3[idx]
+        u3 -= 0.5
+        # copysign, not sign(): u3 == 0.5 still yields a unit phasor
+        out.imag[part] = np.copysign(im, u3, out=im)
+        filled += idx.size
     return out
 
 

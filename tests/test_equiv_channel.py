@@ -230,6 +230,16 @@ def test_densities_vanish_at_infinity(kernel, m):
         np.testing.assert_array_equal(kernel(m, 1.0, np.array([0.0, math.inf]))[1:], [0.0])
 
 
+def test_nakagami_pdf_is_silent_where_x_squared_overflows():
+    # x^2 overflows from ~1.3e154 on; m x^2 inside snr_pdf from ~1e154
+    x = np.array([0.0, 0.5, math.inf, 1e200, 1.2e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = ec.nakagami_pdf(2.0, 1.0, x)
+    np.testing.assert_array_equal(vals, [0.0, ec.nakagami_pdf(2.0, 1.0, 0.5), 0.0, 0.0, 0.0])
+    assert vals[1] > 0.0
+
+
 def test_snr_cdf_median_against_pdf_quadrature():
     ch = ec.derive(ec.LrsScenario(32, 1.0, fd.Rician(1.0), fd.Rayleigh(), pm.VonMises(8.0)))
     lo, hi = 0.0, ch.gamma_bar * 10.0

@@ -201,6 +201,55 @@ def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimato
             assert res.error_counts == tuple(want[i][2] for i in range(len(points)))
 
 
+# float.hex of (ber, ci_halfwidth), and the error counts, over two blocks:
+# these models' phasors are the cos and sin of the drawn angle, so their
+# results are pinned bit for bit
+PINNED_BER = {
+    ("quantizer", "semianalytic"): (
+        ("0x1.1f2ce9c0dae80p-2", "0x1.0addf4ed9b395p-3"),
+        ("0x1.8bb3a68e683f4p-11", "0x1.d182e4edd9275p-11"),
+        None,
+    ),
+    ("quantizer", "direct"): (
+        ("0x1.1cafc59106022p-2", "0x1.0cb9324dfd688p-3"),
+        ("0x1.b47772ffb789fp-8", "0x1.48ecf59b99203p-8"),
+        (4833, 2281),
+    ),
+    ("uniform", "semianalytic"): (
+        ("0x1.9cc0c44dbf837p-2", "0x1.446998bc6f04fp-2"),
+        ("0x1.9289a29d047b8p-11", "0x1.5bf92f239d248p-10"),
+        None,
+    ),
+    ("uniform", "direct"): (
+        ("0x1.a056b530e4144p-2", "0x1.473740ad6a61dp-2"),
+        ("0x1.de872d7a2cafep-8", "0x1.c64693ca9f3ecp-8"),
+        (7068, 5555),
+    ),
+    ("none", "semianalytic"): (
+        ("0x1.0dfd63acee680p-2", "0x1.c9bdda441a9efp-4"),
+        ("0x1.9b3cf6002f1b1p-11", "0x1.bef95b89ce496p-11"),
+        None,
+    ),
+    ("none", "direct"): (
+        ("0x1.1014bc062047ap-2", "0x1.d3b42175386e4p-4"),
+        ("0x1.ae50fbfa352dap-8", "0x1.35d5aac4f273dp-8"),
+        (4619, 1985),
+    ),
+}
+PINNED_MODELS = {"quantizer": pm.Quantizer(2), "uniform": pm.UniformCircle(), "none": pm.NoError()}
+
+
+@pytest.mark.parametrize("name, estimator", sorted(PINNED_BER))
+def test_angle_derived_phasors_keep_pinned_result_bytes(monkeypatch, name, estimator):
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    sc = ec.LrsScenario(8, 0.01, fd.Rician(1.0), fd.Rayleigh(), PINNED_MODELS[name])
+    res = mc.simulate_ber(mc.SimConfig(sc, mc.BLOCK_TRIALS + 1000, 2024, (0.005, 0.02), estimator))
+    ber, halfwidth, counts = PINNED_BER[name, estimator]
+    assert tuple(v.hex() for v in res.ber) == ber
+    assert tuple(v.hex() for v in res.ci_halfwidth) == halfwidth
+    assert res.error_counts == counts
+
+
 def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):
     calls = []
     draw = fd.Rician.sample_magnitude

@@ -1,6 +1,9 @@
 """Phase-error models: closed-form moments, sampling, serialization."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,34 +150,37 @@ def test_integration_oracle_guards():
 
 
 def test_no_error_samples_are_zero():
+    # the angle is zero, so every phasor is exactly one
     rng = np.random.default_rng(1)
-    assert np.all(pm.NoError().sample(rng, 1000) == 0.0)
+    assert np.all(pm.NoError().sample(rng, 1000) == 1.0)
 
 
 def test_quantizer_sample_support():
     rng = np.random.default_rng(2)
-    th = pm.Quantizer(1).sample(rng, 10**5)
+    th = np.angle(pm.Quantizer(1).sample(rng, 10**5))
     assert np.all(np.abs(th) <= math.pi / 2.0)
-    th3 = pm.Quantizer(3).sample(rng, 10**5)
+    th3 = np.angle(pm.Quantizer(3).sample(rng, 10**5))
     assert np.all(np.abs(th3) <= math.pi / 8.0)
 
 
 def test_samples_lie_on_circle_interval():
     rng = np.random.default_rng(3)
     for model in ALL_VARIANTS:
-        th = model.sample(rng, 5000)
-        assert np.all(th >= -math.pi) and np.all(th < math.pi + 1e-12)
+        z = model.sample(rng, 5000)
+        assert z.dtype == complex
+        assert np.all(np.isfinite(z))
+        np.testing.assert_allclose(np.abs(z), 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_von_mises_sampler_matches_bessel_ratio():
     # empirical first circular moment within 4 standard errors at 1e6 draws
     rng = np.random.default_rng(44)
     model = pm.VonMises(8.0)
-    th = model.sample(rng, 10**6)
-    c = np.cos(th)
+    z = model.sample(rng, 10**6)
+    c = z.real
     se = c.std(ddof=1) / 1000.0
     assert abs(c.mean() - model.trig_moment(1)) < 4.0 * se
-    assert np.abs(np.sin(th).mean()) < 4.0 / 1000.0  # symmetry: zero mean direction
+    assert np.abs(z.imag.mean()) < 4.0 / 1000.0  # symmetry: zero mean direction
 
 
 @pytest.mark.parametrize(
@@ -190,23 +196,45 @@ def test_von_mises_sampler_matches_bessel_ratio():
 )
 def test_sampling_consistent_with_moments(model):
     rng = np.random.default_rng(7007)
-    th = model.sample(rng, 10**6)
+    z = model.sample(rng, 10**6)
     for p in (1, 2, 3):
-        c = np.cos(p * th)
+        c = (z**p).real  # cos(p Theta)
         se = max(c.std(ddof=1), 1e-12) / 1000.0
         assert abs(c.mean() - model.trig_moment(p)) < 5.0 * se
 
 
 def test_tiny_concentration_sampling_is_near_uniform():
     rng = np.random.default_rng(5)
-    th = pm.VonMises(1e-9).sample(rng, 10**5)
-    assert abs(np.cos(th).mean()) < 5.0 / math.sqrt(2.0 * 10**5)
+    z = pm.VonMises(1e-9).sample(rng, 10**5)
+    assert abs(z.real.mean()) < 5.0 / math.sqrt(2.0 * 10**5)
 
 
 def test_subnormal_concentration_samples_uniformly():
     # 1/kappa overflows here; the rejection sampler could accept nothing
-    th = pm.VonMises(1e-310).sample(np.random.default_rng(7), (10,))
-    np.testing.assert_array_equal(th, np.random.default_rng(7).uniform(-math.pi, math.pi, 10))
+    z = pm.VonMises(1e-310).sample(np.random.default_rng(7), (10,))
+    th = np.random.default_rng(7).uniform(-math.pi, math.pi, 10)
+    np.testing.assert_array_equal(z.real, np.cos(th))
+    np.testing.assert_array_equal(z.imag, np.sin(th))
+
+
+_LARGE_KAPPA_SPREAD = """
+import math, numpy as np
+from rislab import phase_models as pm
+for kappa in (1e8, 1e16, 1e20, 1e300):
+    s = pm.VonMises(kappa).sample(np.random.default_rng(11), 10**5).imag ** 2 * kappa
+    # kappa E[sin^2 Theta] = I1(kappa) / I0(kappa), 1 to within 1/(2 kappa)
+    assert abs(s.mean() - 1.0) < 5.0 * s.std(ddof=1) / math.sqrt(s.size), (kappa, s.mean())
+"""
+
+
+def test_large_concentration_terminates_with_the_right_spread():
+    # r - 1 ~ 1/(2 kappa) has to be kept apart from r, in which it
+    # vanishes from kappa ~ 1e16 on; a subprocess turns a hang into a failure
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_KAPPA_SPREAD], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sample_returns_the_requested_shape():

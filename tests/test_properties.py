@@ -1,10 +1,17 @@
 """Invariants of the gamma-law kernels over random shapes and mean SNRs,
-and of the circular moments over random phase-error models."""
+of the circular moments and sampled phasors over random phase-error
+models, and of the simulator over random small configurations."""
+
+import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from rislab import equiv_channel as ec
+from rislab import fading as fd
+from rislab import montecarlo as mc
 from rislab import performance as pf
 from rislab import phase_models as pm
 
@@ -69,3 +76,53 @@ def test_second_moment_respects_the_variance_bound(model):
     # E[cos 2T] = 2 E[cos^2 T] - 1 >= 2 E[cos T]^2 - 1 by Jensen
     phi1 = model.trig_moment(1)
     assert model.trig_moment(2) >= 2.0 * phi1 * phi1 - 1.0
+
+
+EPS = np.finfo(float).eps
+
+
+@PROPERTY
+@given(model=st.one_of(phase_errors, st.just(pm.NoError()), st.just(pm.UniformCircle())), seed=st.integers(0, 2**32 - 1))
+def test_sampled_phasors_have_unit_modulus(model, seed):
+    z = model.sample(np.random.default_rng(seed), (64, 8))
+    assert z.shape == (64, 8)
+    assert np.all(np.abs(np.abs(z) - 1.0) <= 4.0 * EPS)
+
+
+@PROPERTY
+@given(model=quantizers, seed=st.integers(0, 2**32 - 1))
+def test_quantizer_phasors_stay_within_half_a_step(model, seed):
+    z = model.sample(np.random.default_rng(seed), 512)
+    assert np.all(z.real >= math.cos(math.pi / 2**model.bits) - 4.0 * EPS)
+
+
+SIMULATION = hypothesis.settings(derandomize=True, deadline=None, max_examples=20)
+fadings = st.one_of(st.just(fd.Rayleigh()), st.floats(min_value=0.0, max_value=10.0).map(fd.Rician))
+
+
+def _at_workers(workers, run, *args):
+    with mock.patch.dict(os.environ, {"RIS_LAB_WORKERS": str(workers)}):
+        return run(*args)
+
+
+@SIMULATION
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    hops=st.tuples(fadings, fadings),
+    model=st.one_of(phase_errors, st.just(pm.NoError()), st.just(pm.UniformCircle())),
+    blocks=st.integers(min_value=1, max_value=3),
+    rest=st.integers(min_value=1, max_value=mc.BLOCK_TRIALS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    points=st.lists(st.floats(min_value=1e-3, max_value=1e2), min_size=1, max_size=3),
+)
+def test_simulation_results_do_not_depend_on_the_worker_count(n, hops, model, blocks, rest, seed, points):
+    trials = (blocks - 1) * mc.BLOCK_TRIALS + rest
+    scenario = ec.LrsScenario(n, points[0], *hops, model)
+    for estimator in ("semianalytic", "direct"):
+        cfg = mc.SimConfig(scenario, trials, seed, tuple(points), estimator)
+        assert _at_workers(1, mc.simulate_ber, cfg) == _at_workers(2, mc.simulate_ber, cfg)
+    edges = np.linspace(0.0, 4.0 * n * n * points[0], 9)
+    one = _at_workers(1, mc.sample_snr, cfg, edges)
+    two = _at_workers(2, mc.sample_snr, cfg, edges)
+    np.testing.assert_array_equal(one.values, two.values)
+    np.testing.assert_array_equal(one.histogram, two.histogram)
