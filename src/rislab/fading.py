@@ -21,6 +21,8 @@ from . import numerics
 __all__ = ["FadingModel", "Rayleigh", "Rician", "from_config"]
 
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
+# values per tile of the Rician magnitude's second normal draw
+_TILE = 1 << 13
 
 
 class FadingModel(abc.ABC):
@@ -95,9 +97,21 @@ class Rician(FadingModel):
         return los + diffuse * scatter
 
     def sample_magnitude(self, rng, size=None):
+        """hypot(los + s X, s Y) with s = diffuse / sqrt(2), in place: the
+        whole X array comes first, then Y tile by tile, which reads the
+        stream in the same order as one Y array would."""
         los, diffuse = self._parts()
         s = diffuse / math.sqrt(2.0)
-        return np.hypot(los + s * rng.standard_normal(size), s * rng.standard_normal(size))
+        out = np.asarray(rng.standard_normal(size))
+        flat = out.reshape(-1)
+        flat *= s
+        flat += los
+        for start in range(0, flat.size, _TILE):
+            part = flat[start : start + _TILE]
+            other = rng.standard_normal(part.size)
+            other *= s
+            np.hypot(part, other, out=part)
+        return out[()]  # a scalar when ``size`` is None
 
     def to_config(self) -> dict:
         return {"type": "rician", "k_factor": self.k_factor}

@@ -60,6 +60,8 @@ __all__ = [
 
 BLOCK_TRIALS = 1 << 14
 _DRAW_CHUNK = 1 << 13
+# rows per tile of the H reduction: a few hundred keep its products in cache
+_REDUCE_ROWS = 1 << 8
 SNR_RETAIN_CAP = 10**6
 
 _STREAM_BER = 0
@@ -155,9 +157,15 @@ def _hop_product(scenario: LrsScenario, rng: np.random.Generator, count: int) ->
 
 
 def _reduce_h(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """H = mean over reflectors of r z for unit phasors z, one value per row."""
-    # two real means cost about half of one complex mean
-    return np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1)
+    """H = mean over reflectors of r z for unit phasors z, one value per
+    row, reduced ``_REDUCE_ROWS`` rows at a time."""
+    h = np.empty(len(r), dtype=complex)
+    for start in range(0, len(r), _REDUCE_ROWS):
+        rows = slice(start, start + _REDUCE_ROWS)
+        r_part, z_part = r[rows], z[rows]
+        # two real means cost about half of one complex mean
+        h[rows] = np.mean(r_part * z_part.real, axis=1) + 1j * np.mean(r_part * z_part.imag, axis=1)
+    return h
 
 
 def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -337,8 +345,11 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
     scenario = config.scenario
     jobs = [(scenario.phase_error, partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges))]
     parts = [part for part, in _map_blocks(jobs, scenario, config.master_seed, _STREAM_SNR, config.trials)]
-    return SnrSample(
-        values=np.concatenate([values for values, _ in parts]),
-        total_trials=config.trials,
-        histogram=None if bin_edges is None else sum(hist for _, hist in parts),
-    )
+    histogram = None if bin_edges is None else sum(hist for _, hist in parts)
+    values = np.empty(sum(kept.size for kept, _ in parts))
+    filled = 0
+    for b, (kept, _) in enumerate(parts):
+        values[filled : filled + kept.size] = kept
+        filled += kept.size
+        parts[b] = None  # each block's draws are freed once copied
+    return SnrSample(values=values, total_trials=config.trials, histogram=histogram)

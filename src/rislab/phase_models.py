@@ -117,7 +117,12 @@ class VonMises(PhaseErrorModel):
         if self.kappa == 0.0:
             return 0.0
         # scaled ratio survives arbitrarily large concentrations
-        return numerics.bessel_i_scaled(p, self.kappa) / numerics.bessel_i_scaled(0, self.kappa)
+        i0 = numerics.bessel_i_scaled(0, self.kappa)
+        if i0 == 0.0:
+            # above kappa ~ 2.86e307 the scaled Bessel functions underflow;
+            # their ratio is 1 - p^2 / (2 kappa) there, 1.0 in double precision
+            return 1.0 - p * p / (2.0 * self.kappa)
+        return numerics.bessel_i_scaled(p, self.kappa) / i0
 
     def pdf(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -230,16 +235,18 @@ class Product(PhaseErrorModel):
 
 
 def _phasors(theta: np.ndarray) -> np.ndarray:
-    """exp(j theta) from the contiguous cos and sin of ``theta``."""
+    """exp(j theta), its cos and sin written straight into the parts."""
     out = np.empty(theta.shape, dtype=complex)
-    out.real = np.cos(theta)
-    out.imag = np.sin(theta)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
     return out
 
 
 # above this r - 1 ~ 1/(2 kappa) is kept apart from r: in r itself it
 # loses every digit from kappa ~ 1e16 on, and no proposal is accepted
 _LARGE_KAPPA = 1e4
+# proposals per tile: the acceptance tests run on cache-sized pieces
+_TILE = 1 << 13
 
 
 def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -249,7 +256,12 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndar
 
     The loop works with d = r - 1 and kc = kappa (r - 1)(r + 1) of the
     envelope parameter r, so that f = (1 + r z) / (r + z) is never formed:
-    c = kappa (r - f) = kc / (r + z) and 1 - f = d (1 - z) / (r + z)."""
+    c = kappa (r - f) = kc / (r + z) and 1 - f = d (1 - z) / (r + z).
+
+    Each pass draws u1 and u2 for every missing phasor, then tests the
+    proposals in tiles of ``_TILE``, drawing each tile's u3 in turn, and
+    writes the accepted phasors straight into the result: the stream is
+    read in the same order whatever the tile size."""
     # below ~5.6e-309 1/kappa overflows, no proposal could be accepted,
     # and the law differs from uniform by less than kappa anyway
     if kappa == 0.0 or math.isinf(1.0 / kappa):
@@ -279,41 +291,40 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndar
         todo = n - filled
         u1 = rng.random(todo)
         u2 = rng.random(todo)
-        u3 = rng.random(todo)
-        z = np.cos(np.multiply(u1, np.pi, out=u1), out=u1)
-        # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on,
-        # and z = -1 would leave a zero denominator
-        den = z + 1.0
-        den += d
-        with np.errstate(over="ignore"):
-            c = np.divide(kc, den)
-        # squeeze test c (2 - c) > u2 first; the log test only where it fails
-        squeeze = np.subtract(2.0, c)
-        squeeze *= c
-        squeeze -= u2
-        accept = squeeze > 0.0
-        del squeeze
-        rejected = np.flatnonzero(~accept)
-        c_rej = c[rejected]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept[rejected] = np.log(c_rej / u2[rejected]) + 1.0 - c_rej >= 0.0
-        del c, c_rej, rejected, u2
-        idx = np.flatnonzero(accept)
-        # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
-        # dividing first keeps d (1 - z) from overflowing at tiny kappa
-        one_minus_f = np.divide(d, den[idx])
-        one_minus_f *= np.subtract(1.0, z[idx])
-        del z, den
-        part = slice(filled, filled + idx.size)
-        out.real[part] = 1.0 - one_minus_f
-        im = np.subtract(2.0, one_minus_f)
-        im *= one_minus_f
-        np.sqrt(im, out=im)
-        u3 = u3[idx]
-        u3 -= 0.5
-        # copysign, not sign(): u3 == 0.5 still yields a unit phasor
-        out.imag[part] = np.copysign(im, u3, out=im)
-        filled += idx.size
+        for start in range(0, todo, _TILE):
+            tile = slice(start, min(start + _TILE, todo))
+            z = u1[tile]
+            np.cos(np.multiply(z, np.pi, out=z), out=z)
+            u3 = rng.random(z.size)
+            # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on,
+            # and z = -1 would leave a zero denominator
+            den = z + 1.0
+            den += d
+            with np.errstate(over="ignore"):
+                c = np.divide(kc, den)
+            # squeeze test c (2 - c) > u2 first; the log test only where it fails
+            v = u2[tile]
+            squeeze = np.subtract(2.0, c)
+            squeeze *= c
+            accept = squeeze > v
+            rejected = np.flatnonzero(~accept)
+            c_rej = c[rejected]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                accept[rejected] = np.log(c_rej / v[rejected]) + 1.0 - c_rej >= 0.0
+            idx = np.flatnonzero(accept)
+            # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
+            # dividing first keeps d (1 - z) from overflowing at tiny kappa
+            one_minus_f = np.divide(d, den[idx])
+            one_minus_f *= np.subtract(1.0, z[idx])
+            part = slice(filled, filled + idx.size)
+            np.subtract(1.0, one_minus_f, out=out.real[part])
+            im = np.subtract(2.0, one_minus_f)
+            im *= one_minus_f
+            np.sqrt(im, out=im)
+            # copysign, not sign(): u3 == 0.5 still yields a unit phasor
+            np.copysign(im, u3[idx] - 0.5, out=out.imag[part])
+            filled += idx.size
+        del u1, u2, z, v  # z and v view u1 and u2: free them before the next pass
     return out
 
 

@@ -1,6 +1,9 @@
 """Simulation engine: faithfulness, estimators, reproducibility."""
 
+import hashlib
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -248,6 +251,170 @@ def test_angle_derived_phasors_keep_pinned_result_bytes(monkeypatch, name, estim
     assert tuple(v.hex() for v in res.ber) == ber
     assert tuple(v.hex() for v in res.ci_halfwidth) == halfwidth
     assert res.error_counts == counts
+
+
+# the same pins for the rejection sampler at tiny, moderate and large
+# kappa, for a product with a quantizer, and for Rician hops on both
+# sides; the kernels' tiling must leave every one of these bytes alone
+PINNED_KERNEL_BER = {
+    ("von_mises_1e-7", "semianalytic"): (
+        ("0x1.9cbc4aac63754p-2", "0x1.444c8712ee2adp-2"),
+        ("0x1.902b756aed43fp-11", "0x1.5abae0e6c84e9p-10"),
+        None,
+    ),
+    ("von_mises_1e-7", "direct"): (
+        ("0x1.a0fc9561e6515p-2", "0x1.49561e65149dep-2"),
+        ("0x1.dea516011aaf3p-8", "0x1.c70d212663d0dp-8"),
+        (7079, 5591),
+    ),
+    ("von_mises_2", "semianalytic"): (
+        ("0x1.462516fa9fc2bp-2", "0x1.7351023a02293p-3"),
+        ("0x1.b2964641c7fa0p-11", "0x1.2fff2096421dfp-10"),
+        None,
+    ),
+    ("von_mises_2", "direct"): (
+        ("0x1.4c0bc7ec35400p-2", "0x1.7effa585b6b8fp-3"),
+        ("0x1.c80704c658d73p-8", "0x1.7bdd673647af8p-8"),
+        (5637, 3251),
+    ),
+    ("von_mises_8", "semianalytic"): (
+        ("0x1.1921d670b4356p-2", "0x1.fa6536acec350p-4"),
+        ("0x1.926301fb37a53p-11", "0x1.cd0e8fe07d4e2p-11"),
+        None,
+    ),
+    ("von_mises_8", "direct"): (
+        ("0x1.1f748379b27b4p-2", "0x1.ffc3ae79d0a40p-4"),
+        ("0x1.b5c3044007125p-8", "0x1.4220658ae306cp-8"),
+        (4880, 2172),
+    ),
+    ("von_mises_1e5", "semianalytic"): (
+        ("0x1.0dfd9a824403ep-2", "0x1.c9bebf867aad9p-4"),
+        ("0x1.9b3cb9b98dc06p-11", "0x1.bef992cd6ec2ep-11"),
+        None,
+    ),
+    ("von_mises_1e5", "direct"): (
+        ("0x1.0ff693430899ap-2", "0x1.c9926feb43f9ep-4"),
+        ("0x1.ae41c2883950fp-8", "0x1.32e350cd4750cp-8"),
+        (4617, 1942),
+    ),
+    ("von_mises_2_x_quantizer_2", "semianalytic"): (
+        ("0x1.533753992ae68p-2", "0x1.99598b9052e89p-3"),
+        ("0x1.b7b7ad333ed15p-11", "0x1.4192e50a276bcp-10"),
+        None,
+    ),
+    ("von_mises_2_x_quantizer_2", "direct"): (
+        ("0x1.52c2db5c7afe4p-2", "0x1.9cec1717355e2p-3"),
+        ("0x1.ca60054b8ab67p-8", "0x1.86dd62ec1c983p-8"),
+        (5751, 3505),
+    ),
+    ("rician_hops", "semianalytic"): (
+        ("0x1.098aea891e3bcp-2", "0x1.ab5532aa53131p-4"),
+        ("0x1.5336f24305b10p-11", "0x1.6b54ef614af9ap-11"),
+        None,
+    ),
+    ("rician_hops", "direct"): (
+        ("0x1.048921570fab3p-2", "0x1.aeb6222a2d00dp-4"),
+        ("0x1.a84ed64e1f84ep-8", "0x1.2ad75ad2049f6p-8"),
+        (4423, 1828),
+    ),
+}
+# (phase error, source hop, destination hop) of each pinned scenario
+PINNED_KERNEL_SCENARIOS = {
+    "von_mises_1e-7": (pm.VonMises(1e-7), fd.Rician(1.0), fd.Rayleigh()),
+    "von_mises_2": (pm.VonMises(2.0), fd.Rician(1.0), fd.Rayleigh()),
+    "von_mises_8": (pm.VonMises(8.0), fd.Rician(1.0), fd.Rayleigh()),
+    "von_mises_1e5": (pm.VonMises(1e5), fd.Rician(1.0), fd.Rayleigh()),
+    "von_mises_2_x_quantizer_2": (pm.Product((pm.VonMises(2.0), pm.Quantizer(2))), fd.Rician(1.0), fd.Rayleigh()),
+    "rician_hops": (pm.VonMises(8.0), fd.Rician(1.0), fd.Rician(4.0)),
+}
+# SHA-256 of the sample_snr values followed by its histogram counts
+PINNED_SNR_SHA256 = "5c94933f2ac0279119a33af9efe5bb2988ba8a93a0b5f3abc15c21fc8546438a"
+# float.hex of the KS statistic and p-value of PINNED_KS_SAMPLE against its gamma law
+PINNED_KS = ("0x1.37963c45ec500p-9", "0x1.a5904e6541736p-1")
+
+
+def pinned_ber(name, estimator, trials=mc.BLOCK_TRIALS + 1000):
+    pe, sr, rd = PINNED_KERNEL_SCENARIOS[name]
+    sc = ec.LrsScenario(8, 0.01, sr, rd, pe)
+    return mc.simulate_ber(mc.SimConfig(sc, trials, 2024, (0.005, 0.02), estimator))
+
+
+def pinned_snr(trials=mc.BLOCK_TRIALS + 1000):
+    sc = ec.LrsScenario(8, 0.01, fd.Rician(1.0), fd.Rayleigh(), pm.VonMises(8.0))
+    smp = mc.sample_snr(mc.SimConfig(sc, trials, 2024), np.linspace(0.0, 4.0, 41))
+    return smp.values.tobytes() + smp.histogram.tobytes()
+
+
+def pinned_ks(size=70000):
+    xs = np.random.default_rng(5).gamma(2.5, 0.4, size)
+    rep = st.ks_test(xs, lambda g: ec.snr_cdf(2.5, 1.0, g))
+    return rep.statistic.hex(), rep.p_value.hex()
+
+
+@pytest.mark.parametrize("name, estimator", sorted(PINNED_KERNEL_BER))
+def test_sampling_kernels_keep_pinned_result_bytes(monkeypatch, name, estimator):
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    res = pinned_ber(name, estimator)
+    ber, halfwidth, counts = PINNED_KERNEL_BER[name, estimator]
+    assert tuple(v.hex() for v in res.ber) == ber
+    assert tuple(v.hex() for v in res.ci_halfwidth) == halfwidth
+    assert res.error_counts == counts
+
+
+def test_snr_draws_and_ks_fit_keep_pinned_bytes(monkeypatch):
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    assert hashlib.sha256(pinned_snr()).hexdigest() == PINNED_SNR_SHA256
+    assert pinned_ks() == PINNED_KS
+
+
+def tile_probe():
+    """Result bytes of small runs through every tiled kernel: each pinned
+    scenario with both estimators, SNR draws with a histogram, a KS fit."""
+    trials = 600
+    runs = [pinned_ber(name, estimator, trials) for name, estimator in sorted(PINNED_KERNEL_BER)]
+    return runs, pinned_snr(trials), pinned_ks(1000)
+
+
+TILE_CONSTANTS = [(pm, "_TILE"), (fd, "_TILE"), (mc, "_REDUCE_ROWS"), (st, "_KS_TILE")]
+
+
+@pytest.mark.parametrize("size", [1, 7, 10**9])
+@pytest.mark.parametrize("module, name", TILE_CONSTANTS, ids=lambda v: getattr(v, "__name__", v))
+def test_results_do_not_depend_on_the_tile_size(monkeypatch, module, name, size):
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    want = tile_probe()
+    monkeypatch.setattr(module, name, size)
+    assert tile_probe() == want
+
+
+def peak_bytes(run):
+    """Peak of the memory numpy and Python allocate while ``run()`` runs,
+    above what was allocated when it started (``tracemalloc``)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_block_peak_memory_is_bounded():
+    # n = 32 keeps r (4 MB), the phasors (8 MB) and one pass's u1 and u2
+    # (8 MB) alive at once; everything else is a tile
+    sc = ref_scenario(n=32, gamma0=0.01)
+    jobs = [(sc.phase_error, partial(mc._ber_block, sc.n, (0.01,), "semianalytic"))]
+    assert peak_bytes(lambda: mc._run_block(jobs, (sc, 1, mc._STREAM_BER, 0, mc.BLOCK_TRIALS))) <= 26e6
+
+
+def test_ks_fit_peak_memory_is_bounded():
+    # the sorted copy (4 MB) plus one tile of the cdf's temporaries
+    xs = np.random.default_rng(6).gamma(2.5, 0.4, 5 * 10**5)
+    assert peak_bytes(lambda: st.ks_test(xs, lambda g: ec.snr_cdf(2.5, 1.0, g))) <= 16e6
 
 
 def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):

@@ -237,6 +237,41 @@ def test_large_concentration_terminates_with_the_right_spread():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_largest_concentrations_have_unit_moments_and_phasors():
+    # above kappa ~ 2.86e307 the scaled Bessel functions underflow to 0;
+    # the moments take their limit 1 - p^2/(2 kappa), which rounds to 1
+    for kappa in (2.87e307, 1.7e308, np.finfo(float).max):
+        model = pm.VonMises(float(kappa))
+        assert [model.trig_moment(p) for p in (1, 2, 16)] == [1.0, 1.0, 1.0]
+        z = model.sample(np.random.default_rng(12), 10**4)
+        assert np.all(np.abs(np.abs(z) - 1.0) <= 4.0 * np.finfo(float).eps)
+        assert np.all(z.real == 1.0)
+
+
+class RecordingGenerator:
+    """A generator that records the size of every uniform draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_rejection_pass_with_a_partial_last_tile_keeps_the_phasors(monkeypatch):
+    monkeypatch.setattr(pm, "_TILE", 10**9)
+    whole = RecordingGenerator(3)
+    want = pm._sample_von_mises(8.0, whole, 1000)
+    passes = whole.sizes[::3]  # u1, u2 and u3 of each pass
+    assert len(passes) >= 2 and passes[0] % 7 and passes[1] % 7
+    monkeypatch.setattr(pm, "_TILE", 7)
+    tiled = RecordingGenerator(3)
+    assert pm._sample_von_mises(8.0, tiled, 1000).tobytes() == want.tobytes()
+    assert sum(tiled.sizes) == sum(whole.sizes)
+
+
 def test_sample_returns_the_requested_shape():
     rng = np.random.default_rng(6)
     for model in ALL_VARIANTS:

@@ -126,3 +126,27 @@ def test_simulation_results_do_not_depend_on_the_worker_count(n, hops, model, bl
     two = _at_workers(2, mc.sample_snr, cfg, edges)
     np.testing.assert_array_equal(one.values, two.values)
     np.testing.assert_array_equal(one.histogram, two.histogram)
+
+
+@PROPERTY
+@given(
+    n=st.integers(min_value=1, max_value=10**6),
+    gamma0=st.floats(min_value=1e-6, max_value=1e3),
+    hops=st.tuples(fadings, fadings),
+    model=st.one_of(phase_errors, st.just(pm.NoError()), st.just(pm.UniformCircle())),
+)
+def test_derived_shape_parameter_is_positive(n, gamma0, hops, model):
+    ch = ec.derive(ec.LrsScenario(n, gamma0, *hops, model))
+    assert 0.0 < ch.m < math.inf
+
+
+@PROPERTY
+@given(m=shapes, per_shape=st.floats(min_value=10.0, max_value=1e6))
+def test_asymptote_to_exact_ber_ratio_tends_to_one(m, per_shape):
+    # the ratio exceeds 1 by O(m / gamma_bar): ten times the mean SNR
+    # leaves at most a fifth of the excess
+    def excess(gamma_bar):
+        return pf.ber_high_snr(m, gamma_bar) / pf.ber_bpsk(m, gamma_bar) - 1.0
+
+    gamma_bar = m * per_shape
+    assert 0.0 <= excess(10.0 * gamma_bar) <= 0.2 * excess(gamma_bar)

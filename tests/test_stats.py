@@ -53,6 +53,19 @@ def test_ks_input_guards():
         st.ks_test(np.ones(200), lambda x: x * 5.0)  # not a cdf
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+def test_ks_rejects_a_bad_cdf_value_in_a_later_tile(monkeypatch, bad):
+    monkeypatch.setattr(st, "_KS_TILE", 64)
+    xs = np.linspace(0.0, 1.0, 1000)
+
+    def cdf(x):
+        f = np.clip(x, 0.0, 1.0)
+        return np.where(x == 1.0, bad, f)  # the largest sample sits in the last tile
+
+    with pytest.raises(nx.DomainError):
+        st.ks_test(xs, cdf)
+
+
 def test_ks_threshold_gate():
     rng = np.random.default_rng(4)
     samples = rng.random(2000)
