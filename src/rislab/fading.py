@@ -28,6 +28,10 @@ _TILE = 1 << 13
 class FadingModel(abc.ABC):
     """Immutable description of one hop's fading law."""
 
+    # True where ``sample_magnitude`` reads the stream one value at a
+    # time, so that drawing k then m magnitudes gives one draw of k + m
+    splits = False
+
     @abc.abstractmethod
     def mean_magnitude(self) -> float:
         """E[|H|], strictly inside (0, 1) for unit-power fading."""
@@ -48,6 +52,8 @@ class FadingModel(abc.ABC):
 @dataclass(frozen=True)
 class Rayleigh(FadingModel):
     """Circularly symmetric complex normal with unit power."""
+
+    splits = True
 
     def mean_magnitude(self) -> float:
         return _SQRT_PI_HALF

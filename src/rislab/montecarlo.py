@@ -30,6 +30,14 @@ the hop magnitudes do not depend on: a block draws its magnitudes once,
 and each model restarts the block's stream after them to draw its phases
 (and the direct estimator's symbols and noise).  A model thus reads the
 numbers a run of its own would read, with the same result bytes.
+
+A block keeps one whole array, the hop products r (8 bytes per
+reflector draw); everything else streams through fixed tiles.  The
+destination magnitudes are multiplied into r a tile at a time, and the
+phase-error model yields its phasors as tiles of whole rows, in stream
+order (``PhaseErrorModel.phasor_tiles``), each reduced to its rows' H
+as soon as it arrives.  Tiles read the stream in the same order as
+whole arrays would, so no result depends on their size.
 """
 
 from __future__ import annotations
@@ -60,8 +68,10 @@ __all__ = [
 
 BLOCK_TRIALS = 1 << 14
 _DRAW_CHUNK = 1 << 13
-# rows per tile of the H reduction: a few hundred keep its products in cache
-_REDUCE_ROWS = 1 << 8
+# values per tile of a block, for the destination magnitudes multiplied
+# into the hop products and for the phasors drawn and reduced: a few
+# thousand keep a tile's temporaries in cache
+_TILE = 1 << 13
 SNR_RETAIN_CAP = 10**6
 
 _STREAM_BER = 0
@@ -149,22 +159,33 @@ def _rng_for(master_seed: int, *key: int) -> np.random.Generator:
 
 def _hop_product(scenario: LrsScenario, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` rows of the n products |H_i1| |H_i2|; the source
-    magnitudes are drawn before the destination magnitudes."""
-    shape = (count, scenario.n)
-    r = scenario.fading_sr.sample_magnitude(rng, shape)
-    r *= scenario.fading_rd.sample_magnitude(rng, shape)
+    magnitudes are drawn before the destination magnitudes, which are
+    multiplied in ``_TILE`` values at a time where the destination
+    model's draws may be split (``FadingModel.splits``)."""
+    r = scenario.fading_sr.sample_magnitude(rng, (count, scenario.n))
+    rd = scenario.fading_rd
+    flat = r.reshape(-1)
+    tile = _TILE if rd.splits else flat.size
+    for start in range(0, flat.size, tile):
+        part = flat[start : start + tile]
+        part *= rd.sample_magnitude(rng, part.size)
     return r
 
 
-def _reduce_h(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """H = mean over reflectors of r z for unit phasors z, one value per
-    row, reduced ``_REDUCE_ROWS`` rows at a time."""
-    h = np.empty(len(r), dtype=complex)
-    for start in range(0, len(r), _REDUCE_ROWS):
-        rows = slice(start, start + _REDUCE_ROWS)
-        r_part, z_part = r[rows], z[rows]
+def _reduce_h(r: np.ndarray, model: PhaseErrorModel, rng: np.random.Generator) -> np.ndarray:
+    """H = mean over reflectors of r z, one value per row of the hop
+    products ``r``, for unit phasors z that ``model`` draws from ``rng``
+    in tiles of whole rows, as many as fit in ``_TILE`` values (at least
+    one): each tile is reduced as soon as it arrives."""
+    count, n = r.shape
+    h = np.empty(count, dtype=complex)
+    done = 0
+    for z in model.phasor_tiles(rng, r.size, max(1, _TILE // n) * n):
+        rows = slice(done, done + z.size // n)
+        r_part, z_part = r[rows], z.reshape(-1, n)
         # two real means cost about half of one complex mean
         h[rows] = np.mean(r_part * z_part.real, axis=1) + 1j * np.mean(r_part * z_part.imag, axis=1)
+        done = rows.stop
     return h
 
 
@@ -178,7 +199,7 @@ def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> 
     remaining = size
     while remaining > 0:
         r = _hop_product(scenario, rng, min(_DRAW_CHUNK, remaining))
-        parts.append(_reduce_h(r, scenario.phase_error.sample(rng, r.shape)))
+        parts.append(_reduce_h(r, scenario.phase_error, rng))
         remaining -= len(r)
     return np.concatenate(parts)
 
@@ -205,7 +226,7 @@ def _run_block(jobs, task):
     out = []
     for model, reduce in jobs:
         rng.bit_generator.state = after_hops
-        out.append(reduce(_reduce_h(r, model.sample(rng, r.shape)), rng, block))
+        out.append(reduce(_reduce_h(r, model, rng), rng, block))
     return out
 
 

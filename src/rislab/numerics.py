@@ -107,6 +107,9 @@ def ln_gamma(x: float) -> float:
 
 _BESSEL_X_MAX = 700.0  # exp(x) stays below the double-precision ceiling
 _SERIES_EPS = 1e-17
+# 2 pi x stays finite up to here; an 8 k x that overflows above it only
+# turns a vanishing series term into 0
+_BESSEL_ASYM_WIDE = 2.0**1020
 
 
 def _bessel_series(p: int, x: float) -> float:
@@ -127,7 +130,10 @@ def _bessel_series(p: int, x: float) -> float:
 
 
 def _bessel_asym_scaled(p: int, x: float) -> float:
-    """exp(-x) * I_p(x) by the large-argument expansion; needs p*p < x."""
+    """exp(-x) * I_p(x) by the large-argument expansion; needs p*p < x.
+
+    Above ``_BESSEL_ASYM_WIDE`` the product 2 pi x would overflow, so
+    there sqrt(x) is divided out on its own."""
     mu = 4.0 * p * p
     total = 1.0
     term = 1.0
@@ -136,6 +142,8 @@ def _bessel_asym_scaled(p: int, x: float) -> float:
         total += term
         if abs(term) < _SERIES_EPS * abs(total):
             break
+    if x > _BESSEL_ASYM_WIDE:
+        return total / math.sqrt(2.0 * math.pi) / math.sqrt(x)
     return total / math.sqrt(2.0 * math.pi * x)
 
 

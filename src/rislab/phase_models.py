@@ -6,7 +6,7 @@ quantities the analytics consume are the trigonometric moments
 E[exp(j p Theta)], which are real for every supported model because of
 the symmetry; the Monte Carlo engine additionally needs exact sampling,
 which every model delivers as unit phasors exp(j Theta), the form the
-engine consumes.
+engine consumes, in tiles of a size the caller chooses.
 
 Supported variants:
 
@@ -65,12 +65,28 @@ class PhaseErrorModel(abc.ABC):
         """Closed-form trigonometric moment E[exp(j p Theta)], real valued."""
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, size):
-        """Draw unit phasors exp(j Theta), a complex array of shape ``size``.
+    def phasor_tiles(self, rng: np.random.Generator, count: int, tile: int):
+        """Yield ``count`` unit phasors exp(j Theta) as complex tiles of
+        ``tile`` values, the last one shorter, in the order of the stream
+        that ``rng`` reads; no value depends on ``tile``.
 
-        The simulator needs only cos Theta and sin Theta, so a sampler
-        that finds them without the angle (the von Mises one) skips the
-        round trip through arccos and back."""
+        The caller takes every tile before it uses ``rng`` again: the
+        stream is left where one whole-array draw would leave it only once
+        the last tile has been taken.  The simulator needs only cos Theta
+        and sin Theta, so a sampler that finds them without the angle (the
+        von Mises one) skips the round trip through arccos and back."""
+
+    def sample(self, rng: np.random.Generator, size):
+        """Draw unit phasors exp(j Theta), a complex array of shape
+        ``size``: the tiles of :meth:`phasor_tiles` written one after the
+        other, so the values and the stream read are the same."""
+        out = np.empty(size, dtype=complex)
+        flat = out.reshape(-1)
+        filled = 0
+        for part in self.phasor_tiles(rng, flat.size, _TILE):
+            flat[filled : filled + part.size] = part
+            filled += part.size
+        return out
 
     def pdf(self, theta):
         """Density on [-pi, pi); raises for models without one."""
@@ -89,8 +105,9 @@ class NoError(PhaseErrorModel):
         _check_order(p)
         return 1.0
 
-    def sample(self, rng, size):
-        return np.ones(size, dtype=complex)
+    def phasor_tiles(self, rng, count, tile):
+        for start in range(0, count, tile):
+            yield np.ones(min(tile, count - start), dtype=complex)
 
     def to_config(self) -> dict:
         return {"type": "none"}
@@ -117,20 +134,21 @@ class VonMises(PhaseErrorModel):
         if self.kappa == 0.0:
             return 0.0
         # scaled ratio survives arbitrarily large concentrations
-        i0 = numerics.bessel_i_scaled(0, self.kappa)
-        if i0 == 0.0:
-            # above kappa ~ 2.86e307 the scaled Bessel functions underflow;
-            # their ratio is 1 - p^2 / (2 kappa) there, 1.0 in double precision
-            return 1.0 - p * p / (2.0 * self.kappa)
-        return numerics.bessel_i_scaled(p, self.kappa) / i0
+        return numerics.bessel_i_scaled(p, self.kappa) / numerics.bessel_i_scaled(0, self.kappa)
 
     def pdf(self, theta):
         theta = np.asarray(theta, dtype=float)
         i0e = numerics.bessel_i_scaled(0, self.kappa)
-        return np.exp(self.kappa * (np.cos(theta) - 1.0)) / (_TWO_PI * i0e)
+        # kappa (cos theta - 1) <= 0 may overflow to -inf, whose exp is the right 0
+        with np.errstate(over="ignore"):
+            return np.exp(self.kappa * (np.cos(theta) - 1.0)) / (_TWO_PI * i0e)
 
-    def sample(self, rng, size):
-        return _sample_von_mises(self.kappa, rng, int(np.prod(size))).reshape(size)
+    def phasor_tiles(self, rng, count, tile):
+        return _sample_von_mises(self.kappa, rng, count, tile)
+
+    # a class's own ``sample`` can be wrapped (as bench/tracer.py does)
+    # without touching the other models
+    sample = PhaseErrorModel.sample
 
     def to_config(self) -> dict:
         return {"type": "von_mises", "kappa": self.kappa}
@@ -169,9 +187,10 @@ class Quantizer(PhaseErrorModel):
         w = self.half_width
         return np.where(np.abs(theta) <= w, 1.0 / (2.0 * w), 0.0)
 
-    def sample(self, rng, size):
-        w = self.half_width
-        return _phasors(rng.uniform(-w, w, size))
+    def phasor_tiles(self, rng, count, tile):
+        return _uniform_tiles(rng, count, tile, self.half_width)
+
+    sample = PhaseErrorModel.sample  # its own entry, as for VonMises
 
     def to_config(self) -> dict:
         return {"type": "quantizer", "bits": self.bits}
@@ -189,8 +208,8 @@ class UniformCircle(PhaseErrorModel):
         theta = np.asarray(theta, dtype=float)
         return np.full_like(theta, 1.0 / _TWO_PI)
 
-    def sample(self, rng, size):
-        return _phasors(rng.uniform(-math.pi, math.pi, size))
+    def phasor_tiles(self, rng, count, tile):
+        return _uniform_tiles(rng, count, tile, math.pi)
 
     def to_config(self) -> dict:
         return {"type": "uniform"}
@@ -203,6 +222,9 @@ class Product(PhaseErrorModel):
     The trigonometric moments of a sum of independent angles are the
     products of the component moments; sampling draws the components in
     order and multiplies their phasors, exp(j(T1 + T2)) = exp(j T1) exp(j T2).
+    Every component but the last is drawn whole, since a von Mises
+    component's use of the stream is known only once it finishes; the
+    last one is streamed, its tiles multiplied into the matching slices.
     """
 
     components: tuple[PhaseErrorModel, ...]
@@ -219,11 +241,25 @@ class Product(PhaseErrorModel):
             out *= comp.trig_moment(p)
         return out
 
-    def sample(self, rng, size):
-        total = self.components[0].sample(rng, size)
-        for comp in self.components[1:]:
-            total *= comp.sample(rng, size)
-        return total
+    def phasor_tiles(self, rng, count, tile):
+        *head, last = self.components
+        if not head:
+            yield from last.phasor_tiles(rng, count, tile)
+            return
+        total = head[0].sample(rng, count)
+        for comp in head[1:]:
+            total *= comp.sample(rng, count)
+        filled = 0
+        for factor in last.phasor_tiles(rng, count, tile):
+            part = total[filled : filled + factor.size]
+            if part.size == 1 < count:
+                # numpy multiplies a lone complex in place without its vector
+                # loop, which rounds differently; the whole array had that loop
+                part[...] = part * factor
+            else:
+                part *= factor
+            filled += factor.size
+            yield part
 
     def to_config(self) -> dict:
         return {"type": "product", "components": [c.to_config() for c in self.components]}
@@ -242,30 +278,80 @@ def _phasors(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-# above this r - 1 ~ 1/(2 kappa) is kept apart from r: in r itself it
-# loses every digit from kappa ~ 1e16 on, and no proposal is accepted
-_LARGE_KAPPA = 1e4
-# proposals per tile: the acceptance tests run on cache-sized pieces
+# values per tile of ``sample``
 _TILE = 1 << 13
 
 
-def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` phasors exp(j Theta) by Best-Fisher rejection (Best & Fisher
-    1979, wrapped-Cauchy envelope): a proposal is f = cos Theta; an
-    accepted one gives Re = f and Im = +-sqrt((1 - f)(1 + f)).
+def _uniform_tiles(rng: np.random.Generator, count: int, tile: int, w: float):
+    """Phasors of ``count`` angles uniform on [-w, w], drawn ``tile`` at a time."""
+    for start in range(0, count, tile):
+        yield _phasors(rng.uniform(-w, w, min(tile, count - start)))
+
+
+def _seek(cursor: np.random.Generator, rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """Move ``cursor``, whose bit generator is of the type of ``rng``'s, to
+    where ``rng`` would be after ``skip`` more doubles, and return it;
+    ``rng`` itself does not move.
+
+    Philox is counter based (Salmon et al. 2011): one counter value gives
+    four 64-bit words, one word per double.  The cursor steps over the
+    words left in ``rng``'s 4-word buffer, advances the counter by whole
+    blocks of four and draws the last ``skip % 4`` words.  Any other bit
+    generator is copied and made to draw and discard ``skip`` doubles."""
+    state = rng.bit_generator.state
+    bitgen = cursor.bit_generator
+    if state["bit_generator"] != "Philox":
+        bitgen.state = state
+        for start in range(0, skip, _TILE):
+            cursor.random(min(_TILE, skip - start))
+        return cursor
+    buffered = 4 - state["buffer_pos"]
+    if skip < buffered:
+        state["buffer_pos"] += skip
+        bitgen.state = state
+    else:
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        blocks, words = divmod(skip - buffered, 4)
+        bitgen.advance(blocks)
+        bitgen.random_raw(words)
+        if state["has_uint32"]:
+            # advance drops the half word kept for 32-bit draws, which
+            # doubles leave alone
+            moved = bitgen.state
+            moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+            bitgen.state = moved
+    return cursor
+
+
+# above this r - 1 ~ 1/(2 kappa) is kept apart from r: in r itself it
+# loses every digit from kappa ~ 1e16 on, and no proposal is accepted
+_LARGE_KAPPA = 1e4
+
+
+def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int):
+    """Yield ``n`` phasors exp(j Theta) in tiles of ``tile``, by
+    Best-Fisher rejection (Best & Fisher 1979, wrapped-Cauchy envelope):
+    a proposal is f = cos Theta; an accepted one gives Re = f and
+    Im = +-sqrt((1 - f)(1 + f)).
 
     The loop works with d = r - 1 and kc = kappa (r - 1)(r + 1) of the
     envelope parameter r, so that f = (1 + r z) / (r + z) is never formed:
     c = kappa (r - f) = kc / (r + z) and 1 - f = d (1 - z) / (r + z).
 
-    Each pass draws u1 and u2 for every missing phasor, then tests the
-    proposals in tiles of ``_TILE``, drawing each tile's u3 in turn, and
-    writes the accepted phasors straight into the result: the stream is
-    read in the same order whatever the tile size."""
+    A pass over the ``todo`` missing phasors reads todo doubles each of
+    u1, u2 and u3, in that order, from the stream.  Three cursors, sought
+    to offsets 0, todo and 2 todo, read them ``tile`` proposals at a
+    time, so no pass array is ever whole.  The accepted phasors fill
+    output tiles of ``tile``, each yielded once full, and after the pass
+    ``rng`` is moved to where the u3 cursor stopped, where a whole-array
+    pass would have left it.  The stream is thus read the same way
+    whatever the tile size."""
     # below ~5.6e-309 1/kappa overflows, no proposal could be accepted,
     # and the law differs from uniform by less than kappa anyway
     if kappa == 0.0 or math.isinf(1.0 / kappa):
-        return _phasors(rng.uniform(-math.pi, math.pi, n))
+        yield from _uniform_tiles(rng, n, tile, math.pi)
+        return
     if kappa > _LARGE_KAPPA:
         # with t = tau / (2 kappa): rho = t - sqrt(t / kappa), and
         # sqrt(kappa) (1 - rho) = sqrt(t) - sqrt(kappa) (t - 1) has no cancellation
@@ -285,17 +371,20 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndar
         kd = kappa * d
     kc = kd * (2.0 + d)
 
-    out = np.empty(n, dtype=complex)
-    filled = 0
-    while filled < n:
-        todo = n - filled
-        u1 = rng.random(todo)
-        u2 = rng.random(todo)
-        for start in range(0, todo, _TILE):
-            tile = slice(start, min(start + _TILE, todo))
-            z = u1[tile]
+    cursors = [np.random.Generator(type(rng.bit_generator)(0)) for _ in range(3)]
+    out = np.empty(min(tile, n), dtype=complex)
+    filled = 0  # phasors in ``out``
+    emitted = 0  # phasors in the tiles already yielded
+    missing = n
+    while missing:
+        todo = missing
+        u1, u2, u3 = (_seek(c, rng, k * todo) for k, c in enumerate(cursors))
+        for start in range(0, todo, tile):
+            size = min(tile, todo - start)
+            z = u1.random(size)
             np.cos(np.multiply(z, np.pi, out=z), out=z)
-            u3 = rng.random(z.size)
+            v = u2.random(size)
+            sign = u3.random(size)
             # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on,
             # and z = -1 would leave a zero denominator
             den = z + 1.0
@@ -303,7 +392,6 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndar
             with np.errstate(over="ignore"):
                 c = np.divide(kc, den)
             # squeeze test c (2 - c) > u2 first; the log test only where it fails
-            v = u2[tile]
             squeeze = np.subtract(2.0, c)
             squeeze *= c
             accept = squeeze > v
@@ -316,16 +404,27 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int) -> np.ndar
             # dividing first keeps d (1 - z) from overflowing at tiny kappa
             one_minus_f = np.divide(d, den[idx])
             one_minus_f *= np.subtract(1.0, z[idx])
-            part = slice(filled, filled + idx.size)
-            np.subtract(1.0, one_minus_f, out=out.real[part])
             im = np.subtract(2.0, one_minus_f)
             im *= one_minus_f
             np.sqrt(im, out=im)
             # copysign, not sign(): u3 == 0.5 still yields a unit phasor
-            np.copysign(im, u3[idx] - 0.5, out=out.imag[part])
-            filled += idx.size
-        del u1, u2, z, v  # z and v view u1 and u2: free them before the next pass
-    return out
+            signs = sign[idx] - 0.5
+            missing -= idx.size
+            # the accepted phasors go into the output tile, yielded when full
+            taken = 0
+            while taken < idx.size:
+                k = min(out.size - filled, idx.size - taken)
+                piece, part = slice(taken, taken + k), slice(filled, filled + k)
+                np.subtract(1.0, one_minus_f[piece], out=out.real[part])
+                np.copysign(im[piece], signs[piece], out=out.imag[part])
+                taken += k
+                filled += k
+                if filled == out.size:
+                    yield out
+                    emitted += out.size
+                    out = np.empty(min(tile, n - emitted), dtype=complex)
+                    filled = 0
+        rng.bit_generator.state = u3.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,18 @@ def _error_models() -> dict[str, phase_models.PhaseErrorModel]:
 
 def _db_at_level(ber_at, level: float, lo: float, hi: float) -> float:
     """SNR (dB) in [lo, hi] where the falling curve ``ber_at(db)`` crosses
-    ``level``, by 80 bisection steps."""
+    ``level``, by at most 80 bisection steps.  Once ``mid`` rounds to
+    ``lo`` or ``hi``, that step's update is the last one that can move
+    them, so the loop stops after it with the bits 80 steps would give."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        stuck = mid == lo or mid == hi
         if ber_at(mid) > level:
             lo = mid
         else:
             hi = mid
+        if stuck:
+            break
     return 0.5 * (lo + hi)
 
 

@@ -14,7 +14,7 @@ class FixedMoments(pm.PhaseErrorModel):
     def trig_moment(self, p):
         return {0: 1.0, 1: self.phi1, 2: self.phi2}[p]
 
-    def sample(self, rng, size=None):
+    def phasor_tiles(self, rng, count, tile):
         raise NotImplementedError
 
     def to_config(self):

@@ -375,7 +375,7 @@ def tile_probe():
     return runs, pinned_snr(trials), pinned_ks(1000)
 
 
-TILE_CONSTANTS = [(pm, "_TILE"), (fd, "_TILE"), (mc, "_REDUCE_ROWS"), (st, "_KS_TILE")]
+TILE_CONSTANTS = [(pm, "_TILE"), (fd, "_TILE"), (mc, "_TILE"), (st, "_KS_TILE")]
 
 
 @pytest.mark.parametrize("size", [1, 7, 10**9])
@@ -403,12 +403,29 @@ def peak_bytes(run):
             tracemalloc.stop()
 
 
+def block_peak_bytes(n, pe):
+    """``peak_bytes`` of one full semianalytic block at ``n`` reflectors."""
+    sc = ref_scenario(n=n, gamma0=0.01, pe=pe)
+    jobs = [(pe, partial(mc._ber_block, n, (0.01,), "semianalytic"))]
+    return peak_bytes(lambda: mc._run_block(jobs, (sc, 1, mc._STREAM_BER, 0, mc.BLOCK_TRIALS)))
+
+
 def test_block_peak_memory_is_bounded():
-    # n = 32 keeps r (4 MB), the phasors (8 MB) and one pass's u1 and u2
-    # (8 MB) alive at once; everything else is a tile
-    sc = ref_scenario(n=32, gamma0=0.01)
-    jobs = [(sc.phase_error, partial(mc._ber_block, sc.n, (0.01,), "semianalytic"))]
-    assert peak_bytes(lambda: mc._run_block(jobs, (sc, 1, mc._STREAM_BER, 0, mc.BLOCK_TRIALS))) <= 26e6
+    # n = 32 keeps only the hop products r (4 MB) whole; the phasors and
+    # each pass's u1, u2 and u3 are tiles
+    assert block_peak_bytes(32, pm.VonMises(8.0)) <= 9e6
+
+
+def test_block_peak_memory_grows_only_with_the_hop_products():
+    # at n = 256, r is 33.5 MB, and every other array is a tile
+    r_bytes = mc.BLOCK_TRIALS * 256 * 8
+    assert block_peak_bytes(256, pm.VonMises(8.0)) <= r_bytes + 4e6
+
+
+def test_product_block_peak_memory_is_bounded():
+    # the von Mises phasors (8 MB) are whole beside r (4 MB); the
+    # quantizer's are tiles multiplied into them
+    assert block_peak_bytes(32, pm.Product((pm.VonMises(2.0), pm.Quantizer(2)))) <= 15e6
 
 
 def test_ks_fit_peak_memory_is_bounded():

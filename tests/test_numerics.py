@@ -69,6 +69,29 @@ def test_bessel_scaled_survives_huge_arguments():
     assert 0.999999 < ratio < 1.0
 
 
+# float.hex of exp(-x) I_p(x) for p = 0, 1, 2, 16, as the expansion gave
+# them before its overflow guard: the guard must not move a bit below 1e307
+PINNED_BESSEL_SCALED = {
+    50.0: ("0x1.cf5a5415199fap-5", "0x1.cab2177d77b37p-5", "0x1.bd0148e71f134p-5", "0x1.1d8141c80cd72p-8"),
+    1e4: ("0x1.05743eaa6c2a5p-8", "0x1.0570e5e95bf20p-8", "0x1.0566dbe7f82ddp-8", "0x1.0220ee015edc6p-8"),
+    1e300: ("0x1.4e4f1043a39edp-500",) * 4,
+    1e307: ("0x1.b10515459e08bp-512",) * 4,
+}
+
+
+@pytest.mark.parametrize("x", sorted(PINNED_BESSEL_SCALED))
+def test_bessel_scaled_keeps_pinned_bits(x):
+    assert tuple(nx.bessel_i_scaled(p, x).hex() for p in (0, 1, 2, 16)) == PINNED_BESSEL_SCALED[x]
+
+
+@pytest.mark.parametrize("x", [2.9e307, 1.7e308, np.finfo(float).max])
+def test_bessel_scaled_does_not_overflow_at_the_largest_arguments(x):
+    # 8 x and 2 pi x overflow here; every correction term is below 1e-300
+    want = float(1 / mp.sqrt(2 * mp.pi * mp.mpf(x)))
+    for p in (0, 1, 16):
+        assert nx.bessel_i_scaled(p, float(x)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_bessel_range_and_domain_errors():
     # past x = 700 only the asymptotic branch (p*p < x) is available
     with pytest.raises(nx.RangeError):

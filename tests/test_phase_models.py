@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -248,28 +249,115 @@ def test_largest_concentrations_have_unit_moments_and_phasors():
         assert np.all(z.real == 1.0)
 
 
-class RecordingGenerator:
-    """A generator that records the size of every uniform draw."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.sizes = []
-
-    def random(self, size):
-        self.sizes.append(size)
-        return self.rng.random(size)
+def test_von_mises_density_is_finite_and_silent_at_the_largest_concentrations():
+    # kappa (cos theta - 1) overflows to -inf away from 0; the peak is
+    # 1 / (2 pi exp(-kappa) I_0(kappa)) = sqrt(kappa / (2 pi))
+    kappa = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = pm.VonMises(kappa).pdf([0.0, 0.1, 3.0])
+    assert np.all(np.isfinite(f))
+    assert f[0] == pytest.approx(math.sqrt(kappa) / math.sqrt(2.0 * math.pi), rel=1e-14)
+    assert f[1] == 0.0 and f[2] == 0.0
 
 
 def test_rejection_pass_with_a_partial_last_tile_keeps_the_phasors(monkeypatch):
-    monkeypatch.setattr(pm, "_TILE", 10**9)
-    whole = RecordingGenerator(3)
-    want = pm._sample_von_mises(8.0, whole, 1000)
-    passes = whole.sizes[::3]  # u1, u2 and u3 of each pass
+    # the cursors' offsets 0, todo and 2 todo give each pass's size
+    skips = []
+    seek = pm._seek
+
+    def recording(cursor, rng, skip):
+        skips.append(skip)
+        return seek(cursor, rng, skip)
+
+    def run(tile):
+        monkeypatch.setattr(pm, "_TILE", tile)
+        rng = np.random.default_rng(3)
+        z = pm.VonMises(8.0).sample(rng, 1000)
+        return z, rng.bit_generator.random_raw(8)
+
+    monkeypatch.setattr(pm, "_seek", recording)
+    want, after = run(10**9)
+    passes = skips[1::3]  # the u2 cursor of each pass sits at offset todo
     assert len(passes) >= 2 and passes[0] % 7 and passes[1] % 7
-    monkeypatch.setattr(pm, "_TILE", 7)
-    tiled = RecordingGenerator(3)
-    assert pm._sample_von_mises(8.0, tiled, 1000).tobytes() == want.tobytes()
-    assert sum(tiled.sizes) == sum(whole.sizes)
+    got, got_after = run(7)
+    assert got.tobytes() == want.tobytes()
+    # the stream is left at the same place
+    np.testing.assert_array_equal(got_after, after)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64, np.random.SFC64])
+def test_cursor_reads_the_stream_at_its_offset(bitgen, drawn):
+    # after 0-5 words every position of Philox's 4-word buffer is seen;
+    # one cursor is sought again and again, as the sampler's are
+    m = 9
+    cursor = np.random.Generator(bitgen(0))
+    for skip in (0, 1, 3, 4, 5, 17, 10**6):
+        rng = np.random.Generator(bitgen(21))
+        rng.random(drawn)
+        before = rng.bit_generator.state
+        got = pm._seek(cursor, rng, skip).random(m)
+        assert repr(rng.bit_generator.state) == repr(before)
+        np.testing.assert_array_equal(got, rng.random(skip + m)[skip:])
+
+
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64, np.random.SFC64])
+def test_sampler_keeps_the_half_word_of_a_32_bit_draw(bitgen):
+    # a 32-bit draw leaves half a 64-bit word behind; doubles do not use
+    # it, so the next 32-bit draw after the sampler is that half word
+    rngs = [np.random.Generator(bitgen(4)) for _ in range(2)]
+    for rng in rngs:
+        rng.integers(0, 2**32, 1, dtype=np.uint32)
+    pm.VonMises(2.0).sample(rngs[0], 5000)
+    rngs[1].vonmises(0.0, 2.0, 1)  # any double draw keeps the half word too
+    assert rngs[0].bit_generator.state["has_uint32"] == 1
+    assert rngs[0].integers(0, 2**32, 1, dtype=np.uint32) == rngs[1].integers(0, 2**32, 1, dtype=np.uint32)
+
+
+def test_rejection_sampler_leaves_the_stream_where_whole_passes_would(monkeypatch):
+    # a pass over todo phasors reads u1, u2 and u3, 3 todo doubles in all
+    skips = []
+    seek = pm._seek
+    monkeypatch.setattr(pm, "_seek", lambda cursor, rng, skip: skips.append(skip) or seek(cursor, rng, skip))
+    rng = np.random.Generator(np.random.Philox(5))
+    rng.random(3)  # start inside the 4-word buffer
+    pm.VonMises(2.0).sample(rng, 5000)
+    passes = skips[1::3]
+    assert passes[0] == 5000 and len(passes) >= 2
+    assert skips == [k * todo for todo in passes for k in range(3)]
+    whole = np.random.Generator(np.random.Philox(5))
+    whole.random(3 + 3 * sum(passes))
+    np.testing.assert_array_equal(rng.random(5), whole.random(5))
+
+
+@pytest.mark.parametrize("tile", [1, 7, pm._TILE, 10**9])
+@pytest.mark.parametrize("model", ALL_VARIANTS, ids=lambda m: str(m.to_config()))
+def test_phasor_tiles_have_the_asked_size_and_the_sampled_values(model, tile):
+    count = 3000
+    rng = np.random.Generator(np.random.Philox(8))
+    tiles = list(model.phasor_tiles(rng, count, tile))
+    after = rng.random(3)
+    full, rest = divmod(count, tile)
+    assert [t.size for t in tiles] == [tile] * full + ([rest] if rest else [])
+    rng = np.random.Generator(np.random.Philox(8))
+    np.testing.assert_array_equal(np.concatenate(tiles), model.sample(rng, count))
+    np.testing.assert_array_equal(rng.random(3), after)
+
+
+@pytest.mark.parametrize("count", [1, 2, 2 * pm._TILE + 1, 20000])
+def test_product_phasors_are_the_whole_components_multiplied_in_order(count):
+    # 2 _TILE + 1 ends in a tile of one phasor, which numpy would multiply
+    # in place with other rounding than the whole array's vector loop
+    components = (pm.VonMises(2.0), pm.Quantizer(2), pm.UniformCircle())
+    rng = np.random.Generator(np.random.Philox(9))
+    want = components[0].sample(rng, count)
+    for comp in components[1:]:
+        want *= comp.sample(rng, count)
+    end = rng.random(4)
+    rng = np.random.Generator(np.random.Philox(9))
+    assert pm.Product(components).sample(rng, count).tobytes() == want.tobytes()
+    np.testing.assert_array_equal(rng.random(4), end)
 
 
 def test_sample_returns_the_requested_shape():

@@ -1,0 +1,41 @@
+"""Validation-suite helpers: the dB bisection."""
+
+from rislab import performance
+from rislab import validate
+
+LEVELS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+def bisect_80_steps(ber_at, level, lo, hi):
+    """The crossing search as a fixed 80-step bisection."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ber_at(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def crossings():
+    """float.hex of the 20 crossings that ``check_ber_agreement`` simulates."""
+    return [
+        validate._gamma0_db_at_level(pe, level, 32).hex()
+        for pe in validate._error_models().values()
+        for level in LEVELS
+    ]
+
+
+def test_bisection_stops_early_with_the_bits_of_80_steps(monkeypatch):
+    calls = []
+    ber_bpsk = performance.ber_bpsk
+
+    def counted(m, gamma_bar):
+        calls.append(1)
+        return ber_bpsk(m, gamma_bar)
+
+    monkeypatch.setattr(performance, "ber_bpsk", counted)
+    got = crossings()
+    assert len(got) == 20 and len(calls) <= 1100
+    monkeypatch.setattr(validate, "_db_at_level", bisect_80_steps)
+    assert crossings() == got
