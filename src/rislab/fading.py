@@ -37,12 +37,8 @@ class FadingModel(abc.ABC):
         """E[|H|], strictly inside (0, 1) for unit-power fading."""
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, size=None):
-        """Complex fading coefficients with E[|H|^2] = 1."""
-
-    @abc.abstractmethod
     def sample_magnitude(self, rng: np.random.Generator, size=None):
-        """|H| draws; same law as abs(sample(...)), cheaper where possible."""
+        """Draws of the magnitude |H| of the fading coefficient, E[|H|^2] = 1."""
 
     @abc.abstractmethod
     def to_config(self) -> dict:
@@ -57,9 +53,6 @@ class Rayleigh(FadingModel):
 
     def mean_magnitude(self) -> float:
         return _SQRT_PI_HALF
-
-    def sample(self, rng, size=None):
-        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
 
     def sample_magnitude(self, rng, size=None):
         return rng.rayleigh(scale=math.sqrt(0.5), size=size)
@@ -96,11 +89,6 @@ class Rician(FadingModel):
         los = math.sqrt(k / (k + 1.0))
         diffuse = math.sqrt(1.0 / (k + 1.0))
         return los, diffuse
-
-    def sample(self, rng, size=None):
-        los, diffuse = self._parts()
-        scatter = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-        return los + diffuse * scatter
 
     def sample_magnitude(self, rng, size=None):
         """hypot(los + s X, s Y) with s = diffuse / sqrt(2), in place: the

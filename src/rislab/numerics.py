@@ -4,10 +4,11 @@ Every analytic formula in the package reduces to a handful of kernels:
 the exponentially scaled modified Bessel function exp(-x) I_p(x), the
 log-gamma function, the Gaussian tail probability Q, the regularized
 lower incomplete gamma P (one array path: a scalar is a 0-d array), the
-Laguerre function L_{1/2} of the Rician mean magnitude, and an adaptive
-Gauss-Legendre integrator.  They are implemented on plain numpy so the
-analytic modules carry no further math dependency and can be tested in
-isolation against independent oracles.
+Laguerre function L_{1/2} of the Rician mean magnitude, the
+Gauss-Legendre rule, and an adaptive integrator built on it with the one
+fixed error target the BER integral needs.  They are implemented on
+plain numpy so the analytic modules carry no further math dependency and
+can be tested in isolation against independent oracles.
 
 Accuracy targets (relative unless stated otherwise):
 
@@ -20,9 +21,9 @@ Accuracy targets (relative unless stated otherwise):
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,10 +32,10 @@ __all__ = [
     "AccuracyError",
     "DomainError",
     "NumericsError",
-    "QuadratureSpec",
     "RangeError",
     "bessel_i_scaled",
     "erfc",
+    "gauss_legendre",
     "gauss_q",
     "integrate",
     "laguerre_half",
@@ -409,47 +410,23 @@ def laguerre_half(k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Configuration of the adaptive integrator: bisection with a global
-    error budget, each panel an ``order``-point Gauss-Legendre rule.
-
-    ``tolerance`` is absolute; ``rel_tolerance`` optionally relaxes the
-    target to ``rel_tolerance * |integral|`` when that is larger, which
-    matters when integrating quantities many orders of magnitude below 1.
-    """
-
-    tolerance: float = 1e-10
-    rel_tolerance: float = 0.0
-    max_subdivisions: int = 2000
-    order: int = 20
-
-    def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be > 0")
-        if self.rel_tolerance < 0.0:
-            raise ValueError("rel_tolerance must be >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.order < 2:
-            raise ValueError("order must be >= 2")
+# settings of the adaptive integrator: the error target is the larger of
+# the absolute and the relative one; each panel is an order-point rule
+_QUAD_TOL = 1e-12
+_QUAD_REL_TOL = 1e-11
+_QUAD_MAX_SPLITS = 4000
+_QUAD_ORDER = 24
 
 
-_DEFAULT_QUAD = QuadratureSpec()
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on
+    [-1, 1], computed on first use; callers must not modify them."""
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return _LEG_CACHE[order]
-    except KeyError:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _LEG_CACHE[order] = (nodes, weights)
-        return nodes, weights
-
-
-def _panel(f: Callable, a: float, b: float, order: int) -> float:
-    nodes, weights = _leg_nodes(order)
+def _panel(f: Callable, a: float, b: float) -> float:
+    nodes, weights = gauss_legendre(_QUAD_ORDER)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     y = np.asarray(f(mid + half * nodes), dtype=float)
@@ -458,47 +435,47 @@ def _panel(f: Callable, a: float, b: float, order: int) -> float:
     return half * float(weights @ y)
 
 
-def _refined(f: Callable, a: float, b: float, order: int) -> tuple[float, float]:
+def _refined(f: Callable, a: float, b: float) -> tuple[float, float]:
     """Bisected estimate of the panel integral and its error estimate."""
-    coarse = _panel(f, a, b, order)
+    coarse = _panel(f, a, b)
     mid = 0.5 * (a + b)
-    fine = _panel(f, a, mid, order) + _panel(f, mid, b, order)
+    fine = _panel(f, a, mid) + _panel(f, mid, b)
     return fine, abs(fine - coarse)
 
 
-def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
-    """Integrate ``f`` over [a, b] to the tolerance declared in ``spec``.
+def integrate(f: Callable, a: float, b: float) -> float:
+    """Integrate ``f`` over [a, b] to an error below ``_QUAD_TOL``, or
+    ``_QUAD_REL_TOL`` times the integral where that is larger.
 
     ``f`` must accept a numpy array of abscissae and return the integrand
     values elementwise.  Raises :class:`AccuracyError` (carrying the best
     estimate) when the error cannot be brought below the target within
-    ``max_subdivisions`` bisections.
+    ``_QUAD_MAX_SPLITS`` bisections.
     """
-    spec = spec or _DEFAULT_QUAD
     a = float(a)
     b = float(b)
     if not a < b:
         raise DomainError(f"integration interval must satisfy a < b, got [{a}, {b}]")
 
-    value, err = _refined(f, a, b, spec.order)
+    value, err = _refined(f, a, b)
     # heap of (-error, counter, a, b, value, error); counter breaks ties
     counter = 0
     heap = [(-err, counter, a, b, value, err)]
     total = value
     total_err = err
     splits = 0
-    while total_err > max(spec.tolerance, spec.rel_tolerance * abs(total)):
+    while total_err > max(_QUAD_TOL, _QUAD_REL_TOL * abs(total)):
         splits += 1
-        if splits > spec.max_subdivisions:
+        if splits > _QUAD_MAX_SPLITS:
             raise AccuracyError(
-                f"adaptive quadrature did not converge in {spec.max_subdivisions} "
+                f"adaptive quadrature did not converge in {_QUAD_MAX_SPLITS} "
                 f"subdivisions (err ~ {total_err:.3e})",
                 total,
             )
         _, _, pa, pb, pv, pe = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        lv, le = _refined(f, pa, mid, spec.order)
-        rv, re = _refined(f, mid, pb, spec.order)
+        lv, le = _refined(f, pa, mid)
+        rv, re = _refined(f, mid, pb)
         total += lv + rv - pv
         total_err += le + re - pe
         counter += 1

@@ -37,10 +37,6 @@ __all__ = [
 
 _PLANNER_N_MAX = 10**7
 
-_BER_QUAD = numerics.QuadratureSpec(
-    tolerance=1e-12, rel_tolerance=1e-11, max_subdivisions=4000, order=24
-)
-
 
 @dataclass(frozen=True)
 class GainDecomposition:
@@ -81,7 +77,7 @@ def ber_bpsk(m: float, gamma_bar: float) -> float:
         with np.errstate(divide="ignore", under="ignore"):
             return np.exp(-m * np.log1p(gamma_bar / (m * s * s)))
 
-    return numerics.integrate(integrand, 0.0, 0.5 * math.pi, _BER_QUAD) / math.pi
+    return numerics.integrate(integrand, 0.0, 0.5 * math.pi) / math.pi
 
 
 def _log_asymptote_bracket(m: float) -> float:

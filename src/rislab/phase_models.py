@@ -6,7 +6,10 @@ quantities the analytics consume are the trigonometric moments
 E[exp(j p Theta)], which are real for every supported model because of
 the symmetry; the Monte Carlo engine additionally needs exact sampling,
 which every model delivers as unit phasors exp(j Theta), the form the
-engine consumes, in tiles of a size the caller chooses.
+engine consumes, in tiles of a size the caller chooses.  Every model but
+:class:`Product` also carries a fixed quadrature rule of its law,
+``nodes()``, from which :func:`moment_by_integration` checks the closed
+forms without using them.
 
 Supported variants:
 
@@ -42,9 +45,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# numerical-integration oracle is limited to moderately oscillatory orders
+# the quadrature rules are checked to 1e-13 up to this order
 MAX_INTEGRATION_ORDER = 16
-_MOMENT_QUAD = numerics.QuadratureSpec(tolerance=1e-12, max_subdivisions=4000)
+# nodes of the midpoint rules of the von Mises and uniform laws
+_MIDPOINTS = 64
 
 
 def _check_order(p: int) -> int:
@@ -88,10 +92,6 @@ class PhaseErrorModel(abc.ABC):
             filled += part.size
         return out
 
-    def pdf(self, theta):
-        """Density on [-pi, pi); raises for models without one."""
-        raise numerics.DomainError(f"{type(self).__name__} has no density")
-
     @abc.abstractmethod
     def to_config(self) -> dict:
         """JSON-serializable description of the model."""
@@ -108,6 +108,9 @@ class NoError(PhaseErrorModel):
     def phasor_tiles(self, rng, count, tile):
         for start in range(0, count, tile):
             yield np.ones(min(tile, count - start), dtype=complex)
+
+    def nodes(self):
+        return np.zeros(1), np.ones(1)
 
     def to_config(self) -> dict:
         return {"type": "none"}
@@ -143,6 +146,16 @@ class VonMises(PhaseErrorModel):
         with np.errstate(over="ignore"):
             return np.exp(self.kappa * (np.cos(theta) - 1.0)) / (_TWO_PI * i0e)
 
+    def nodes(self):
+        """Midpoints of [-w, w], w = min(pi, 14 / sqrt(kappa)), weighted by
+        the density and scaled to sum 1, not by I_0, so the rule does not
+        lean on the closed form.  Beyond 14 widths 1 / sqrt(kappa) the
+        density has fallen below exp(-98) of its peak."""
+        w = min(math.pi, 14.0 / math.sqrt(self.kappa)) if self.kappa else math.pi
+        theta = _midpoints(w)
+        weights = self.pdf(theta)
+        return theta, weights / weights.sum()
+
     def phasor_tiles(self, rng, count, tile):
         return _sample_von_mises(self.kappa, rng, count, tile)
 
@@ -165,8 +178,9 @@ class Quantizer(PhaseErrorModel):
     bits: int
 
     def __post_init__(self):
-        if self.bits != int(self.bits) or self.bits < 1:
-            raise numerics.DomainError(f"bits must be a positive integer, got {self.bits!r}")
+        # from 1024 bits on, 2**bits overflows a double
+        if self.bits != int(self.bits) or not 1 <= self.bits <= 1023:
+            raise numerics.DomainError(f"bits must be an integer in [1, 1023], got {self.bits!r}")
         object.__setattr__(self, "bits", int(self.bits))
 
     @property
@@ -182,10 +196,10 @@ class Quantizer(PhaseErrorModel):
         x = p * self.half_width
         return math.sin(x) / x
 
-    def pdf(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        w = self.half_width
-        return np.where(np.abs(theta) <= w, 1.0 / (2.0 * w), 0.0)
+    def nodes(self):
+        """32-point Gauss-Legendre rule on [-w, w], its weights halved."""
+        x, weights = numerics.gauss_legendre(32)
+        return self.half_width * x, 0.5 * weights
 
     def phasor_tiles(self, rng, count, tile):
         return _uniform_tiles(rng, count, tile, self.half_width)
@@ -204,9 +218,8 @@ class UniformCircle(PhaseErrorModel):
         p = _check_order(p)
         return 1.0 if p == 0 else 0.0
 
-    def pdf(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.full_like(theta, 1.0 / _TWO_PI)
+    def nodes(self):
+        return _midpoints(math.pi), np.full(_MIDPOINTS, 1.0 / _MIDPOINTS)
 
     def phasor_tiles(self, rng, count, tile):
         return _uniform_tiles(rng, count, tile, math.pi)
@@ -428,36 +441,35 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
 
 
 # ---------------------------------------------------------------------------
-# integration oracle for the closed-form moments
+# quadrature oracle for the closed-form moments
 # ---------------------------------------------------------------------------
 
 
+def _midpoints(w: float) -> np.ndarray:
+    """Midpoints of ``_MIDPOINTS`` equal cells of [-w, w], symmetric bit for bit."""
+    return w * ((2.0 * np.arange(_MIDPOINTS) + 1.0) / _MIDPOINTS - 1.0)
+
+
 def moment_by_integration(model: PhaseErrorModel, p: int) -> float:
-    """p-th trigonometric moment by direct quadrature of cos(p theta) pdf.
+    """p-th trigonometric moment as sum_k w_k cos(p theta_k) over the
+    model's quadrature rule ``nodes()``.
 
     Independent of the closed forms in :meth:`PhaseErrorModel.trig_moment`;
-    the degenerate :class:`NoError` has every moment exactly 1, and products
-    recurse over their components (expectations of independent factors
-    multiply).  Any other model without a density raises
-    :class:`DomainError` from its ``pdf``.
+    products recurse over their components (expectations of independent
+    factors multiply).
     """
     p = _check_order(p)
     if p > MAX_INTEGRATION_ORDER:
         raise numerics.RangeError(
             f"integration oracle capped at order {MAX_INTEGRATION_ORDER}, got {p}"
         )
-    if isinstance(model, NoError):
-        return 1.0
     if isinstance(model, Product):
         out = 1.0
         for comp in model.components:
             out *= moment_by_integration(comp, p)
         return out
-    # symmetric densities: the sine part vanishes and the cosine part doubles
-    value = numerics.integrate(
-        lambda th: np.cos(p * th) * model.pdf(th), 0.0, math.pi, _MOMENT_QUAD
-    )
-    return 2.0 * value
+    theta, weights = model.nodes()
+    return float(weights @ np.cos(p * theta))
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,6 @@ class FixedMeanMagnitude(fd.FadingModel):
     def mean_magnitude(self):
         return self.a
 
-    def sample(self, rng, size=None):
-        raise NotImplementedError
-
     def sample_magnitude(self, rng, size=None):
         raise NotImplementedError
 

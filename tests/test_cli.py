@@ -336,6 +336,13 @@ def test_non_finite_kappa_exits_2(tmp_path):
     assert "kappa" in res.stderr
 
 
+def test_quantizer_beyond_1023_bits_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {**REFERENCE_CONFIG, "phase_error": {"type": "quantizer", "bits": 2000}})
+    res = run_cli("equiv", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr and "bits" in res.stderr
+
+
 @pytest.mark.parametrize("command", ["ber", "snr-pdf"])
 def test_non_integer_worker_count_exits_2(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("RIS_LAB_WORKERS", "abc")

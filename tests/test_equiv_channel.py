@@ -152,10 +152,9 @@ def test_config_rejects_fractional_counts_and_infinite_gamma0(field):
 def test_nakagami_pdf_normalizes_and_has_spread_omega():
     ch = ec.derive(REFERENCE)
     hi = math.sqrt(ch.omega) * (1.0 + 12.0 / math.sqrt(ch.m))
-    spec = nx.QuadratureSpec(tolerance=1e-12, max_subdivisions=4000)
-    total = nx.integrate(lambda x: ec.nakagami_pdf(ch.m, ch.omega, x), 1e-12, hi, spec)
+    total = nx.integrate(lambda x: ec.nakagami_pdf(ch.m, ch.omega, x), 1e-12, hi)
     assert total == pytest.approx(1.0, abs=1e-8)
-    second = nx.integrate(lambda x: x * x * ec.nakagami_pdf(ch.m, ch.omega, x), 1e-12, hi, spec)
+    second = nx.integrate(lambda x: x * x * ec.nakagami_pdf(ch.m, ch.omega, x), 1e-12, hi)
     assert second == pytest.approx(ch.omega, abs=1e-8)
 
 
@@ -192,11 +191,10 @@ def test_nakagami_pdf_rejects_negative():
 def test_snr_pdf_moments():
     ch = ec.derive(ec.LrsScenario(64, 0.25, fd.Rician(1.0), fd.Rayleigh(), pm.VonMises(8.0)))
     hi = ch.gamma_bar * (1.0 + 14.0 / math.sqrt(ch.m))
-    spec = nx.QuadratureSpec(tolerance=1e-13, rel_tolerance=1e-12, max_subdivisions=4000)
-    mean = nx.integrate(lambda g: g * ec.snr_pdf(ch.m, ch.gamma_bar, g), 1e-12, hi, spec)
+    mean = nx.integrate(lambda g: g * ec.snr_pdf(ch.m, ch.gamma_bar, g), 1e-12, hi)
     assert mean == pytest.approx(ch.gamma_bar, abs=1e-8 * ch.gamma_bar)
     var = nx.integrate(
-        lambda g: (g - ch.gamma_bar) ** 2 * ec.snr_pdf(ch.m, ch.gamma_bar, g), 1e-12, hi, spec
+        lambda g: (g - ch.gamma_bar) ** 2 * ec.snr_pdf(ch.m, ch.gamma_bar, g), 1e-12, hi
     )
     assert var == pytest.approx(ch.gamma_bar**2 / ch.m, rel=1e-6)
 
@@ -250,8 +248,7 @@ def test_snr_cdf_median_against_pdf_quadrature():
         else:
             hi = mid
     median = 0.5 * (lo + hi)
-    spec = nx.QuadratureSpec(tolerance=1e-12, max_subdivisions=4000)
-    mass = nx.integrate(lambda g: ec.snr_pdf(ch.m, ch.gamma_bar, g), 1e-12, median, spec)
+    mass = nx.integrate(lambda g: ec.snr_pdf(ch.m, ch.gamma_bar, g), 1e-12, median)
     assert mass == pytest.approx(0.5, abs=1e-8)
 
 

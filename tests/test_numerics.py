@@ -251,6 +251,13 @@ def test_laguerre_half_large_argument_asymptote():
 # ---------------------------------------------------------------------------
 
 
+def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1_and_cached():
+    x, w = nx.gauss_legendre(32)
+    assert w @ x**62 == pytest.approx(2.0 / 63.0, rel=1e-13)
+    assert w @ x**61 == pytest.approx(0.0, abs=1e-15)
+    assert nx.gauss_legendre(32)[0] is x
+
+
 def test_integrate_known_integrals():
     assert nx.integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
     assert nx.integrate(lambda x: np.ones_like(x), 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -265,16 +272,15 @@ def test_integrate_oscillatory():
 
 
 def test_integrate_relative_tolerance_on_tiny_values():
-    spec = nx.QuadratureSpec(tolerance=1e-12, rel_tolerance=1e-11)
     scale = 1e-30
-    val = nx.integrate(lambda x: scale * np.exp(-x), 0.0, 1.0, spec)
+    val = nx.integrate(lambda x: scale * np.exp(-x), 0.0, 1.0)
     assert val == pytest.approx(scale * (1.0 - math.exp(-1.0)), rel=1e-9)
 
 
-def test_integrate_subdivision_budget_error_carries_estimate():
-    spec = nx.QuadratureSpec(tolerance=1e-14, max_subdivisions=1, order=2)
+def test_integrate_subdivision_budget_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(nx, "_QUAD_MAX_SPLITS", 1)
     with pytest.raises(nx.AccuracyError) as err:
-        nx.integrate(lambda x: np.cos(50.0 * x) ** 2, 0.0, 10.0, spec)
+        nx.integrate(lambda x: np.cos(50.0 * x) ** 2, 0.0, 10.0)
     assert math.isfinite(err.value.estimate)
 
 
@@ -287,10 +293,3 @@ def test_integrate_rejects_bad_interval_and_nonfinite():
 
     with pytest.raises(nx.DomainError):
         nx.integrate(nan_left_of_half, 0.0, 1.0)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        nx.QuadratureSpec(tolerance=0.0)
-    with pytest.raises(ValueError):
-        nx.QuadratureSpec(max_subdivisions=0)

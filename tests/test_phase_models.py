@@ -103,6 +103,11 @@ def test_bad_parameters_rejected():
         pm.VonMises(math.inf)
     with pytest.raises(nx.DomainError):
         pm.Quantizer(0)
+    # 2**1024 overflows a double, so the half-width would not exist
+    assert pm.Quantizer(1023).trig_moment(1) == 1.0
+    for bits in (1024, 2000):
+        with pytest.raises(nx.DomainError, match="1023"):
+            pm.Quantizer(bits)
     with pytest.raises(nx.DomainError):
         pm.Product(())
 
@@ -137,6 +142,17 @@ def test_product_integration_moment_composes():
     assert pm.moment_by_integration(prod, 1) == pytest.approx(
         prod.trig_moment(1), abs=1e-8
     )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pm.VonMises(1e7), pm.VonMises(1e8), pm.Quantizer(60)],
+    ids=["kappa-1e7", "kappa-1e8", "bits-60"],
+)
+def test_oracle_resolves_concentrated_errors(model):
+    # the law is 1/sqrt(kappa) or pi/2^bits wide, far inside [-pi, pi]
+    for p in range(pm.MAX_INTEGRATION_ORDER + 1):
+        assert abs(pm.moment_by_integration(model, p) - model.trig_moment(p)) <= 1e-13
 
 
 def test_integration_oracle_guards():
@@ -373,16 +389,26 @@ def test_sample_returns_the_requested_shape():
 # ---------------------------------------------------------------------------
 
 
-def test_pdfs_normalize():
-    grid_spec = nx.QuadratureSpec(tolerance=1e-10, max_subdivisions=4000)
-    for model in (pm.VonMises(2.0), pm.Quantizer(2), pm.UniformCircle()):
-        total = nx.integrate(model.pdf, -math.pi, math.pi, grid_spec)
-        assert total == pytest.approx(1.0, abs=1e-8)
+def test_von_mises_pdf_normalizes():
+    total = nx.integrate(pm.VonMises(2.0).pdf, -math.pi, math.pi)
+    assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def test_no_error_has_no_density():
-    with pytest.raises(nx.DomainError):
-        pm.NoError().pdf(0.0)
+def test_quadrature_rules_are_symmetric_probability_weights_on_the_support():
+    for model in ALL_VARIANTS:
+        if isinstance(model, pm.Product):
+            continue
+        theta, weights = model.nodes()
+        assert theta.shape == weights.shape
+        assert np.all(weights >= 0.0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_array_equal(theta, -theta[::-1])
+        np.testing.assert_array_equal(weights, weights[::-1])
+        assert np.all(np.abs(theta) <= math.pi)
+    q = pm.Quantizer(3)
+    assert np.all(np.abs(q.nodes()[0]) < q.half_width)
+    theta, weights = pm.NoError().nodes()
+    assert theta.tolist() == [0.0] and weights.tolist() == [1.0]
 
 
 def test_config_round_trip():

@@ -78,6 +78,20 @@ def test_second_moment_respects_the_variance_bound(model):
     assert model.trig_moment(2) >= 2.0 * phi1 * phi1 - 1.0
 
 
+# kappa = 0 and log-uniform on [1e-6, 1e308]; bits over the whole range
+wide_von_mises = st.one_of(
+    st.just(0.0), st.floats(min_value=-6.0, max_value=308.0).map(lambda e: 10.0**e)
+).map(pm.VonMises)
+all_quantizers = st.integers(min_value=1, max_value=1023).map(pm.Quantizer)
+
+
+@PROPERTY
+@given(model=st.one_of(wide_von_mises, all_quantizers))
+def test_quadrature_oracle_matches_closed_form_moments(model):
+    for p in range(pm.MAX_INTEGRATION_ORDER + 1):
+        assert abs(pm.moment_by_integration(model, p) - model.trig_moment(p)) <= 1e-13
+
+
 EPS = np.finfo(float).eps
 
 
