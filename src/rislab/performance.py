@@ -110,7 +110,13 @@ def _coding_gain(n: int, a: float, phi1: float, phi2: float) -> float:
     """G_c = n^2 phi_1^2 a^4 exp(-L(m)/m), L the log asymptote bracket."""
     a2 = a * a
     m = m_from_moments(n, a2, phi1, phi2)
-    return n * n * phi1 * phi1 * a2 * a2 * math.exp(-_log_asymptote_bracket(m) / m)
+    try:
+        gc = n * n * phi1 * phi1 * a2 * a2 * math.exp(-_log_asymptote_bracket(m) / m)
+    except OverflowError:  # -L(m)/m ~ ln 2 / m passes 709.78 once m < ~1e-3
+        gc = math.inf
+    if gc == math.inf:
+        raise numerics.RangeError(f"coding gain at n={n} (m={m!r}) exceeds the double range")
+    return gc
 
 
 def gains(scenario: LrsScenario) -> GainDecomposition:
@@ -130,40 +136,60 @@ def gains(scenario: LrsScenario) -> GainDecomposition:
 # ---------------------------------------------------------------------------
 
 
+def _smallest_n(meets, n_max: int) -> int | None:
+    """Smallest n in [1, n_max] with ``meets(n)``, or None if there is none.
+
+    The counts that meet the target must form a tail: once ``meets(n)``
+    holds it holds for every larger n.  ``hi`` doubles from 1 until it
+    meets or reaches ``n_max``, then the last step (lo, hi] is bisected.
+    """
+    if meets(1):
+        return 1
+    lo, hi = 1, 2
+    while not meets(hi):
+        if hi == n_max:
+            return None
+        lo, hi = hi, min(2 * hi, n_max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def reflectors_for_diversity(target_gd: float, a: float, phi1: float, phi2: float) -> int:
     """Smallest n whose shape parameter reaches ``target_gd``.
 
-    The shape parameter is n times the per-reflector shape, so the
-    answer is a ceiling; the final adjustment below removes one-ulp
-    artifacts so that a target taken from an integer-n evaluation
-    round-trips exactly.
+    The shape parameter is n times the per-reflector shape, so it grows
+    with n in floating point too.  The target is relaxed by 1e-12 so that
+    a target taken from an integer-n evaluation round-trips exactly
+    despite one-ulp artifacts.  Counts above 2^53 are not distinct
+    doubles; a target beyond them raises :class:`numerics.RangeError`.
     """
     if not target_gd > 0.0:
         raise numerics.DomainError(f"target diversity gain must be > 0, got {target_gd!r}")
     if not phi1 > 0.0:
         raise numerics.DomainError("planner requires phi_1 > 0")
     a2 = a * a
-    n = max(1, math.ceil(target_gd / m_from_moments(1, a2, phi1, phi2)))
-    slack = 1.0 - 1e-12
-    while n > 1 and m_from_moments(n - 1, a2, phi1, phi2) >= target_gd * slack:
-        n -= 1
-    while m_from_moments(n, a2, phi1, phi2) < target_gd * slack:
-        n += 1
+    floor = target_gd * (1.0 - 1e-12)
+    n = _smallest_n(lambda n: m_from_moments(n, a2, phi1, phi2) >= floor, 2**53)
+    if n is None:
+        raise numerics.RangeError(f"target diversity gain {target_gd!r} needs over 2^53 reflectors")
     return n
 
 
 def reflectors_for_coding_gain(
-    target_gc: float,
-    a: float,
-    phi1: float,
-    phi2: float,
-    n_max: int = _PLANNER_N_MAX,
+    target_gc: float, a: float, phi1: float, phi2: float
 ) -> CodingGainPlan:
-    """Smallest n whose coding gain reaches ``target_gc``.
+    """Smallest n whose coding gain reaches ``target_gc``, searched up to
+    ``_PLANNER_N_MAX`` reflectors.
 
-    The coding gain is searched by doubling plus bisection and the
-    bracket is verified afterwards; should the verification detect a
-    non-monotone stretch, the bracket is scanned exhaustively.
+    G_c depends on n only through m = n m_1, as (x / m_1^2) exp(2 ln m -
+    L(m)/m): it falls until m = 1 and rises from there.  A target above
+    G_c(1) is therefore met by a tail of counts, and one at or below it
+    by n = 1, so bisection finds the smallest n.
     """
     if not target_gc > 0.0:
         raise numerics.DomainError(f"target coding gain must be > 0, got {target_gc!r}")
@@ -171,33 +197,9 @@ def reflectors_for_coding_gain(
         raise numerics.DomainError("planner requires phi_1 > 0")
 
     gc = lambda n: _coding_gain(n, a, phi1, phi2)
-
-    if gc(1) >= target_gc:
-        return CodingGainPlan(feasible=True, n=1, achieved=gc(1), searched_up_to=1)
-
-    lo, hi = 1, 2
-    while gc(hi) < target_gc:
-        lo = hi
-        hi *= 2
-        if hi >= n_max:
-            hi = n_max
-            if gc(hi) < target_gc:
-                return CodingGainPlan(
-                    feasible=False, n=None, achieved=gc(n_max), searched_up_to=n_max
-                )
-            break
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if gc(mid) >= target_gc:
-            hi = mid
-        else:
-            lo = mid
-
-    # bisection assumed monotone growth; verify and fall back to a scan
-    if not (gc(hi) >= target_gc and (hi == 1 or gc(hi - 1) < target_gc)):
-        for n in range(1, n_max + 1):
-            if gc(n) >= target_gc:
-                return CodingGainPlan(feasible=True, n=n, achieved=gc(n), searched_up_to=n)
-        return CodingGainPlan(feasible=False, n=None, achieved=gc(n_max), searched_up_to=n_max)
-    return CodingGainPlan(feasible=True, n=hi, achieved=gc(hi), searched_up_to=hi)
+    n = _smallest_n(lambda n: gc(n) >= target_gc, _PLANNER_N_MAX)
+    if n is None:
+        return CodingGainPlan(
+            feasible=False, n=None, achieved=gc(_PLANNER_N_MAX), searched_up_to=_PLANNER_N_MAX
+        )
+    return CodingGainPlan(feasible=True, n=n, achieved=gc(n), searched_up_to=n)

@@ -237,7 +237,7 @@ class Product(PhaseErrorModel):
     order and multiplies their phasors, exp(j(T1 + T2)) = exp(j T1) exp(j T2).
     Every component but the last is drawn whole, since a von Mises
     component's use of the stream is known only once it finishes; the
-    last one is streamed, its tiles multiplied into the matching slices.
+    last one is streamed, each tile multiplied by the matching slice.
     """
 
     components: tuple[PhaseErrorModel, ...]
@@ -264,15 +264,8 @@ class Product(PhaseErrorModel):
             total *= comp.sample(rng, count)
         filled = 0
         for factor in last.phasor_tiles(rng, count, tile):
-            part = total[filled : filled + factor.size]
-            if part.size == 1 < count:
-                # numpy multiplies a lone complex in place without its vector
-                # loop, which rounds differently; the whole array had that loop
-                part[...] = part * factor
-            else:
-                part *= factor
+            yield total[filled : filled + factor.size] * factor
             filled += factor.size
-            yield part
 
     def to_config(self) -> dict:
         return {"type": "product", "components": [c.to_config() for c in self.components]}

@@ -30,6 +30,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=300,
     )
 
 
@@ -245,6 +246,37 @@ def test_plan_command_round_trip(tmp_path):
     assert report["diversity"]["n"] == 32
     assert report["coding"]["feasible"] is True
     assert report["coding"]["achieved_gc"] >= 40.0
+
+
+def test_plan_sizes_a_diversity_target_of_1e15(tmp_path):
+    payload = {**REFERENCE_CONFIG, "target_gd": 1e15}
+    out = tmp_path / "out"
+    res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert json.loads((out / "plan.json").read_text())["diversity"]["n"] == 2258125781097528
+
+
+RAYLEIGH_NEAR_UNIFORM = {
+    "fading_sr": {"type": "rayleigh"},
+    "fading_rd": {"type": "rayleigh"},
+    "phase_error": {"type": "von_mises", "kappa": 0.01},
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**REFERENCE_CONFIG, "target_gd": 1e20},
+        {**REFERENCE_CONFIG, "target_gd": 1e300},
+        {**RAYLEIGH_NEAR_UNIFORM, "target_gc": 10.0},
+        {**RAYLEIGH_NEAR_UNIFORM, "target_gd": 1e-4},
+    ],
+    ids=["gd-past-2^53", "gd-1e300", "gc-overflow-in-planner", "gc-overflow-in-gains"],
+)
+def test_plan_out_of_range_is_a_numerical_failure(tmp_path, payload):
+    res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert res.returncode == 3, res.stderr
+    assert "numerical failure" in res.stderr
 
 
 def test_plan_ignores_gamma0_db(tmp_path):

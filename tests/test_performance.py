@@ -204,6 +204,26 @@ def test_diversity_planner_ideal_example():
     assert pf.reflectors_for_diversity(target, a, 1.0, 1.0) == 32
 
 
+def test_diversity_planner_rejects_targets_past_2_53_reflectors():
+    a = math.sqrt(math.pi) / 2.0
+    shape = lambda n: ec.m_from_moments(n, a * a, 1.0, 1.0)
+    assert pf.reflectors_for_diversity(shape(2**53), a, 1.0, 1.0) <= 2**53
+    for target in (shape(2**53) * 1.001, 1e300, 1.7e308):
+        with pytest.raises(nx.RangeError):
+            pf.reflectors_for_diversity(target, a, 1.0, 1.0)
+
+
+def test_coding_gain_past_the_double_range_is_a_range_error():
+    a = math.sqrt(math.pi) / 2.0
+    # m ~ 4e-6: exp(-L(m)/m) itself overflows
+    with pytest.raises(nx.RangeError):
+        pf._coding_gain(1, a, 0.005, 1.0)
+    # m ~ 9.9e-4: exp(-L(m)/m) ~ 2e306 is finite, the prefactor n^2 x ~ 1e3 is not
+    with pytest.raises(nx.RangeError):
+        pf._coding_gain(10**6, a, 8.03e-5, 1.0)
+    assert math.isfinite(pf._coding_gain(10**6, a, 8.2e-5, 1.0))
+
+
 def test_diversity_planner_guards():
     with pytest.raises(nx.DomainError):
         pf.reflectors_for_diversity(5.0, 0.9, 0.0, 0.0)
@@ -238,10 +258,10 @@ def test_coding_planner_matches_exhaustive_scan():
 
 def test_coding_planner_infeasible_reports_best():
     phi1, phi2 = 0.9, 0.7
-    plan = pf.reflectors_for_coding_gain(1e12, 0.8, phi1, phi2, n_max=10**4)
+    plan = pf.reflectors_for_coding_gain(1e12, 0.8, phi1, phi2)
     assert not plan.feasible
     assert plan.n is None
-    assert plan.searched_up_to == 10**4
+    assert plan.searched_up_to == pf._PLANNER_N_MAX
     assert 0.0 < plan.achieved < 1e12
 
 

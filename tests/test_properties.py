@@ -12,6 +12,7 @@ import pytest
 from rislab import equiv_channel as ec
 from rislab import fading as fd
 from rislab import montecarlo as mc
+from rislab import numerics as nx
 from rislab import performance as pf
 from rislab import phase_models as pm
 
@@ -164,3 +165,90 @@ def test_asymptote_to_exact_ber_ratio_tends_to_one(m, per_shape):
 
     gamma_bar = m * per_shape
     assert 0.0 <= excess(10.0 * gamma_bar) <= 0.2 * excess(gamma_bar)
+
+
+@st.composite
+def planner_channels(draw):
+    # a >= 0.5 and phi_1 >= 0.3 keep m_1 >= 1.4e-3, where G_c(1) is a finite double
+    a = draw(st.floats(min_value=0.5, max_value=0.999))
+    phi1 = draw(st.floats(min_value=0.3, max_value=1.0))
+    low = 2.0 * phi1 * phi1 - 1.0  # the variance bound on phi_2
+    return a, phi1, low + draw(st.floats(min_value=0.0, max_value=1.0)) * (1.0 - low)
+
+
+def _target(gain, kind, n_star, fraction, exponent):
+    """A target taken from an integer-n evaluation, one at or below the
+    gain of a single reflector, or a free one."""
+    if kind == "from_n":
+        return gain(n_star)
+    return gain(1) * fraction if kind == "below_one" else 10.0**exponent
+
+
+TARGET_KINDS = st.sampled_from(["from_n", "below_one", "free"])
+
+
+@PROPERTY
+@given(
+    channel=planner_channels(),
+    kind=TARGET_KINDS,
+    n_star=st.one_of(st.integers(min_value=1, max_value=4096), st.integers(min_value=1, max_value=10**6)),
+    fraction=st.floats(min_value=1e-3, max_value=1.0),
+    exponent=st.floats(min_value=-2.0, max_value=9.0),
+)
+def test_coding_planner_returns_the_smallest_count_that_meets_the_target(
+    channel, kind, n_star, fraction, exponent
+):
+    gc = lambda n: pf._coding_gain(n, *channel)
+    target = _target(gc, kind, n_star, fraction, exponent)
+    plan = pf.reflectors_for_coding_gain(target, *channel)
+    if plan.feasible:
+        assert plan.achieved == gc(plan.n) >= target
+        assert plan.n == 1 or gc(plan.n - 1) < target
+        assert plan.searched_up_to == plan.n
+    else:
+        assert plan.n is None and plan.searched_up_to == pf._PLANNER_N_MAX
+        assert plan.achieved == gc(pf._PLANNER_N_MAX) < target
+    if kind == "from_n":
+        assert plan.n <= n_star
+    brute = next((n for n in range(1, 4096) if gc(n) >= target), None)
+    if brute is not None:
+        assert plan.n == brute
+    else:
+        assert plan.n is None or plan.n >= 4096
+
+
+@PROPERTY
+@given(
+    channel=planner_channels(),
+    kind=TARGET_KINDS,
+    n_star=st.integers(min_value=1, max_value=2**53),
+    fraction=st.floats(min_value=1e-3, max_value=1.0),
+    exponent=st.floats(min_value=-3.0, max_value=20.0),
+)
+def test_diversity_planner_returns_the_smallest_count_that_meets_the_target(
+    channel, kind, n_star, fraction, exponent
+):
+    a, phi1, phi2 = channel
+    shape = lambda n: ec.m_from_moments(n, a * a, phi1, phi2)
+    target = _target(shape, kind, n_star, fraction, exponent)
+    floor = target * (1.0 - 1e-12)
+    if shape(2**53) < floor:
+        with pytest.raises(nx.RangeError):
+            pf.reflectors_for_diversity(target, *channel)
+        return
+    n = pf.reflectors_for_diversity(target, *channel)
+    assert shape(n) >= floor
+    assert n == 1 or shape(n - 1) < floor
+    if kind == "from_n":
+        # the 1e-12 slack lets a target from n_star round-trip below 1e11 reflectors
+        assert n == n_star if n_star < 10**11 else n <= n_star
+
+
+@PROPERTY
+@given(channel=planner_channels(), start=st.integers(min_value=1, max_value=pf._PLANNER_N_MAX - 512))
+def test_coding_gain_never_falls_after_it_has_risen(channel, start):
+    # G_c falls while m = n m_1 < 1 and rises after: the planner bisects on this
+    for counts in (range(1, 1025), range(start, start + 512)):
+        vals = [pf._coding_gain(n, *channel) for n in counts]
+        rise = next((i for i in range(1, len(vals)) if vals[i] > vals[i - 1]), len(vals))
+        assert all(b >= a for a, b in zip(vals[rise:], vals[rise + 1 :]))
