@@ -75,8 +75,8 @@ class PhaseErrorModel(abc.ABC):
         that ``rng`` reads; no value depends on ``tile``.
 
         The caller takes every tile before it uses ``rng`` again: the
-        stream is left where one whole-array draw would leave it only once
-        the last tile has been taken.  The simulator needs only cos Theta
+        stream is left where :meth:`sample` leaves it only once the last
+        tile has been taken.  The simulator needs only cos Theta
         and sin Theta, so a sampler that finds them without the angle (the
         von Mises one) skips the round trip through arccos and back."""
 
@@ -286,48 +286,15 @@ def _phasors(theta: np.ndarray) -> np.ndarray:
 
 # values per tile of ``sample``
 _TILE = 1 << 13
+# proposals per von Mises rejection round: part of the definition of the
+# stream, like montecarlo.BLOCK_TRIALS, not a tile size
+_ROUND = 1 << 13
 
 
 def _uniform_tiles(rng: np.random.Generator, count: int, tile: int, w: float):
     """Phasors of ``count`` angles uniform on [-w, w], drawn ``tile`` at a time."""
     for start in range(0, count, tile):
         yield _phasors(rng.uniform(-w, w, min(tile, count - start)))
-
-
-def _seek(cursor: np.random.Generator, rng: np.random.Generator, skip: int) -> np.random.Generator:
-    """Move ``cursor``, whose bit generator is of the type of ``rng``'s, to
-    where ``rng`` would be after ``skip`` more doubles, and return it;
-    ``rng`` itself does not move.
-
-    Philox is counter based (Salmon et al. 2011): one counter value gives
-    four 64-bit words, one word per double.  The cursor steps over the
-    words left in ``rng``'s 4-word buffer, advances the counter by whole
-    blocks of four and draws the last ``skip % 4`` words.  Any other bit
-    generator is copied and made to draw and discard ``skip`` doubles."""
-    state = rng.bit_generator.state
-    bitgen = cursor.bit_generator
-    if state["bit_generator"] != "Philox":
-        bitgen.state = state
-        for start in range(0, skip, _TILE):
-            cursor.random(min(_TILE, skip - start))
-        return cursor
-    buffered = 4 - state["buffer_pos"]
-    if skip < buffered:
-        state["buffer_pos"] += skip
-        bitgen.state = state
-    else:
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        blocks, words = divmod(skip - buffered, 4)
-        bitgen.advance(blocks)
-        bitgen.random_raw(words)
-        if state["has_uint32"]:
-            # advance drops the half word kept for 32-bit draws, which
-            # doubles leave alone
-            moved = bitgen.state
-            moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
-            bitgen.state = moved
-    return cursor
 
 
 # above this r - 1 ~ 1/(2 kappa) is kept apart from r: in r itself it
@@ -345,14 +312,11 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
     envelope parameter r, so that f = (1 + r z) / (r + z) is never formed:
     c = kappa (r - f) = kc / (r + z) and 1 - f = d (1 - z) / (r + z).
 
-    A pass over the ``todo`` missing phasors reads todo doubles each of
-    u1, u2 and u3, in that order, from the stream.  Three cursors, sought
-    to offsets 0, todo and 2 todo, read them ``tile`` proposals at a
-    time, so no pass array is ever whole.  The accepted phasors fill
-    output tiles of ``tile``, each yielded once full, and after the pass
-    ``rng`` is moved to where the u3 cursor stopped, where a whole-array
-    pass would have left it.  The stream is thus read the same way
-    whatever the tile size."""
+    A round takes size = min(_ROUND, missing) proposals: it reads size
+    doubles each of u1, u2 and u3, in that order, straight from ``rng``,
+    and its accepted phasors fill output tiles of ``tile``, each yielded
+    once full.  The stream is thus read the same way whatever the tile
+    size, and the same way by every bit generator."""
     # below ~5.6e-309 1/kappa overflows, no proposal could be accepted,
     # and the law differs from uniform by less than kappa anyway
     if kappa == 0.0 or math.isinf(1.0 / kappa):
@@ -377,60 +341,55 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
         kd = kappa * d
     kc = kd * (2.0 + d)
 
-    cursors = [np.random.Generator(type(rng.bit_generator)(0)) for _ in range(3)]
     out = np.empty(min(tile, n), dtype=complex)
     filled = 0  # phasors in ``out``
     emitted = 0  # phasors in the tiles already yielded
     missing = n
     while missing:
-        todo = missing
-        u1, u2, u3 = (_seek(c, rng, k * todo) for k, c in enumerate(cursors))
-        for start in range(0, todo, tile):
-            size = min(tile, todo - start)
-            z = u1.random(size)
-            np.cos(np.multiply(z, np.pi, out=z), out=z)
-            v = u2.random(size)
-            sign = u3.random(size)
-            # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on,
-            # and z = -1 would leave a zero denominator
-            den = z + 1.0
-            den += d
-            with np.errstate(over="ignore"):
-                c = np.divide(kc, den)
-            # squeeze test c (2 - c) > u2 first; the log test only where it fails
-            squeeze = np.subtract(2.0, c)
-            squeeze *= c
-            accept = squeeze > v
-            rejected = np.flatnonzero(~accept)
-            c_rej = c[rejected]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                accept[rejected] = np.log(c_rej / v[rejected]) + 1.0 - c_rej >= 0.0
-            idx = np.flatnonzero(accept)
-            # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
-            # dividing first keeps d (1 - z) from overflowing at tiny kappa
-            one_minus_f = np.divide(d, den[idx])
-            one_minus_f *= np.subtract(1.0, z[idx])
-            im = np.subtract(2.0, one_minus_f)
-            im *= one_minus_f
-            np.sqrt(im, out=im)
-            # copysign, not sign(): u3 == 0.5 still yields a unit phasor
-            signs = sign[idx] - 0.5
-            missing -= idx.size
-            # the accepted phasors go into the output tile, yielded when full
-            taken = 0
-            while taken < idx.size:
-                k = min(out.size - filled, idx.size - taken)
-                piece, part = slice(taken, taken + k), slice(filled, filled + k)
-                np.subtract(1.0, one_minus_f[piece], out=out.real[part])
-                np.copysign(im[piece], signs[piece], out=out.imag[part])
-                taken += k
-                filled += k
-                if filled == out.size:
-                    yield out
-                    emitted += out.size
-                    out = np.empty(min(tile, n - emitted), dtype=complex)
-                    filled = 0
-        rng.bit_generator.state = u3.bit_generator.state
+        size = min(_ROUND, missing)
+        z = rng.random(size)
+        np.cos(np.multiply(z, np.pi, out=z), out=z)
+        v = rng.random(size)
+        sign = rng.random(size)
+        # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on,
+        # and z = -1 would leave a zero denominator
+        den = z + 1.0
+        den += d
+        with np.errstate(over="ignore"):
+            c = np.divide(kc, den)
+        # squeeze test c (2 - c) > u2 first; the log test only where it fails
+        squeeze = np.subtract(2.0, c)
+        squeeze *= c
+        accept = squeeze > v
+        rejected = np.flatnonzero(~accept)
+        c_rej = c[rejected]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept[rejected] = np.log(c_rej / v[rejected]) + 1.0 - c_rej >= 0.0
+        idx = np.flatnonzero(accept)
+        # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
+        # dividing first keeps d (1 - z) from overflowing at tiny kappa
+        one_minus_f = np.divide(d, den[idx])
+        one_minus_f *= np.subtract(1.0, z[idx])
+        im = np.subtract(2.0, one_minus_f)
+        im *= one_minus_f
+        np.sqrt(im, out=im)
+        # copysign, not sign(): u3 == 0.5 still yields a unit phasor
+        signs = sign[idx] - 0.5
+        missing -= idx.size
+        # the accepted phasors go into the output tile, yielded when full
+        taken = 0
+        while taken < idx.size:
+            k = min(out.size - filled, idx.size - taken)
+            piece, part = slice(taken, taken + k), slice(filled, filled + k)
+            np.subtract(1.0, one_minus_f[piece], out=out.real[part])
+            np.copysign(im[piece], signs[piece], out=out.imag[part])
+            taken += k
+            filled += k
+            if filled == out.size:
+                yield out
+                emitted += out.size
+                out = np.empty(min(tile, n - emitted), dtype=complex)
+                filled = 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .equiv_channel import (
     snr_cdf,
 )
 from .fading import Rayleigh, Rician
-from .montecarlo import SimConfig, draw_h_batch, sample_snr, simulate_ber
+from .montecarlo import SimConfig, SimConfigError, draw_h_batch, sample_snr, simulate_ber
 
 __all__ = ["CheckResult", "SUITES", "reference_scenario", "run_suite"]
 
@@ -107,8 +107,18 @@ def check_moment_formulas() -> CheckResult:
     )
 
 
+def _check_draws(trials: int, seed: int) -> None:
+    """Reject, before any draw, fewer trials than the sample statistics
+    need or a negative seed."""
+    if trials < stats.KS_MIN_SAMPLES:
+        raise SimConfigError(f"trials must be >= {stats.KS_MIN_SAMPLES}, got {trials}")
+    if seed < 0:
+        raise SimConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def check_gaussian_limit(trials: int = 10**5, seed: int = 4242) -> CheckResult:
     """Sample moments of H against the limit-Gaussian parameters (5 SE)."""
+    _check_draws(trials, seed)
     n = 256
     sc = reference_scenario(n)
     ch = derive(sc)
@@ -141,6 +151,7 @@ def check_snr_fit(trials: int = 10**5, seed: int = 777) -> CheckResult:
     Thresholds 0.05 (n=16) and 0.03 (n=256) are calibrated values; the
     fit must also improve with n.
     """
+    _check_draws(trials, seed)
     thresholds = {16: 0.05, 256: 0.03}
     distances = {}
     reports = {}

@@ -229,7 +229,7 @@ def test_csv_outputs_identical_across_worker_counts(tmp_path):
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "RIS_LAB_WORKERS": workers},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "RIS_LAB_WORKERS": workers},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "ber.csv").read_bytes())

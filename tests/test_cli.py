@@ -22,7 +22,8 @@ REFERENCE_CONFIG = {
 
 
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
+    # the child finds rislab where this process does, installed or not
+    full_env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -325,6 +326,23 @@ def test_validate_failing_suite_exits_4(tmp_path):
     assert res.returncode == 4
     payload = json.loads((out / "validate_ber_agreement.json").read_text())
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "suite, flags",
+    [
+        ("gaussian-limit", ["--trials", "1"]),
+        ("gaussian-limit", ["--seed", "-1"]),
+        ("gaussian-limit", ["--trials", "0"]),
+        ("snr-fit", ["--trials", "50"]),
+    ],
+    ids=["gaussian-limit-trials-1", "gaussian-limit-seed-negative", "gaussian-limit-trials-0", "snr-fit-trials-50"],
+)
+def test_validate_rejects_bad_sampling_input_before_drawing(tmp_path, capsys, suite, flags):
+    out = tmp_path / "out"
+    assert cli.main(["validate", suite, *flags, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_validate_unknown_suite_is_config_error(tmp_path):

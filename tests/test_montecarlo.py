@@ -206,7 +206,8 @@ def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimato
 
 # float.hex of (ber, ci_halfwidth), and the error counts, over two blocks:
 # these models' phasors are the cos and sin of the drawn angle, so their
-# results are pinned bit for bit
+# results are pinned bit for bit, and the von Mises sampler's rounds leave
+# them alone
 PINNED_BER = {
     ("quantizer", "semianalytic"): (
         ("0x1.1f2ce9c0dae80p-2", "0x1.0addf4ed9b395p-3"),
@@ -239,18 +240,6 @@ PINNED_BER = {
         (4619, 1985),
     ),
 }
-PINNED_MODELS = {"quantizer": pm.Quantizer(2), "uniform": pm.UniformCircle(), "none": pm.NoError()}
-
-
-@pytest.mark.parametrize("name, estimator", sorted(PINNED_BER))
-def test_angle_derived_phasors_keep_pinned_result_bytes(monkeypatch, name, estimator):
-    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
-    sc = ec.LrsScenario(8, 0.01, fd.Rician(1.0), fd.Rayleigh(), PINNED_MODELS[name])
-    res = mc.simulate_ber(mc.SimConfig(sc, mc.BLOCK_TRIALS + 1000, 2024, (0.005, 0.02), estimator))
-    ber, halfwidth, counts = PINNED_BER[name, estimator]
-    assert tuple(v.hex() for v in res.ber) == ber
-    assert tuple(v.hex() for v in res.ci_halfwidth) == halfwidth
-    assert res.error_counts == counts
 
 
 # the same pins for the rejection sampler at tiny, moderate and large
@@ -258,68 +247,71 @@ def test_angle_derived_phasors_keep_pinned_result_bytes(monkeypatch, name, estim
 # sides; the kernels' tiling must leave every one of these bytes alone
 PINNED_KERNEL_BER = {
     ("von_mises_1e-7", "semianalytic"): (
-        ("0x1.9cbc4aac63754p-2", "0x1.444c8712ee2adp-2"),
-        ("0x1.902b756aed43fp-11", "0x1.5abae0e6c84e9p-10"),
+        ("0x1.9d06050e76b7fp-2", "0x1.44e09ece739ecp-2"),
+        ("0x1.92b7f07a938acp-11", "0x1.5d3713c590fabp-10"),
         None,
     ),
     ("von_mises_1e-7", "direct"): (
-        ("0x1.a0fc9561e6515p-2", "0x1.49561e65149dep-2"),
-        ("0x1.dea516011aaf3p-8", "0x1.c70d212663d0dp-8"),
-        (7079, 5591),
+        ("0x1.a42ae1f565ab7p-2", "0x1.4aa1dec71917fp-2"),
+        ("0x1.df34dbc0d2e1fp-8", "0x1.c7852ca99dfeep-8"),
+        (7133, 5613),
     ),
     ("von_mises_2", "semianalytic"): (
-        ("0x1.462516fa9fc2bp-2", "0x1.7351023a02293p-3"),
-        ("0x1.b2964641c7fa0p-11", "0x1.2fff2096421dfp-10"),
+        ("0x1.45c8987d3f34ap-2", "0x1.72189ac0255c3p-3"),
+        ("0x1.afab147c14613p-11", "0x1.2c9a160cdf1ffp-10"),
         None,
     ),
     ("von_mises_2", "direct"): (
-        ("0x1.4c0bc7ec35400p-2", "0x1.7effa585b6b8fp-3"),
-        ("0x1.c80704c658d73p-8", "0x1.7bdd673647af8p-8"),
-        (5637, 3251),
+        ("0x1.4a1a27592e88ep-2", "0x1.748379b27b3a9p-3"),
+        ("0x1.c7542ef2ed788p-8", "0x1.77ce8f68079c5p-8"),
+        (5604, 3162),
     ),
     ("von_mises_8", "semianalytic"): (
-        ("0x1.1921d670b4356p-2", "0x1.fa6536acec350p-4"),
-        ("0x1.926301fb37a53p-11", "0x1.cd0e8fe07d4e2p-11"),
+        ("0x1.190c2d2dac92fp-2", "0x1.fa11809527a60p-4"),
+        ("0x1.92c398d72faabp-11", "0x1.cd689ccb4fc82p-11"),
         None,
     ),
     ("von_mises_8", "direct"): (
-        ("0x1.1f748379b27b4p-2", "0x1.ffc3ae79d0a40p-4"),
-        ("0x1.b5c3044007125p-8", "0x1.4220658ae306cp-8"),
-        (4880, 2172),
+        ("0x1.19bdca83b6040p-2", "0x1.f70be614f857ap-4"),
+        ("0x1.b311273969536p-8", "0x1.3fc25c219012ap-8"),
+        (4783, 2135),
     ),
     ("von_mises_1e5", "semianalytic"): (
-        ("0x1.0dfd9a824403ep-2", "0x1.c9bebf867aad9p-4"),
-        ("0x1.9b3cb9b98dc06p-11", "0x1.bef992cd6ec2ep-11"),
+        ("0x1.0dfd9a9b2fe2bp-2", "0x1.c9bec00c760f2p-4"),
+        ("0x1.9b3cba5335b1ap-11", "0x1.bef992df2ad4bp-11"),
         None,
     ),
     ("von_mises_1e5", "direct"): (
-        ("0x1.0ff693430899ap-2", "0x1.c9926feb43f9ep-4"),
-        ("0x1.ae41c2883950fp-8", "0x1.32e350cd4750cp-8"),
-        (4617, 1942),
+        ("0x1.0f7df036a9e1ap-2", "0x1.cac0078a30c5fp-4"),
+        ("0x1.ae04c437455cdp-8", "0x1.333ba6b82a602p-8"),
+        (4609, 1947),
     ),
     ("von_mises_2_x_quantizer_2", "semianalytic"): (
-        ("0x1.533753992ae68p-2", "0x1.99598b9052e89p-3"),
-        ("0x1.b7b7ad333ed15p-11", "0x1.4192e50a276bcp-10"),
+        ("0x1.52ef4e62ed689p-2", "0x1.98805adbbd922p-3"),
+        ("0x1.b6f56cdf6565ap-11", "0x1.3f7c77782b57ap-10"),
         None,
     ),
     ("von_mises_2_x_quantizer_2", "direct"): (
-        ("0x1.52c2db5c7afe4p-2", "0x1.9cec1717355e2p-3"),
-        ("0x1.ca60054b8ab67p-8", "0x1.86dd62ec1c983p-8"),
-        (5751, 3505),
+        ("0x1.56a61c82886c6p-2", "0x1.a2b1e46ebdac6p-3"),
+        ("0x1.cbb02d9260862p-8", "0x1.88e45e1e954b4p-8"),
+        (5817, 3554),
     ),
     ("rician_hops", "semianalytic"): (
-        ("0x1.098aea891e3bcp-2", "0x1.ab5532aa53131p-4"),
-        ("0x1.5336f24305b10p-11", "0x1.6b54ef614af9ap-11"),
+        ("0x1.09a8ccc4b4eb9p-2", "0x1.abb1066c7fb77p-4"),
+        ("0x1.5238d6cea0c8ep-11", "0x1.6a80738d24979p-11"),
         None,
     ),
     ("rician_hops", "direct"): (
-        ("0x1.048921570fab3p-2", "0x1.aeb6222a2d00dp-4"),
-        ("0x1.a84ed64e1f84ep-8", "0x1.2ad75ad2049f6p-8"),
-        (4423, 1828),
+        ("0x1.0a129d28689d6p-2", "0x1.aba5fe59c554bp-4"),
+        ("0x1.ab3c3dd31b171p-8", "0x1.29e6af560e214p-8"),
+        (4517, 1815),
     ),
 }
 # (phase error, source hop, destination hop) of each pinned scenario
 PINNED_KERNEL_SCENARIOS = {
+    "none": (pm.NoError(), fd.Rician(1.0), fd.Rayleigh()),
+    "quantizer": (pm.Quantizer(2), fd.Rician(1.0), fd.Rayleigh()),
+    "uniform": (pm.UniformCircle(), fd.Rician(1.0), fd.Rayleigh()),
     "von_mises_1e-7": (pm.VonMises(1e-7), fd.Rician(1.0), fd.Rayleigh()),
     "von_mises_2": (pm.VonMises(2.0), fd.Rician(1.0), fd.Rayleigh()),
     "von_mises_8": (pm.VonMises(8.0), fd.Rician(1.0), fd.Rayleigh()),
@@ -328,7 +320,7 @@ PINNED_KERNEL_SCENARIOS = {
     "rician_hops": (pm.VonMises(8.0), fd.Rician(1.0), fd.Rician(4.0)),
 }
 # SHA-256 of the sample_snr values followed by its histogram counts
-PINNED_SNR_SHA256 = "5c94933f2ac0279119a33af9efe5bb2988ba8a93a0b5f3abc15c21fc8546438a"
+PINNED_SNR_SHA256 = "7fddb41516a4110248602494ed1aeebcc9fbb21fb7fb3401bef815bff2ebe187"
 # float.hex of the KS statistic and p-value of PINNED_KS_SAMPLE against its gamma law
 PINNED_KS = ("0x1.37963c45ec500p-9", "0x1.a5904e6541736p-1")
 
@@ -351,14 +343,23 @@ def pinned_ks(size=70000):
     return rep.statistic.hex(), rep.p_value.hex()
 
 
-@pytest.mark.parametrize("name, estimator", sorted(PINNED_KERNEL_BER))
-def test_sampling_kernels_keep_pinned_result_bytes(monkeypatch, name, estimator):
-    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
-    res = pinned_ber(name, estimator)
-    ber, halfwidth, counts = PINNED_KERNEL_BER[name, estimator]
+def assert_pinned(res, pins):
+    ber, halfwidth, counts = pins
     assert tuple(v.hex() for v in res.ber) == ber
     assert tuple(v.hex() for v in res.ci_halfwidth) == halfwidth
     assert res.error_counts == counts
+
+
+@pytest.mark.parametrize("name, estimator", sorted(PINNED_BER))
+def test_angle_derived_phasors_keep_pinned_result_bytes(monkeypatch, name, estimator):
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    assert_pinned(pinned_ber(name, estimator), PINNED_BER[name, estimator])
+
+
+@pytest.mark.parametrize("name, estimator", sorted(PINNED_KERNEL_BER))
+def test_sampling_kernels_keep_pinned_result_bytes(monkeypatch, name, estimator):
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    assert_pinned(pinned_ber(name, estimator), PINNED_KERNEL_BER[name, estimator])
 
 
 def test_snr_draws_and_ks_fit_keep_pinned_bytes(monkeypatch):
@@ -371,7 +372,7 @@ def tile_probe():
     """Result bytes of small runs through every tiled kernel: each pinned
     scenario with both estimators, SNR draws with a histogram, a KS fit."""
     trials = 600
-    runs = [pinned_ber(name, estimator, trials) for name, estimator in sorted(PINNED_KERNEL_BER)]
+    runs = [pinned_ber(name, estimator, trials) for name, estimator in sorted({**PINNED_BER, **PINNED_KERNEL_BER})]
     return runs, pinned_snr(trials), pinned_ks(1000)
 
 
@@ -411,8 +412,8 @@ def block_peak_bytes(n, pe):
 
 
 def test_block_peak_memory_is_bounded():
-    # n = 32 keeps only the hop products r (4 MB) whole; the phasors and
-    # each pass's u1, u2 and u3 are tiles
+    # n = 32 keeps only the hop products r (4 MB) whole; the phasors are
+    # tiles, and each rejection round's u1, u2 and u3 are 8192 doubles
     assert block_peak_bytes(32, pm.VonMises(8.0)) <= 9e6
 
 

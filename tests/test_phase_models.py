@@ -278,44 +278,50 @@ def test_von_mises_density_is_finite_and_silent_at_the_largest_concentrations():
 
 
 def test_rejection_pass_with_a_partial_last_tile_keeps_the_phasors(monkeypatch):
-    # the cursors' offsets 0, todo and 2 todo give each pass's size
-    skips = []
-    seek = pm._seek
-
-    def recording(cursor, rng, skip):
-        skips.append(skip)
-        return seek(cursor, rng, skip)
-
+    # 20000 = 2857 tiles of 7 and one of 1, filled by three or more rounds
     def run(tile):
         monkeypatch.setattr(pm, "_TILE", tile)
-        rng = np.random.default_rng(3)
-        z = pm.VonMises(8.0).sample(rng, 1000)
-        return z, rng.bit_generator.random_raw(8)
+        rng = RecordingGenerator(np.random.default_rng(3))
+        z = pm.VonMises(8.0).sample(rng, 20000)
+        return z, rng.sizes, rng.rng.bit_generator.random_raw(8)
 
-    monkeypatch.setattr(pm, "_seek", recording)
-    want, after = run(10**9)
-    passes = skips[1::3]  # the u2 cursor of each pass sits at offset todo
-    assert len(passes) >= 2 and passes[0] % 7 and passes[1] % 7
-    got, got_after = run(7)
+    want, sizes, after = run(10**9)
+    assert len(sizes[::3]) >= 3
+    got, got_sizes, got_after = run(7)
+    assert got_sizes == sizes
     assert got.tobytes() == want.tobytes()
     # the stream is left at the same place
     np.testing.assert_array_equal(got_after, after)
 
 
+class StreamGenerator:
+    """Serves ``random`` from consecutive values of ``values`` and counts them."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def random(self, size):
+        out = self.values[self.used : self.used + size].copy()
+        assert out.size == size
+        self.used += size
+        return out
+
+
 @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64, np.random.SFC64])
-def test_cursor_reads_the_stream_at_its_offset(bitgen, drawn):
-    # after 0-5 words every position of Philox's 4-word buffer is seen;
-    # one cursor is sought again and again, as the sampler's are
-    m = 9
-    cursor = np.random.Generator(bitgen(0))
-    for skip in (0, 1, 3, 4, 5, 17, 10**6):
-        rng = np.random.Generator(bitgen(21))
-        rng.random(drawn)
-        before = rng.bit_generator.state
-        got = pm._seek(cursor, rng, skip).random(m)
-        assert repr(rng.bit_generator.state) == repr(before)
-        np.testing.assert_array_equal(got, rng.random(skip + m)[skip:])
+def test_rounds_read_the_stream_at_any_offset(bitgen, drawn):
+    # after 0-5 doubles every position of Philox's 4-word buffer is seen;
+    # the phasors depend only on the doubles that follow, read with
+    # nothing but ``random``, and the generator is left just after them
+    count = pm._ROUND + 500
+    rng = np.random.Generator(bitgen(21))
+    rng.random(drawn)
+    got = pm.VonMises(2.0).sample(rng, count)
+    served = StreamGenerator(np.random.Generator(bitgen(21)).random(drawn + 6 * count)[drawn:])
+    assert got.tobytes() == pm.VonMises(2.0).sample(served, count).tobytes()
+    after = np.random.Generator(bitgen(21))
+    after.random(drawn + served.used)
+    np.testing.assert_array_equal(rng.random(5), after.random(5))
 
 
 @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64, np.random.SFC64])
@@ -331,19 +337,33 @@ def test_sampler_keeps_the_half_word_of_a_32_bit_draw(bitgen):
     assert rngs[0].integers(0, 2**32, 1, dtype=np.uint32) == rngs[1].integers(0, 2**32, 1, dtype=np.uint32)
 
 
-def test_rejection_sampler_leaves_the_stream_where_whole_passes_would(monkeypatch):
-    # a pass over todo phasors reads u1, u2 and u3, 3 todo doubles in all
-    skips = []
-    seek = pm._seek
-    monkeypatch.setattr(pm, "_seek", lambda cursor, rng, skip: skips.append(skip) or seek(cursor, rng, skip))
-    rng = np.random.Generator(np.random.Philox(5))
-    rng.random(3)  # start inside the 4-word buffer
-    pm.VonMises(2.0).sample(rng, 5000)
-    passes = skips[1::3]
-    assert passes[0] == 5000 and len(passes) >= 2
-    assert skips == [k * todo for todo in passes for k in range(3)]
-    whole = np.random.Generator(np.random.Philox(5))
-    whole.random(3 + 3 * sum(passes))
+class RecordingGenerator:
+    """Passes ``random`` through to ``rng`` and records each size asked for."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+def test_rejection_sampler_leaves_the_stream_after_its_rounds(bitgen):
+    # a round of size proposals reads u1, u2 and u3, 3 size doubles in all
+    count = 20000
+    rng = np.random.Generator(bitgen(5))
+    rng.random(3)  # start inside Philox's 4-word buffer
+    recording = RecordingGenerator(rng)
+    z = np.concatenate(list(pm._sample_von_mises(2.0, recording, count, 7)))
+    assert z.size == count
+    rounds = recording.sizes[::3]
+    assert recording.sizes == [size for size in rounds for _ in range(3)]
+    # the first two rounds are whole, since more than 2 _ROUND are missing
+    assert rounds[:2] == [pm._ROUND, pm._ROUND] and len(rounds) >= 3
+    assert all(0 < later <= earlier for earlier, later in zip(rounds[1:], rounds[2:]))
+    whole = np.random.Generator(bitgen(5))
+    whole.random(3 + 3 * sum(rounds))
     np.testing.assert_array_equal(rng.random(5), whole.random(5))
 
 

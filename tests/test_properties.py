@@ -111,6 +111,19 @@ def test_quantizer_phasors_stay_within_half_a_step(model, seed):
     assert np.all(z.real >= math.cos(math.pi / 2**model.bits) - 4.0 * EPS)
 
 
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+@given(model=wide_von_mises, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_von_mises_tiles_are_the_sampled_phasors_whatever_the_round_tails(model, seed, data):
+    # rounds end where the acceptances take them, not on tile boundaries
+    count = data.draw(st.integers(min_value=1, max_value=3 * pm._ROUND), label="count")
+    tile = data.draw(st.integers(min_value=1, max_value=count + 5), label="tile")
+    tiled = np.random.Generator(np.random.Philox(seed))
+    whole = np.random.Generator(np.random.Philox(seed))
+    got = np.concatenate(list(model.phasor_tiles(tiled, count, tile)))
+    assert got.tobytes() == model.sample(whole, count).tobytes()
+    assert repr(tiled.bit_generator.state) == repr(whole.bit_generator.state)
+
+
 SIMULATION = hypothesis.settings(derandomize=True, deadline=None, max_examples=20)
 fadings = st.one_of(st.just(fd.Rayleigh()), st.floats(min_value=0.0, max_value=10.0).map(fd.Rician))
 
