@@ -6,6 +6,10 @@ enters the equivalent-channel parameters.  The built-in families are
 Rayleigh and Rician (any K factor); anything satisfying the same
 unit-power and mean-magnitude contract could be added behind
 :class:`FadingModel`.
+
+A model reads its stream one magnitude after the other, so the
+simulator can draw a hop's magnitudes row tile by row tile from that
+hop's own stream and get the values of one whole draw.
 """
 
 from __future__ import annotations
@@ -21,16 +25,10 @@ from . import numerics
 __all__ = ["FadingModel", "Rayleigh", "Rician", "from_config"]
 
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
-# values per tile of the Rician magnitude's second normal draw
-_TILE = 1 << 13
 
 
 class FadingModel(abc.ABC):
     """Immutable description of one hop's fading law."""
-
-    # True where ``sample_magnitude`` reads the stream one value at a
-    # time, so that drawing k then m magnitudes gives one draw of k + m
-    splits = False
 
     @abc.abstractmethod
     def mean_magnitude(self) -> float:
@@ -38,7 +36,9 @@ class FadingModel(abc.ABC):
 
     @abc.abstractmethod
     def sample_magnitude(self, rng: np.random.Generator, size=None):
-        """Draws of the magnitude |H| of the fading coefficient, E[|H|^2] = 1."""
+        """Draws of the magnitude |H| of the fading coefficient, E[|H|^2] = 1,
+        read from the stream one magnitude after the other: drawing k then
+        m magnitudes gives the values of one draw of k + m."""
 
     @abc.abstractmethod
     def to_config(self) -> dict:
@@ -48,8 +48,6 @@ class FadingModel(abc.ABC):
 @dataclass(frozen=True)
 class Rayleigh(FadingModel):
     """Circularly symmetric complex normal with unit power."""
-
-    splits = True
 
     def mean_magnitude(self) -> float:
         return _SQRT_PI_HALF
@@ -91,21 +89,14 @@ class Rician(FadingModel):
         return los, diffuse
 
     def sample_magnitude(self, rng, size=None):
-        """hypot(los + s X, s Y) with s = diffuse / sqrt(2), in place: the
-        whole X array comes first, then Y tile by tile, which reads the
-        stream in the same order as one Y array would."""
+        """|los + s (X + jY)| with s = diffuse / sqrt(2), each magnitude
+        from its own pair (X, Y) of consecutive normal draws."""
         los, diffuse = self._parts()
-        s = diffuse / math.sqrt(2.0)
-        out = np.asarray(rng.standard_normal(size))
-        flat = out.reshape(-1)
-        flat *= s
-        flat += los
-        for start in range(0, flat.size, _TILE):
-            part = flat[start : start + _TILE]
-            other = rng.standard_normal(part.size)
-            other *= s
-            np.hypot(part, other, out=part)
-        return out[()]  # a scalar when ``size`` is None
+        shape = () if size is None else tuple(np.atleast_1d(size))
+        z = rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+        z *= diffuse / math.sqrt(2.0)
+        z += los
+        return np.abs(z)
 
     def to_config(self) -> dict:
         return {"type": "rician", "k_factor": self.k_factor}

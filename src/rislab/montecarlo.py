@@ -12,11 +12,14 @@ it over the H draws (semi-analytic, variance reduced).  This is the
 ground truth every analytic module is validated against.
 
 Every simulation runs through one block engine.  Trials are partitioned
-into fixed blocks of 2^14; block b draws from a Philox stream seeded by
-(master_seed, stream tag, b), and block results are reduced in block
-order.  Results therefore depend only on (config, master_seed), never
-on how many workers executed the blocks.  The RIS_LAB_WORKERS
-environment variable sets the worker count.
+into fixed blocks of 2^14, and block results are reduced in block
+order.  Each random input of block b has its own Philox stream, keyed by
+(master_seed, stream tag, b, role): role 0 holds the source-hop
+magnitudes, role 1 the destination-hop magnitudes and role 2 the phase
+errors, followed by the direct estimator's symbols and noise.  Results
+therefore depend only on (config, master_seed), never on how many
+workers executed the blocks.  The RIS_LAB_WORKERS environment variable
+sets the worker count.
 
 The law of H does not depend on gamma0, so a BER sweep draws each block
 once and evaluates every sweep point on the same draws (common random
@@ -27,23 +30,23 @@ rises along an increasing sweep.
 
 The common random numbers extend across phase-error models, whose law
 the hop magnitudes do not depend on: a block draws its magnitudes once,
-and each model restarts the block's stream after them to draw its phases
-(and the direct estimator's symbols and noise).  A model thus reads the
-numbers a run of its own would read, with the same result bytes.
+and each model reads the phase stream from its start.  A model thus
+reads the numbers a run of its own would read, with the same result
+bytes.
 
-A block keeps one whole array, the hop products r (8 bytes per
-reflector draw); everything else streams through fixed tiles.  The
-destination magnitudes are multiplied into r a tile at a time, and the
-phase-error model yields its phasors as tiles of whole rows, in stream
-order (``PhaseErrorModel.phasor_tiles``), each reduced to its rows' H
-as soon as it arrives.  Tiles read the stream in the same order as
-whole arrays would, so no result depends on their size.
+A block streams through row tiles of ``_TILE`` values (at least one
+row).  Each tile draws its source and destination magnitudes, multiplies
+them into the hop products, takes the next tile of whole rows of every
+model's phasors (``PhaseErrorModel.phasor_tiles``) and reduces that
+model's H for its rows.  Every stream is read in the same order as whole
+arrays would read it, so no result depends on the tile size.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -67,15 +70,18 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 1 << 14
-_DRAW_CHUNK = 1 << 13
-# values per tile of a block, for the destination magnitudes multiplied
-# into the hop products and for the phasors drawn and reduced: a few
-# thousand keep a tile's temporaries in cache
+# values per row tile of a block: a few thousand keep a tile's
+# temporaries in cache
 _TILE = 1 << 13
 SNR_RETAIN_CAP = 10**6
 
 _STREAM_BER = 0
 _STREAM_SNR = 1
+
+# the keyed stream of each random input of a block
+_ROLE_SOURCE = 0
+_ROLE_DESTINATION = 1
+_ROLE_PHASES = 2
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -157,51 +163,40 @@ def _rng_for(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([master_seed, *key])))
 
 
-def _hop_product(scenario: LrsScenario, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` rows of the n products |H_i1| |H_i2|; the source
-    magnitudes are drawn before the destination magnitudes, which are
-    multiplied in ``_TILE`` values at a time where the destination
-    model's draws may be split (``FadingModel.splits``)."""
-    r = scenario.fading_sr.sample_magnitude(rng, (count, scenario.n))
-    rd = scenario.fading_rd
-    flat = r.reshape(-1)
-    tile = _TILE if rd.splits else flat.size
-    for start in range(0, flat.size, tile):
-        part = flat[start : start + tile]
-        part *= rd.sample_magnitude(rng, part.size)
-    return r
+def _tile_rows(n: int) -> int:
+    """Rows of n reflectors per tile: as many as fit in ``_TILE`` values, at least one."""
+    return max(1, _TILE // n)
 
 
-def _reduce_h(r: np.ndarray, model: PhaseErrorModel, rng: np.random.Generator) -> np.ndarray:
-    """H = mean over reflectors of r z, one value per row of the hop
-    products ``r``, for unit phasors z that ``model`` draws from ``rng``
-    in tiles of whole rows, as many as fit in ``_TILE`` values (at least
-    one): each tile is reduced as soon as it arrives."""
-    count, n = r.shape
-    h = np.empty(count, dtype=complex)
-    done = 0
-    for z in model.phasor_tiles(rng, r.size, max(1, _TILE // n) * n):
-        rows = slice(done, done + z.size // n)
-        r_part, z_part = r[rows], z.reshape(-1, n)
-        # two real means cost about half of one complex mean
-        h[rows] = np.mean(r_part * z_part.real, axis=1) + 1j * np.mean(r_part * z_part.imag, axis=1)
-        done = rows.stop
-    return h
+def _h_rows(scenario: LrsScenario, count: int, sources, destinations, phasors) -> list[np.ndarray]:
+    """H = mean over reflectors of |H_i1| |H_i2| z, ``count`` values for
+    each iterator of unit phasors z in ``phasors``, row tile by row tile:
+    a tile draws its source magnitudes from ``sources``, then its
+    destination magnitudes from ``destinations``, then takes the next
+    tile of whole rows from every iterator of ``phasors``."""
+    n = scenario.n
+    rows = _tile_rows(n)
+    hs = [np.empty(count, dtype=complex) for _ in phasors]
+    for start in range(0, count, rows):
+        r = scenario.fading_sr.sample_magnitude(sources, (min(rows, count - start), n))
+        r *= scenario.fading_rd.sample_magnitude(destinations, r.shape)
+        for h, tiles in zip(hs, phasors):
+            z = next(tiles).reshape(r.shape)
+            # two real means cost about half of one complex mean
+            h[start : start + len(r)] = np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1)
+    return hs
 
 
 def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` independent draws of H, in chunks of ``_DRAW_CHUNK`` to
-    bound peak memory; the chunk size fixes how the stream is consumed,
-    magnitudes before phases within each chunk."""
+    """``size`` independent draws of H, all read from ``rng`` row tile by
+    row tile: source magnitudes, destination magnitudes, then phases, so
+    the row tile of ``_TILE`` values fixes how the stream is consumed."""
     if size < 1:
         raise numerics.DomainError(f"size must be >= 1, got {size!r}")
-    parts = []
-    remaining = size
-    while remaining > 0:
-        r = _hop_product(scenario, rng, min(_DRAW_CHUNK, remaining))
-        parts.append(_reduce_h(r, scenario.phase_error, rng))
-        remaining -= len(r)
-    return np.concatenate(parts)
+    n = scenario.n
+    rows = _tile_rows(n)
+    phasors = (scenario.phase_error.sample(rng, min(rows, size - s) * n) for s in range(0, size, rows))
+    return _h_rows(scenario, size, rng, rng, [phasors])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +210,18 @@ def _block_counts(trials: int) -> list[int]:
 
 
 def _run_block(jobs, task):
-    """One block: seed its stream, draw the hop magnitudes once, then for
-    each ``(model, reduce)`` job restart the stream after the magnitudes,
-    draw that model's phases and reduce its H; a pure function of its
-    arguments."""
+    """One block: draw the hop magnitudes once and, for each ``(model,
+    reduce)`` job, reduce the H of phasors that ``model`` draws from the
+    start of the phase stream, then ``reduce(h, rng, block)`` with that
+    model's phase stream; a pure function of its arguments."""
     scenario, master_seed, stream, block, count = task
-    rng = _rng_for(master_seed, stream, block)
-    r = _hop_product(scenario, rng, count)
-    after_hops = rng.bit_generator.state
-    out = []
-    for model, reduce in jobs:
-        rng.bit_generator.state = after_hops
-        out.append(reduce(_reduce_h(r, model, rng), rng, block))
-    return out
+    n = scenario.n
+    rngs = [_rng_for(master_seed, stream, block, _ROLE_PHASES) for _ in jobs]
+    phasors = [model.phasor_tiles(rng, count * n, _tile_rows(n) * n) for (model, _), rng in zip(jobs, rngs)]
+    sources = _rng_for(master_seed, stream, block, _ROLE_SOURCE)
+    destinations = _rng_for(master_seed, stream, block, _ROLE_DESTINATION)
+    hs = _h_rows(scenario, count, sources, destinations, phasors)
+    return [reduce(h, rng, block) for (_, reduce), h, rng in zip(jobs, hs, rngs)]
 
 
 def _worker_count() -> int:
@@ -333,7 +327,7 @@ def simulate_ber(config: SimConfig) -> SimResult:
             var = max(0.0, (sum_p2 - n * mean * mean) / max(1, n - 1))
             hw = _Z95 * math.sqrt(var / n)
             if 0.0 < mean < 1.0:
-                hw = max(hw, np.finfo(float).eps * mean)  # roundoff floor
+                hw = max(hw, sys.float_info.epsilon * mean)  # roundoff floor
         else:
             k = int(k)
             errors.append(k)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _PLANNER_N_MAX = 10**7
+# relative slack of a diversity target: sixteen units of roundoff
+_DIVERSITY_SLACK = 16.0 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -163,17 +165,22 @@ def reflectors_for_diversity(target_gd: float, a: float, phi1: float, phi2: floa
     """Smallest n whose shape parameter reaches ``target_gd``.
 
     The shape parameter is n times the per-reflector shape, so it grows
-    with n in floating point too.  The target is relaxed by 1e-12 so that
-    a target taken from an integer-n evaluation round-trips exactly
-    despite one-ulp artifacts.  Counts above 2^53 are not distinct
-    doubles; a target beyond them raises :class:`numerics.RangeError`.
+    with n in floating point too.  The target is relaxed by sixteen units
+    of roundoff, 16 * 2^-53, so that a target taken from an integer-n
+    evaluation round-trips exactly despite the few-ulp differences between
+    the routes to m (the closed form of the ideal 32-reflector example
+    lies 8.4 units above this one), while huge targets stop within a few
+    reflectors: on the README channel a target of 1e15 stops four
+    short of m >= 1e15, where a slack of 1e-12 would stop 2258 short.
+    Counts above 2^53 are not distinct doubles; a target beyond them
+    raises :class:`numerics.RangeError`.
     """
     if not target_gd > 0.0:
         raise numerics.DomainError(f"target diversity gain must be > 0, got {target_gd!r}")
     if not phi1 > 0.0:
         raise numerics.DomainError("planner requires phi_1 > 0")
     a2 = a * a
-    floor = target_gd * (1.0 - 1e-12)
+    floor = target_gd * (1.0 - _DIVERSITY_SLACK)
     n = _smallest_n(lambda n: m_from_moments(n, a2, phi1, phi2) >= floor, 2**53)
     if n is None:
         raise numerics.RangeError(f"target diversity gain {target_gd!r} needs over 2^53 reflectors")

@@ -82,15 +82,12 @@ class PhaseErrorModel(abc.ABC):
 
     def sample(self, rng: np.random.Generator, size):
         """Draw unit phasors exp(j Theta), a complex array of shape
-        ``size``: the tiles of :meth:`phasor_tiles` written one after the
-        other, so the values and the stream read are the same."""
-        out = np.empty(size, dtype=complex)
-        flat = out.reshape(-1)
-        filled = 0
-        for part in self.phasor_tiles(rng, flat.size, _TILE):
-            flat[filled : filled + part.size] = part
-            filled += part.size
-        return out
+        ``size``: :meth:`phasor_tiles` taken as one tile, so the values
+        and the stream read are the same."""
+        count = int(np.prod(size))
+        # a count of 0 yields no tile at all
+        z = next(self.phasor_tiles(rng, count, max(1, count)), np.empty(0, dtype=complex))
+        return z.reshape(size)
 
     @abc.abstractmethod
     def to_config(self) -> dict:
@@ -284,8 +281,6 @@ def _phasors(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-# values per tile of ``sample``
-_TILE = 1 << 13
 # proposals per von Mises rejection round: part of the definition of the
 # stream, like montecarlo.BLOCK_TRIALS, not a tile size
 _ROUND = 1 << 13

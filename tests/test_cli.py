@@ -254,7 +254,10 @@ def test_plan_sizes_a_diversity_target_of_1e15(tmp_path):
     out = tmp_path / "out"
     res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert json.loads((out / "plan.json").read_text())["diversity"]["n"] == 2258125781097528
+    # the smallest count whose shape parameter is within 16 units of
+    # roundoff of the target, m = 999999999999998.4: four reflectors
+    # short of m >= 1e15, where a slack of 1e-12 falls 2258 short
+    assert json.loads((out / "plan.json").read_text())["diversity"]["n"] == 2258125781099782
 
 
 RAYLEIGH_NEAR_UNIFORM = {
@@ -326,6 +329,19 @@ def test_validate_failing_suite_exits_4(tmp_path):
     assert res.returncode == 4
     payload = json.loads((out / "validate_ber_agreement.json").read_text())
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("suite", ["uniform-rayleigh", "ber-agreement"])
+def test_validate_with_one_trial_writes_its_report(tmp_path, suite):
+    # one trial gives a zero sample variance, so each half-width is the
+    # roundoff floor and every point fails; the report is still written
+    out = tmp_path / "out"
+    res = run_cli("validate", suite, "--trials", "1", "--out", str(out))
+    assert res.returncode == 4, res.stderr
+    assert "Traceback" not in res.stderr
+    payload = json.loads((out / f"validate_{suite.replace('-', '_')}.json").read_text())
+    assert payload["passed"] is False
+    assert all(point["ok"] is False for point in payload["checks"][0]["details"]["points"])
 
 
 @pytest.mark.parametrize(

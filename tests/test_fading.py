@@ -65,6 +65,17 @@ def test_line_of_sight_limit():
     assert np.all(np.abs(mags - 1.0) < 1e-3)
 
 
+@pytest.mark.parametrize("model", [fd.Rayleigh(), fd.Rician(0.0), fd.Rician(1.0)], ids=lambda m: str(m.to_config()))
+def test_magnitudes_split_at_any_boundary(model):
+    # the simulator draws a hop's magnitudes row tile by row tile: draws
+    # of 1, 6 and a 3 x 5 array read the stream as one draw of 22 does
+    rng = np.random.Generator(np.random.Philox(3))
+    parts = [model.sample_magnitude(rng, 1), model.sample_magnitude(rng, 6), model.sample_magnitude(rng, (3, 5))]
+    whole = np.random.Generator(np.random.Philox(3))
+    assert np.concatenate([p.ravel() for p in parts]).tobytes() == model.sample_magnitude(whole, 22).tobytes()
+    np.testing.assert_array_equal(rng.random(3), whole.random(3))
+
+
 def test_negative_k_rejected():
     with pytest.raises(nx.DomainError):
         fd.Rician(-0.1)

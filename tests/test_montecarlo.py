@@ -63,6 +63,23 @@ def test_draw_h_batch_reproducible_for_fixed_chunking():
     assert abs(c.real.mean() - d.real.mean()) < 5.0 * se
 
 
+def test_draw_h_batch_reads_row_tiles_from_its_one_generator():
+    # each row tile reads source magnitudes, destination magnitudes and
+    # phases in turn; 2500 rows of n = 8 are tiles of 1024, 1024 and 452
+    sc, size = ref_scenario(n=8), 2500
+    assert mc._TILE // 8 == 1024
+    rng = np.random.Generator(np.random.Philox(12))
+    want = []
+    for rows in (1024, 1024, 452):
+        r = sc.fading_sr.sample_magnitude(rng, (rows, 8)) * sc.fading_rd.sample_magnitude(rng, (rows, 8))
+        z = sc.phase_error.sample(rng, (rows, 8))
+        want.append(np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1))
+    end = rng.random(3)
+    rng = np.random.Generator(np.random.Philox(12))
+    assert mc.draw_h_batch(sc, rng, size).tobytes() == np.concatenate(want).tobytes()
+    np.testing.assert_array_equal(rng.random(3), end)
+
+
 def test_standardized_re_part_converges_to_normal():
     # Kolmogorov distance to the standard normal shrinks as n doubles
     distances = []
@@ -170,7 +187,8 @@ def test_semianalytic_ber_never_rises_along_a_sweep():
 
 def test_direct_error_counts_never_rise_along_a_sweep():
     pts = fine_sweep(start_db=-22.0)
-    cfg = mc.SimConfig(ref_scenario(gamma0=pts[0]), 20000, 8, snr_points=pts, estimator="direct")
+    # about 500 errors are expected at the first point
+    cfg = mc.SimConfig(ref_scenario(gamma0=pts[0]), 100000, 8, snr_points=pts, estimator="direct")
     counts = mc.simulate_ber(cfg).error_counts
     assert counts[0] > 100
     assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -204,40 +222,40 @@ def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimato
             assert res.error_counts == tuple(want[i][2] for i in range(len(points)))
 
 
-# float.hex of (ber, ci_halfwidth), and the error counts, over two blocks:
-# these models' phasors are the cos and sin of the drawn angle, so their
-# results are pinned bit for bit, and the von Mises sampler's rounds leave
-# them alone
+# float.hex of (ber, ci_halfwidth), and the error counts, over two blocks,
+# each drawing its source magnitudes, destination magnitudes and phases
+# from three keyed streams: these models' phasors are the cos and sin of
+# the drawn angle
 PINNED_BER = {
     ("quantizer", "semianalytic"): (
-        ("0x1.1f2ce9c0dae80p-2", "0x1.0addf4ed9b395p-3"),
-        ("0x1.8bb3a68e683f4p-11", "0x1.d182e4edd9275p-11"),
+        ("0x1.1ec5e38584058p-2", "0x1.0a028ad3da790p-3"),
+        ("0x1.8d107eefd2df9p-11", "0x1.d2bcc34a43805p-11"),
         None,
     ),
     ("quantizer", "direct"): (
-        ("0x1.1cafc59106022p-2", "0x1.0cb9324dfd688p-3"),
-        ("0x1.b47772ffb789fp-8", "0x1.48ecf59b99203p-8"),
-        (4833, 2281),
+        ("0x1.200b4f4928e14p-2", "0x1.0d4ffe1d73ce8p-3"),
+        ("0x1.b608e9cc31899p-8", "0x1.493b3e5848350p-8"),
+        (4890, 2286),
     ),
     ("uniform", "semianalytic"): (
-        ("0x1.9cc0c44dbf837p-2", "0x1.446998bc6f04fp-2"),
-        ("0x1.9289a29d047b8p-11", "0x1.5bf92f239d248p-10"),
+        ("0x1.9d51b0304f8bfp-2", "0x1.456ef9fe60e02p-2"),
+        ("0x1.927caa25b017bp-11", "0x1.5c09ddfec87aep-10"),
         None,
     ),
     ("uniform", "direct"): (
-        ("0x1.a056b530e4144p-2", "0x1.473740ad6a61dp-2"),
-        ("0x1.de872d7a2cafep-8", "0x1.c64693ca9f3ecp-8"),
-        (7068, 5555),
+        ("0x1.9acd395f8b221p-2", "0x1.4782a6952594dp-2"),
+        ("0x1.dd7efd778f7d2p-8", "0x1.c6624fb7b6be3p-8"),
+        (6974, 5560),
     ),
     ("none", "semianalytic"): (
-        ("0x1.0dfd63acee680p-2", "0x1.c9bdda441a9efp-4"),
-        ("0x1.9b3cf6002f1b1p-11", "0x1.bef95b89ce496p-11"),
+        ("0x1.0da4fb1a35aedp-2", "0x1.c88a6cad761bep-4"),
+        ("0x1.9d156e37ba85cp-11", "0x1.c0416eebf9192p-11"),
         None,
     ),
     ("none", "direct"): (
-        ("0x1.1014bc062047ap-2", "0x1.d3b42175386e4p-4"),
-        ("0x1.ae50fbfa352dap-8", "0x1.35d5aac4f273dp-8"),
-        (4619, 1985),
+        ("0x1.09a90e7d95bc6p-2", "0x1.bcd93d9d46916p-4"),
+        ("0x1.ab052f65897c2p-8", "0x1.2f1ea8b0078c9p-8"),
+        (4510, 1888),
     ),
 }
 
@@ -247,64 +265,64 @@ PINNED_BER = {
 # sides; the kernels' tiling must leave every one of these bytes alone
 PINNED_KERNEL_BER = {
     ("von_mises_1e-7", "semianalytic"): (
-        ("0x1.9d06050e76b7fp-2", "0x1.44e09ece739ecp-2"),
-        ("0x1.92b7f07a938acp-11", "0x1.5d3713c590fabp-10"),
+        ("0x1.9d1a120287d4ap-2", "0x1.44f902bfec98fp-2"),
+        ("0x1.90ac8696e5159p-11", "0x1.5b56bd0b974fdp-10"),
         None,
     ),
     ("von_mises_1e-7", "direct"): (
-        ("0x1.a42ae1f565ab7p-2", "0x1.4aa1dec71917fp-2"),
-        ("0x1.df34dbc0d2e1fp-8", "0x1.c7852ca99dfeep-8"),
-        (7133, 5613),
+        ("0x1.9a72bf1644181p-2", "0x1.40e9bbe7f7849p-2"),
+        ("0x1.dd6d9a3ca0b07p-8", "0x1.c3e8d0905a33dp-8"),
+        (6968, 5448),
     ),
     ("von_mises_2", "semianalytic"): (
-        ("0x1.45c8987d3f34ap-2", "0x1.72189ac0255c3p-3"),
-        ("0x1.afab147c14613p-11", "0x1.2c9a160cdf1ffp-10"),
+        ("0x1.456bb91d07b0dp-2", "0x1.713bc03e72ebcp-3"),
+        ("0x1.b1c070f04102cp-11", "0x1.2e57e8ff6a603p-10"),
         None,
     ),
     ("von_mises_2", "direct"): (
-        ("0x1.4a1a27592e88ep-2", "0x1.748379b27b3a9p-3"),
-        ("0x1.c7542ef2ed788p-8", "0x1.77ce8f68079c5p-8"),
-        (5604, 3162),
+        ("0x1.414436313e8e9p-2", "0x1.680698eaad2e1p-3"),
+        ("0x1.c40b67d025a01p-8", "0x1.72d40dddd3b0ep-8"),
+        (5454, 3056),
     ),
     ("von_mises_8", "semianalytic"): (
-        ("0x1.190c2d2dac92fp-2", "0x1.fa11809527a60p-4"),
-        ("0x1.92c398d72faabp-11", "0x1.cd689ccb4fc82p-11"),
+        ("0x1.18da847fd1baep-2", "0x1.f956a5e790992p-4"),
+        ("0x1.93d9600934d34p-11", "0x1.ce5463f8b3133p-11"),
         None,
     ),
     ("von_mises_8", "direct"): (
-        ("0x1.19bdca83b6040p-2", "0x1.f70be614f857ap-4"),
-        ("0x1.b311273969536p-8", "0x1.3fc25c219012ap-8"),
-        (4783, 2135),
+        ("0x1.1c645fa94acf2p-2", "0x1.0b8b9aaf109c7p-3"),
+        ("0x1.b453e0edbacd9p-8", "0x1.484ffd1e002dep-8"),
+        (4828, 2271),
     ),
     ("von_mises_1e5", "semianalytic"): (
-        ("0x1.0dfd9a9b2fe2bp-2", "0x1.c9bec00c760f2p-4"),
-        ("0x1.9b3cba5335b1ap-11", "0x1.bef992df2ad4bp-11"),
+        ("0x1.0da532129dd8ap-2", "0x1.c88b51d51e761p-4"),
+        ("0x1.9d1530bd646b6p-11", "0x1.c041a57b2f0aap-11"),
         None,
     ),
     ("von_mises_1e5", "direct"): (
-        ("0x1.0f7df036a9e1ap-2", "0x1.cac0078a30c5fp-4"),
-        ("0x1.ae04c437455cdp-8", "0x1.333ba6b82a602p-8"),
-        (4609, 1947),
+        ("0x1.0d13ac9744728p-2", "0x1.bb3302f1fb0d5p-4"),
+        ("0x1.acc9c283e48a4p-8", "0x1.2ea02a097f967p-8"),
+        (4568, 1881),
     ),
     ("von_mises_2_x_quantizer_2", "semianalytic"): (
-        ("0x1.52ef4e62ed689p-2", "0x1.98805adbbd922p-3"),
-        ("0x1.b6f56cdf6565ap-11", "0x1.3f7c77782b57ap-10"),
+        ("0x1.529ae4b440c06p-2", "0x1.978a745fb074fp-3"),
+        ("0x1.b7391ddc43b6ep-11", "0x1.3fbf172553f6ep-10"),
         None,
     ),
     ("von_mises_2_x_quantizer_2", "direct"): (
-        ("0x1.56a61c82886c6p-2", "0x1.a2b1e46ebdac6p-3"),
-        ("0x1.cbb02d9260862p-8", "0x1.88e45e1e954b4p-8"),
-        (5817, 3554),
+        ("0x1.55f127effa586p-2", "0x1.9b098ae5ba7e1p-3"),
+        ("0x1.cb73b26967f2ap-8", "0x1.8632448bd00c3p-8"),
+        (5805, 3489),
     ),
     ("rician_hops", "semianalytic"): (
-        ("0x1.09a8ccc4b4eb9p-2", "0x1.abb1066c7fb77p-4"),
-        ("0x1.5238d6cea0c8ep-11", "0x1.6a80738d24979p-11"),
+        ("0x1.09275cc781b30p-2", "0x1.a9a1ae200cdd2p-4"),
+        ("0x1.52d7f6ef547adp-11", "0x1.6a4661ec5c5d1p-11"),
         None,
     ),
     ("rician_hops", "direct"): (
-        ("0x1.0a129d28689d6p-2", "0x1.aba5fe59c554bp-4"),
-        ("0x1.ab3c3dd31b171p-8", "0x1.29e6af560e214p-8"),
-        (4517, 1815),
+        ("0x1.0d4ffe1d73ce8p-2", "0x1.baf6b16bcbb15p-4"),
+        ("0x1.ace8abb1648d6p-8", "0x1.2e8e10e7e6a0fp-8"),
+        (4572, 1880),
     ),
 }
 # (phase error, source hop, destination hop) of each pinned scenario
@@ -320,7 +338,7 @@ PINNED_KERNEL_SCENARIOS = {
     "rician_hops": (pm.VonMises(8.0), fd.Rician(1.0), fd.Rician(4.0)),
 }
 # SHA-256 of the sample_snr values followed by its histogram counts
-PINNED_SNR_SHA256 = "7fddb41516a4110248602494ed1aeebcc9fbb21fb7fb3401bef815bff2ebe187"
+PINNED_SNR_SHA256 = "eca02fb739f19c747f9ea494d2ce3009b070f5d51ebc099eaba3059c37213341"
 # float.hex of the KS statistic and p-value of PINNED_KS_SAMPLE against its gamma law
 PINNED_KS = ("0x1.37963c45ec500p-9", "0x1.a5904e6541736p-1")
 
@@ -376,7 +394,7 @@ def tile_probe():
     return runs, pinned_snr(trials), pinned_ks(1000)
 
 
-TILE_CONSTANTS = [(pm, "_TILE"), (fd, "_TILE"), (mc, "_TILE"), (st, "_KS_TILE")]
+TILE_CONSTANTS = [(mc, "_TILE"), (st, "_KS_TILE")]
 
 
 @pytest.mark.parametrize("size", [1, 7, 10**9])
@@ -412,20 +430,20 @@ def block_peak_bytes(n, pe):
 
 
 def test_block_peak_memory_is_bounded():
-    # n = 32 keeps only the hop products r (4 MB) whole; the phasors are
-    # tiles, and each rejection round's u1, u2 and u3 are 8192 doubles
+    # n = 32 keeps only H (256 kB) whole; the hop products and phasors are
+    # row tiles, and each rejection round's u1, u2 and u3 are 8192 doubles
     assert block_peak_bytes(32, pm.VonMises(8.0)) <= 9e6
 
 
-def test_block_peak_memory_grows_only_with_the_hop_products():
-    # at n = 256, r is 33.5 MB, and every other array is a tile
-    r_bytes = mc.BLOCK_TRIALS * 256 * 8
-    assert block_peak_bytes(256, pm.VonMises(8.0)) <= r_bytes + 4e6
+def test_block_peak_memory_does_not_grow_with_the_reflector_count():
+    # at n = 256 the hop products would be 33.5 MB whole; a row tile holds
+    # 32 rows of them, so the block needs no more than at n = 32
+    assert block_peak_bytes(256, pm.VonMises(8.0)) <= 9e6
 
 
 def test_product_block_peak_memory_is_bounded():
-    # the von Mises phasors (8 MB) are whole beside r (4 MB); the
-    # quantizer's are tiles multiplied into them
+    # the von Mises phasors (8 MB) are whole; the quantizer's are tiles
+    # multiplied into them, as are the hop products
     assert block_peak_bytes(32, pm.Product((pm.VonMises(2.0), pm.Quantizer(2)))) <= 15e6
 
 
@@ -436,6 +454,7 @@ def test_ks_fit_peak_memory_is_bounded():
 
 
 def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):
+    # one source-magnitude draw per row tile, shared by every model
     calls = []
     draw = fd.Rician.sample_magnitude
 
@@ -446,12 +465,35 @@ def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):
     monkeypatch.setattr(fd.Rician, "sample_magnitude", counted)
     monkeypatch.setenv("RIS_LAB_WORKERS", "1")
     trials = 2 * mc.BLOCK_TRIALS + 5  # three blocks
+    tiles = sum(-(-count // (mc._TILE // 4)) for count in mc._block_counts(trials))
     for models in (GROUPED_MODELS[:1], GROUPED_MODELS):
         calls.clear()
         errors = tuple(pe for pe in models for _ in range(2))
         cfg = mc.SimConfig(ref_scenario(n=4), trials, 5, (0.01, 0.02) * len(models), phase_errors=errors)
         mc.simulate_ber(cfg)
-        assert len(calls) == 3
+        assert len(calls) == tiles == 17
+
+
+def test_block_reads_each_random_input_from_its_keyed_stream():
+    # source magnitudes from role 0, destination magnitudes from role 1
+    # and phases from role 2, each as one whole draw of its stream, over
+    # three row tiles; every model starts role 2 afresh and its reduction
+    # reads on from where that model's phases left it
+    sc, count = ref_scenario(n=8), 3000
+    key = (31, mc._STREAM_BER, 2)
+    r = sc.fading_sr.sample_magnitude(mc._rng_for(*key, 0), (count, 8))
+    r *= sc.fading_rd.sample_magnitude(mc._rng_for(*key, 1), (count, 8))
+    want = []
+    for pe in GROUPED_MODELS:
+        rng = mc._rng_for(*key, 2)
+        z = pe.sample(rng, (count, 8))
+        want.append((np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1), rng.random(3)))
+    jobs = [(pe, lambda h, rng, block: (h, rng.random(3))) for pe in GROUPED_MODELS]
+    got = mc._run_block(jobs, (sc, *key, count))
+    assert count > 2 * mc._TILE // 8
+    for (h, after), (h_want, after_want) in zip(got, want, strict=True):
+        assert h.tobytes() == h_want.tobytes()
+        np.testing.assert_array_equal(after, after_want)
 
 
 def test_config_validation():

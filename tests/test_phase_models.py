@@ -277,12 +277,11 @@ def test_von_mises_density_is_finite_and_silent_at_the_largest_concentrations():
     assert f[1] == 0.0 and f[2] == 0.0
 
 
-def test_rejection_pass_with_a_partial_last_tile_keeps_the_phasors(monkeypatch):
+def test_rejection_pass_with_a_partial_last_tile_keeps_the_phasors():
     # 20000 = 2857 tiles of 7 and one of 1, filled by three or more rounds
     def run(tile):
-        monkeypatch.setattr(pm, "_TILE", tile)
         rng = RecordingGenerator(np.random.default_rng(3))
-        z = pm.VonMises(8.0).sample(rng, 20000)
+        z = np.concatenate(list(pm.VonMises(8.0).phasor_tiles(rng, 20000, tile)))
         return z, rng.sizes, rng.rng.bit_generator.random_raw(8)
 
     want, sizes, after = run(10**9)
@@ -367,7 +366,7 @@ def test_rejection_sampler_leaves_the_stream_after_its_rounds(bitgen):
     np.testing.assert_array_equal(rng.random(5), whole.random(5))
 
 
-@pytest.mark.parametrize("tile", [1, 7, pm._TILE, 10**9])
+@pytest.mark.parametrize("tile", [1, 7, 1 << 13, 10**9])
 @pytest.mark.parametrize("model", ALL_VARIANTS, ids=lambda m: str(m.to_config()))
 def test_phasor_tiles_have_the_asked_size_and_the_sampled_values(model, tile):
     count = 3000
@@ -381,19 +380,24 @@ def test_phasor_tiles_have_the_asked_size_and_the_sampled_values(model, tile):
     np.testing.assert_array_equal(rng.random(3), after)
 
 
-@pytest.mark.parametrize("count", [1, 2, 2 * pm._TILE + 1, 20000])
+@pytest.mark.parametrize("count", [1, 2, 2 * 8192 + 1, 20000])
 def test_product_phasors_are_the_whole_components_multiplied_in_order(count):
-    # 2 _TILE + 1 ends in a tile of one phasor, which numpy would multiply
-    # in place with other rounding than the whole array's vector loop
+    # tiles of 8192 leave 2 * 8192 + 1 a last tile of one phasor, which
+    # numpy would multiply in place with other rounding than the whole
+    # array's vector loop; ``sample`` takes one tile of all of them
     components = (pm.VonMises(2.0), pm.Quantizer(2), pm.UniformCircle())
     rng = np.random.Generator(np.random.Philox(9))
     want = components[0].sample(rng, count)
     for comp in components[1:]:
         want *= comp.sample(rng, count)
     end = rng.random(4)
-    rng = np.random.Generator(np.random.Philox(9))
-    assert pm.Product(components).sample(rng, count).tobytes() == want.tobytes()
-    np.testing.assert_array_equal(rng.random(4), end)
+    model = pm.Product(components)
+    sampled = lambda rng: model.sample(rng, count)
+    tiled = lambda rng: np.concatenate(list(model.phasor_tiles(rng, count, 8192)))
+    for take in (sampled, tiled):
+        rng = np.random.Generator(np.random.Philox(9))
+        assert take(rng).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(rng.random(4), end)
 
 
 def test_sample_returns_the_requested_shape():

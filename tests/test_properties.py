@@ -244,7 +244,7 @@ def test_diversity_planner_returns_the_smallest_count_that_meets_the_target(
     a, phi1, phi2 = channel
     shape = lambda n: ec.m_from_moments(n, a * a, phi1, phi2)
     target = _target(shape, kind, n_star, fraction, exponent)
-    floor = target * (1.0 - 1e-12)
+    floor = target * (1.0 - 16.0 * 2.0**-53)
     if shape(2**53) < floor:
         with pytest.raises(nx.RangeError):
             pf.reflectors_for_diversity(target, *channel)
@@ -253,8 +253,22 @@ def test_diversity_planner_returns_the_smallest_count_that_meets_the_target(
     assert shape(n) >= floor
     assert n == 1 or shape(n - 1) < floor
     if kind == "from_n":
-        # the 1e-12 slack lets a target from n_star round-trip below 1e11 reflectors
-        assert n == n_star if n_star < 10**11 else n <= n_star
+        # shape(n_star - 1) is 1/n_star below shape(n_star), and three
+        # roundings move each by at most 2^-53: with the 16 * 2^-53 slack
+        # a target from n_star round-trips up to 2^48 reflectors
+        assert n == n_star if n_star <= 2**48 else n <= n_star
+
+
+@PROPERTY
+@given(channel=planner_channels(), exponent=st.floats(min_value=12.0, max_value=13.0))
+def test_diversity_planner_stops_within_sixteen_roundoffs_of_huge_targets(channel, exponent):
+    # from a target of 1e12 on, a slack of 1e-12 is a whole unit of shape,
+    # which can be thousands of reflectors
+    a, phi1, phi2 = channel
+    shape = lambda n: ec.m_from_moments(n, a * a, phi1, phi2)
+    floor = 10.0**exponent * (1.0 - 16.0 * 2.0**-53)
+    n = pf.reflectors_for_diversity(10.0**exponent, *channel)
+    assert shape(n) >= floor > shape(n - 1)
 
 
 @PROPERTY
