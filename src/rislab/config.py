@@ -104,17 +104,15 @@ def scenario_to_config(scenario: LrsScenario) -> dict:
 
 def sweep_from_config(cfg: dict) -> np.ndarray:
     """Single-reflector SNR sweep in dB, inclusive of the stop value."""
+    with config_errors():
+        start, stop, step = (float(cfg["sweep"][key]) for key in ("start_db", "stop_db", "step_db"))
+    # NaN fails every comparison, so finiteness is checked first
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+        raise ConfigError("sweep needs finite values, step_db > 0 and stop_db >= start_db")
     try:
-        sweep = cfg["sweep"]
-        start = float(sweep["start_db"])
-        stop = float(sweep["stop_db"])
-        step = float(sweep["step_db"])
-    except KeyError as exc:
-        raise ConfigError(f"sweep config is missing {exc.args[0]!r}") from exc
-    if step <= 0.0 or stop < start:
-        raise ConfigError("sweep needs step_db > 0 and stop_db >= start_db")
-    count = int(round((stop - start) / step))
-    grid = start + step * np.arange(count + 1)
+        grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigError(f"sweep has too many points for step_db {step!r}: {exc}") from exc
     grid = grid[grid <= stop + 1e-9]
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(10.0 ** (grid / 10.0))):

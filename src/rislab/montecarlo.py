@@ -15,8 +15,8 @@ Every simulation runs through one block engine.  Trials are partitioned
 into fixed blocks of 2^14, and block results are reduced in block
 order.  Each random input of block b has its own Philox stream, keyed by
 (master_seed, stream tag, b, role): role 0 holds the source-hop
-magnitudes, role 1 the destination-hop magnitudes and role 2 the phase
-errors, followed by the direct estimator's symbols and noise.  Results
+magnitudes, role 1 the destination-hop magnitudes, role 2 the phase
+errors and role 3 the direct estimator's symbols and noise.  Results
 therefore depend only on (config, master_seed), never on how many
 workers executed the blocks.  The RIS_LAB_WORKERS environment variable
 sets the worker count.
@@ -30,9 +30,9 @@ rises along an increasing sweep.
 
 The common random numbers extend across phase-error models, whose law
 the hop magnitudes do not depend on: a block draws its magnitudes once,
-and each model reads the phase stream from its start.  A model thus
-reads the numbers a run of its own would read, with the same result
-bytes.
+each model reads the phase stream from its start, and each model's
+reduction reads the noise stream from its start.  A model thus reads
+the numbers a run of its own would read, with the same result bytes.
 
 A block streams through row tiles of ``_TILE`` values (at least one
 row).  Each tile draws its source and destination magnitudes, multiplies
@@ -82,6 +82,7 @@ _STREAM_SNR = 1
 _ROLE_SOURCE = 0
 _ROLE_DESTINATION = 1
 _ROLE_PHASES = 2
+_ROLE_NOISE = 3
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -212,16 +213,15 @@ def _block_counts(trials: int) -> list[int]:
 def _run_block(jobs, task):
     """One block: draw the hop magnitudes once and, for each ``(model,
     reduce)`` job, reduce the H of phasors that ``model`` draws from the
-    start of the phase stream, then ``reduce(h, rng, block)`` with that
-    model's phase stream; a pure function of its arguments."""
+    start of the phase stream, then ``reduce(h, rng, block)`` with the
+    noise stream from its start; a pure function of its arguments."""
     scenario, master_seed, stream, block, count = task
     n = scenario.n
-    rngs = [_rng_for(master_seed, stream, block, _ROLE_PHASES) for _ in jobs]
-    phasors = [model.phasor_tiles(rng, count * n, _tile_rows(n) * n) for (model, _), rng in zip(jobs, rngs)]
-    sources = _rng_for(master_seed, stream, block, _ROLE_SOURCE)
-    destinations = _rng_for(master_seed, stream, block, _ROLE_DESTINATION)
-    hs = _h_rows(scenario, count, sources, destinations, phasors)
-    return [reduce(h, rng, block) for (_, reduce), h, rng in zip(jobs, hs, rngs)]
+    key = (master_seed, stream, block)
+    tile = _tile_rows(n) * n
+    phasors = [model.phasor_tiles(_rng_for(*key, _ROLE_PHASES), count * n, tile) for model, _ in jobs]
+    hs = _h_rows(scenario, count, _rng_for(*key, _ROLE_SOURCE), _rng_for(*key, _ROLE_DESTINATION), phasors)
+    return [reduce(h, _rng_for(*key, _ROLE_NOISE), block) for (_, reduce), h in zip(jobs, hs)]
 
 
 def _worker_count() -> int:

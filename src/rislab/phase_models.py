@@ -6,7 +6,8 @@ quantities the analytics consume are the trigonometric moments
 E[exp(j p Theta)], which are real for every supported model because of
 the symmetry; the Monte Carlo engine additionally needs exact sampling,
 which every model delivers as unit phasors exp(j Theta), the form the
-engine consumes, in tiles of a size the caller chooses.  Every model but
+engine consumes, in tiles of a size the caller chooses.  A product
+streams each component from its own child generator.  Every model but
 :class:`Product` also carries a fixed quadrature rule of its law,
 ``nodes()``, from which :func:`moment_by_integration` checks the closed
 forms without using them.
@@ -76,7 +77,8 @@ class PhaseErrorModel(abc.ABC):
 
         The caller takes every tile before it uses ``rng`` again: the
         stream is left where :meth:`sample` leaves it only once the last
-        tile has been taken.  The simulator needs only cos Theta
+        tile has been taken (a :class:`Product` reads its child seeds
+        with the first tile).  The simulator needs only cos Theta
         and sin Theta, so a sampler that finds them without the angle (the
         von Mises one) skips the round trip through arccos and back."""
 
@@ -230,11 +232,9 @@ class Product(PhaseErrorModel):
     """Sum of independent errors, e.g. estimation plus quantization.
 
     The trigonometric moments of a sum of independent angles are the
-    products of the component moments; sampling draws the components in
-    order and multiplies their phasors, exp(j(T1 + T2)) = exp(j T1) exp(j T2).
-    Every component but the last is drawn whole, since a von Mises
-    component's use of the stream is known only once it finishes; the
-    last one is streamed, each tile multiplied by the matching slice.
+    products of the component moments; sampling multiplies the component
+    phasors, exp(j(T1 + T2)) = exp(j T1) exp(j T2).  Each component reads
+    its own child stream, so all of them are streamed tile by tile.
     """
 
     components: tuple[PhaseErrorModel, ...]
@@ -252,17 +252,14 @@ class Product(PhaseErrorModel):
         return out
 
     def phasor_tiles(self, rng, count, tile):
-        *head, last = self.components
-        if not head:
-            yield from last.phasor_tiles(rng, count, tile)
-            return
-        total = head[0].sample(rng, count)
-        for comp in head[1:]:
-            total *= comp.sample(rng, count)
-        filled = 0
-        for factor in last.phasor_tiles(rng, count, tile):
-            yield total[filled : filled + factor.size] * factor
-            filled += factor.size
+        """Component k streams from a generator of ``rng``'s kind seeded
+        from words 2k and 2k + 1 of ``rng``; tiles multiply out of place,
+        as numpy rounds a one-value tile otherwise when in place."""
+        kind = type(rng.bit_generator)
+        children = [np.random.Generator(kind(rng.bit_generator.random_raw(2))) for _ in self.components]
+        streams = [comp.phasor_tiles(child, count, tile) for comp, child in zip(self.components, children)]
+        for first, *rest in zip(*streams):
+            yield math.prod(rest, start=first)
 
     def to_config(self) -> dict:
         return {"type": "product", "components": [c.to_config() for c in self.components]}

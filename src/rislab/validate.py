@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import performance, phase_models, stats
+from .config import ConfigError
 from .equiv_channel import (
     LrsScenario,
     cgf_exact,
@@ -413,7 +414,8 @@ def run_suite(name: str, **overrides) -> list[CheckResult]:
     """Run one suite by name, or every suite with ``name = "all"``.
 
     ``overrides`` are forwarded to each check that accepts them (e.g.
-    ``trials`` for the simulation-backed suites).
+    ``trials`` for the simulation-backed suites); one that a named suite
+    would not read is a :class:`ConfigError`.
     """
     if name == "all":
         names = list(SUITES)
@@ -427,5 +429,7 @@ def run_suite(name: str, **overrides) -> list[CheckResult]:
         kwargs = {
             k: v for k, v in overrides.items() if k in fn.__code__.co_varnames[: fn.__code__.co_argcount]
         }
+        if name != "all" and kwargs.keys() != overrides.keys():
+            raise ConfigError(f"suite {name!r} takes no {' or '.join(sorted(overrides.keys() - kwargs.keys()))}")
         results.append(fn(**kwargs))
     return results

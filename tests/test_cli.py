@@ -351,8 +351,32 @@ def test_validate_with_one_trial_writes_its_report(tmp_path, suite):
         ("gaussian-limit", ["--seed", "-1"]),
         ("gaussian-limit", ["--trials", "0"]),
         ("snr-fit", ["--trials", "50"]),
+        # overrides that the suite would not read, while its manifest recorded them
+        ("moments", ["--trials", "5"]),
+        ("moments", ["--seed", "5"]),
+        ("gaps", ["--trials", "5"]),
+        ("gaps", ["--seed", "5"]),
+        ("asymptote", ["--trials", "5"]),
+        ("asymptote", ["--seed", "5"]),
+        ("cgf", ["--trials", "5"]),
+        ("cgf", ["--seed", "5"]),
+        ("shape-identity", ["--trials", "5"]),
     ],
-    ids=["gaussian-limit-trials-1", "gaussian-limit-seed-negative", "gaussian-limit-trials-0", "snr-fit-trials-50"],
+    ids=[
+        "gaussian-limit-trials-1",
+        "gaussian-limit-seed-negative",
+        "gaussian-limit-trials-0",
+        "snr-fit-trials-50",
+        "moments-trials",
+        "moments-seed",
+        "gaps-trials",
+        "gaps-seed",
+        "asymptote-trials",
+        "asymptote-seed",
+        "cgf-trials",
+        "cgf-seed",
+        "shape-identity-trials",
+    ],
 )
 def test_validate_rejects_bad_sampling_input_before_drawing(tmp_path, capsys, suite, flags):
     out = tmp_path / "out"
@@ -378,8 +402,20 @@ def test_malformed_config_exits_2(tmp_path):
     assert res.returncode == 2
 
 
-def test_non_finite_sweep_point_exits_2(tmp_path):
-    sweep = {"start_db": 4000.0, "stop_db": 4000.0, "step_db": 1.0}  # 10^400 overflows to inf
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"start_db": 4000.0, "stop_db": 4000.0, "step_db": 1.0},  # 10^400 overflows to inf
+        # json writes and reads NaN and Infinity
+        {"start_db": -20.0, "stop_db": -16.0, "step_db": math.nan},
+        {"start_db": math.nan, "stop_db": -16.0, "step_db": 1.0},
+        {"start_db": -20.0, "stop_db": math.inf, "step_db": 1.0},
+        # more points than numpy can allocate
+        {"start_db": -20.0, "stop_db": -16.0, "step_db": 1e-300},
+    ],
+    ids=["beyond-float-range", "step-nan", "start-nan", "stop-infinite", "step-1e-300"],
+)
+def test_non_finite_sweep_point_exits_2(tmp_path, sweep):
     cfg = write_config(tmp_path, {**REFERENCE_CONFIG, "sweep": sweep})
     res = run_cli("ber", "--config", cfg, "--simulate", "--trials", "100", "--out", str(tmp_path))
     assert res.returncode == 2

@@ -223,9 +223,9 @@ def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimato
 
 
 # float.hex of (ber, ci_halfwidth), and the error counts, over two blocks,
-# each drawing its source magnitudes, destination magnitudes and phases
-# from three keyed streams: these models' phasors are the cos and sin of
-# the drawn angle
+# each drawing its source magnitudes, destination magnitudes, phases and
+# the direct estimator's symbols and noise from four keyed streams: these
+# models' phasors are the cos and sin of the drawn angle
 PINNED_BER = {
     ("quantizer", "semianalytic"): (
         ("0x1.1ec5e38584058p-2", "0x1.0a028ad3da790p-3"),
@@ -233,9 +233,9 @@ PINNED_BER = {
         None,
     ),
     ("quantizer", "direct"): (
-        ("0x1.200b4f4928e14p-2", "0x1.0d4ffe1d73ce8p-3"),
-        ("0x1.b608e9cc31899p-8", "0x1.493b3e5848350p-8"),
-        (4890, 2286),
+        ("0x1.1ebf8ee724673p-2", "0x1.09a90e7d95bc6p-3"),
+        ("0x1.b56ed7246d6f4p-8", "0x1.4753b692899ebp-8"),
+        (4868, 2255),
     ),
     ("uniform", "semianalytic"): (
         ("0x1.9d51b0304f8bfp-2", "0x1.456ef9fe60e02p-2"),
@@ -243,9 +243,9 @@ PINNED_BER = {
         None,
     ),
     ("uniform", "direct"): (
-        ("0x1.9acd395f8b221p-2", "0x1.4782a6952594dp-2"),
-        ("0x1.dd7efd778f7d2p-8", "0x1.c6624fb7b6be3p-8"),
-        (6974, 5560),
+        ("0x1.9b822df219361p-2", "0x1.447282c4bde8bp-2"),
+        ("0x1.dda1937d4d234p-8", "0x1.c53f62a19dd60p-8"),
+        (6986, 5508),
     ),
     ("none", "semianalytic"): (
         ("0x1.0da4fb1a35aedp-2", "0x1.c88a6cad761bep-4"),
@@ -253,9 +253,9 @@ PINNED_BER = {
         None,
     ),
     ("none", "direct"): (
-        ("0x1.09a90e7d95bc6p-2", "0x1.bcd93d9d46916p-4"),
-        ("0x1.ab052f65897c2p-8", "0x1.2f1ea8b0078c9p-8"),
-        (4510, 1888),
+        ("0x1.0d4ffe1d73ce8p-2", "0x1.c609a90e7d95cp-4"),
+        ("0x1.ace8abb1648d6p-8", "0x1.31d95107a931ep-8"),
+        (4572, 1927),
     ),
 }
 
@@ -270,9 +270,9 @@ PINNED_KERNEL_BER = {
         None,
     ),
     ("von_mises_1e-7", "direct"): (
-        ("0x1.9a72bf1644181p-2", "0x1.40e9bbe7f7849p-2"),
-        ("0x1.dd6d9a3ca0b07p-8", "0x1.c3e8d0905a33dp-8"),
-        (6968, 5448),
+        ("0x1.9c4636e633212p-2", "0x1.47ec353ff875dp-2"),
+        ("0x1.ddc6c284df998p-8", "0x1.c6890dc0ccf6dp-8"),
+        (6999, 5567),
     ),
     ("von_mises_2", "semianalytic"): (
         ("0x1.456bb91d07b0dp-2", "0x1.713bc03e72ebcp-3"),
@@ -280,9 +280,9 @@ PINNED_KERNEL_BER = {
         None,
     ),
     ("von_mises_2", "direct"): (
-        ("0x1.414436313e8e9p-2", "0x1.680698eaad2e1p-3"),
-        ("0x1.c40b67d025a01p-8", "0x1.72d40dddd3b0ep-8"),
-        (5454, 3056),
+        ("0x1.4691607c6824cp-2", "0x1.6b34e57e2c883p-3"),
+        ("0x1.c609621977a1fp-8", "0x1.741c9d8902a9cp-8"),
+        (5544, 3083),
     ),
     ("von_mises_8", "semianalytic"): (
         ("0x1.18da847fd1baep-2", "0x1.f956a5e790992p-4"),
@@ -290,9 +290,9 @@ PINNED_KERNEL_BER = {
         None,
     ),
     ("von_mises_8", "direct"): (
-        ("0x1.1c645fa94acf2p-2", "0x1.0b8b9aaf109c7p-3"),
-        ("0x1.b453e0edbacd9p-8", "0x1.484ffd1e002dep-8"),
-        (4828, 2271),
+        ("0x1.1862f5c025b2fp-2", "0x1.f0eb9e7428ff7p-4"),
+        ("0x1.b26a6550e3429p-8", "0x1.3e13ba529a8dap-8"),
+        (4760, 2109),
     ),
     ("von_mises_1e5", "semianalytic"): (
         ("0x1.0da532129dd8ap-2", "0x1.c88b51d51e761p-4"),
@@ -300,19 +300,19 @@ PINNED_KERNEL_BER = {
         None,
     ),
     ("von_mises_1e5", "direct"): (
-        ("0x1.0d13ac9744728p-2", "0x1.bb3302f1fb0d5p-4"),
-        ("0x1.acc9c283e48a4p-8", "0x1.2ea02a097f967p-8"),
-        (4568, 1881),
+        ("0x1.0d4ffe1d73ce8p-2", "0x1.c5cd57884e39cp-4"),
+        ("0x1.ace8abb1648d6p-8", "0x1.31c787b31d95bp-8"),
+        (4572, 1926),
     ),
     ("von_mises_2_x_quantizer_2", "semianalytic"): (
-        ("0x1.529ae4b440c06p-2", "0x1.978a745fb074fp-3"),
-        ("0x1.b7391ddc43b6ep-11", "0x1.3fbf172553f6ep-10"),
+        ("0x1.52759bc99e577p-2", "0x1.97794a885bed8p-3"),
+        ("0x1.bc0e25db196c1p-11", "0x1.435e5f2f20dfcp-10"),
         None,
     ),
     ("von_mises_2_x_quantizer_2", "direct"): (
-        ("0x1.55f127effa586p-2", "0x1.9b098ae5ba7e1p-3"),
-        ("0x1.cb73b26967f2ap-8", "0x1.8632448bd00c3p-8"),
-        (5805, 3489),
+        ("0x1.5085d4e1b9142p-2", "0x1.96ada6b34e57ep-3"),
+        ("0x1.c99a90fabc2b1p-8", "0x1.84a36679bf961p-8"),
+        (5713, 3452),
     ),
     ("rician_hops", "semianalytic"): (
         ("0x1.09275cc781b30p-2", "0x1.a9a1ae200cdd2p-4"),
@@ -320,9 +320,9 @@ PINNED_KERNEL_BER = {
         None,
     ),
     ("rician_hops", "direct"): (
-        ("0x1.0d4ffe1d73ce8p-2", "0x1.baf6b16bcbb15p-4"),
-        ("0x1.ace8abb1648d6p-8", "0x1.2e8e10e7e6a0fp-8"),
-        (4572, 1880),
+        ("0x1.075cf3a147fb5p-2", "0x1.a5c2083f25588p-4"),
+        ("0x1.a9d03d6b223bbp-8", "0x1.28146bb0a49aap-8"),
+        (4471, 1790),
     ),
 }
 # (phase error, source hop, destination hop) of each pinned scenario
@@ -442,9 +442,9 @@ def test_block_peak_memory_does_not_grow_with_the_reflector_count():
 
 
 def test_product_block_peak_memory_is_bounded():
-    # the von Mises phasors (8 MB) are whole; the quantizer's are tiles
-    # multiplied into them, as are the hop products
-    assert block_peak_bytes(32, pm.Product((pm.VonMises(2.0), pm.Quantizer(2)))) <= 15e6
+    # each component streams its own row tiles, as a lone von Mises does,
+    # so no component's phasors are whole
+    assert block_peak_bytes(32, pm.Product((pm.VonMises(2.0), pm.Quantizer(2)))) <= 9e6
 
 
 def test_ks_fit_peak_memory_is_bounded():
@@ -477,22 +477,26 @@ def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):
 def test_block_reads_each_random_input_from_its_keyed_stream():
     # source magnitudes from role 0, destination magnitudes from role 1
     # and phases from role 2, each as one whole draw of its stream, over
-    # three row tiles; every model starts role 2 afresh and its reduction
-    # reads on from where that model's phases left it
-    sc, count = ref_scenario(n=8), 3000
+    # three row tiles; every model starts role 2 afresh, and every
+    # reduction starts role 3 afresh, where the direct estimator draws
+    # its symbols and noise
+    sc, count, points = ref_scenario(n=8), 3000, (0.01, 0.02)
     key = (31, mc._STREAM_BER, 2)
     r = sc.fading_sr.sample_magnitude(mc._rng_for(*key, 0), (count, 8))
     r *= sc.fading_rd.sample_magnitude(mc._rng_for(*key, 1), (count, 8))
+    direct = partial(mc._ber_block, 8, points, "direct")
     want = []
     for pe in GROUPED_MODELS:
-        rng = mc._rng_for(*key, 2)
-        z = pe.sample(rng, (count, 8))
-        want.append((np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1), rng.random(3)))
-    jobs = [(pe, lambda h, rng, block: (h, rng.random(3))) for pe in GROUPED_MODELS]
+        z = pe.sample(mc._rng_for(*key, 2), (count, 8))
+        h = np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1)
+        noise = mc._rng_for(*key, 3)
+        want.append((h, direct(h, noise, 2), noise.random(3)))
+    jobs = [(pe, lambda h, rng, block: (h, direct(h, rng, block), rng.random(3))) for pe in GROUPED_MODELS]
     got = mc._run_block(jobs, (sc, *key, count))
     assert count > 2 * mc._TILE // 8
-    for (h, after), (h_want, after_want) in zip(got, want, strict=True):
+    for (h, rows, after), (h_want, rows_want, after_want) in zip(got, want, strict=True):
         assert h.tobytes() == h_want.tobytes()
+        np.testing.assert_array_equal(rows, rows_want)
         np.testing.assert_array_equal(after, after_want)
 
 

@@ -382,14 +382,18 @@ def test_phasor_tiles_have_the_asked_size_and_the_sampled_values(model, tile):
 
 @pytest.mark.parametrize("count", [1, 2, 2 * 8192 + 1, 20000])
 def test_product_phasors_are_the_whole_components_multiplied_in_order(count):
-    # tiles of 8192 leave 2 * 8192 + 1 a last tile of one phasor, which
-    # numpy would multiply in place with other rounding than the whole
-    # array's vector loop; ``sample`` takes one tile of all of them
+    # each component drawn whole from a child of rng's kind, seeded from
+    # the next two words of rng, and multiplied out of place: numpy
+    # multiplies a one-phasor array (count 1, or the last tile of
+    # 2 * 8192 + 1 in tiles of 8192) in place with other rounding than the
+    # whole array's vector loop; ``sample`` takes one tile of all of them
     components = (pm.VonMises(2.0), pm.Quantizer(2), pm.UniformCircle())
     rng = np.random.Generator(np.random.Philox(9))
-    want = components[0].sample(rng, count)
-    for comp in components[1:]:
-        want *= comp.sample(rng, count)
+    kind = type(rng.bit_generator)
+    children = [np.random.Generator(kind(rng.bit_generator.random_raw(2))) for _ in components]
+    want = components[0].sample(children[0], count)
+    for comp, child in zip(components[1:], children[1:]):
+        want = want * comp.sample(child, count)
     end = rng.random(4)
     model = pm.Product(components)
     sampled = lambda rng: model.sample(rng, count)

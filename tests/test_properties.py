@@ -56,13 +56,10 @@ def test_asymptote_bounds_exact_ber_from_above(m, gamma_bar):
 
 von_mises = st.floats(min_value=0.0, max_value=1e6).map(pm.VonMises)
 quantizers = st.integers(min_value=1, max_value=12).map(pm.Quantizer)
-phase_errors = st.one_of(
-    von_mises,
-    quantizers,
-    st.lists(st.one_of(von_mises, quantizers), min_size=1, max_size=3).map(
-        lambda comps: pm.Product(tuple(comps))
-    ),
+products = st.lists(st.one_of(von_mises, quantizers), min_size=1, max_size=3).map(
+    lambda comps: pm.Product(tuple(comps))
 )
+phase_errors = st.one_of(von_mises, quantizers, products)
 
 
 @PROPERTY
@@ -120,6 +117,20 @@ def test_von_mises_tiles_are_the_sampled_phasors_whatever_the_round_tails(model,
     tiled = np.random.Generator(np.random.Philox(seed))
     whole = np.random.Generator(np.random.Philox(seed))
     got = np.concatenate(list(model.phasor_tiles(tiled, count, tile)))
+    assert got.tobytes() == model.sample(whole, count).tobytes()
+    assert repr(tiled.bit_generator.state) == repr(whole.bit_generator.state)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+@given(model=products, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_product_tiles_are_the_sampled_phasors(model, seed, data):
+    # each component streams its own child generator, so the tiles
+    # multiply out to the sampled phasors whatever their size
+    count = data.draw(st.integers(min_value=0, max_value=3 * pm._ROUND), label="count")
+    tile = data.draw(st.integers(min_value=1, max_value=count + 5), label="tile")
+    tiled = np.random.Generator(np.random.Philox(seed))
+    whole = np.random.Generator(np.random.Philox(seed))
+    got = np.concatenate([np.empty(0, dtype=complex), *model.phasor_tiles(tiled, count, tile)])
     assert got.tobytes() == model.sample(whole, count).tobytes()
     assert repr(tiled.bit_generator.state) == repr(whole.bit_generator.state)
 

@@ -1,7 +1,10 @@
-"""Validation-suite helpers: the dB bisection."""
+"""Validation-suite helpers: the dB bisection and the override routing."""
+
+import pytest
 
 from rislab import performance
 from rislab import validate
+from rislab.config import ConfigError
 
 LEVELS = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -39,3 +42,25 @@ def test_bisection_stops_early_with_the_bits_of_80_steps(monkeypatch):
     assert len(got) == 20 and len(calls) <= 1100
     monkeypatch.setattr(validate, "_db_at_level", bisect_80_steps)
     assert crossings() == got
+
+
+def test_overrides_reach_only_the_checks_that_take_them(monkeypatch):
+    calls = []
+
+    def sampled(trials=10, seed=1):
+        calls.append(("sampled", trials, seed))
+        return validate.CheckResult("sampled", True)
+
+    def seeded(seed=2):
+        calls.append(("seeded", seed))
+        return validate.CheckResult("seeded", True)
+
+    monkeypatch.setattr(validate, "SUITES", {"sampled": sampled, "seeded": seeded})
+    validate.run_suite("all", trials=5, seed=7)
+    assert calls == [("sampled", 5, 7), ("seeded", 7)]
+    calls.clear()
+    validate.run_suite("seeded", seed=3)
+    assert calls == [("seeded", 3)]
+    with pytest.raises(ConfigError, match="takes no trials"):
+        validate.run_suite("seeded", trials=5, seed=3)
+    assert calls == [("seeded", 3)]
