@@ -13,10 +13,11 @@ ground truth every analytic module is validated against.
 
 Every simulation runs through one block engine.  Trials are partitioned
 into fixed blocks of 2^14, and block results are reduced in block
-order.  Each random input of block b has its own Philox stream, keyed by
-(master_seed, stream tag, b, role): role 0 holds the source-hop
-magnitudes, role 1 the destination-hop magnitudes, role 2 the phase
-errors and role 3 the direct estimator's symbols and noise.  Results
+order.  Each random input of block b has its own SFC64 stream, seeded by
+numpy's SeedSequence from the key (master_seed, stream tag, b, role):
+role 0 holds the source-hop magnitudes, role 1 the destination-hop
+magnitudes, role 2 the phase errors and role 3 the direct estimator's
+symbols and noise.  Results
 therefore depend only on (config, master_seed), never on how many
 workers executed the blocks.  The RIS_LAB_WORKERS environment variable
 sets the worker count.
@@ -161,7 +162,7 @@ class SnrSample:
 
 
 def _rng_for(master_seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([master_seed, *key])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([master_seed, *key])))
 
 
 def _tile_rows(n: int) -> int:
@@ -183,8 +184,7 @@ def _h_rows(scenario: LrsScenario, count: int, sources, destinations, phasors) -
         r *= scenario.fading_rd.sample_magnitude(destinations, r.shape)
         for h, tiles in zip(hs, phasors):
             z = next(tiles).reshape(r.shape)
-            # two real means cost about half of one complex mean
-            h[start : start + len(r)] = np.mean(r * z.real, axis=1) + 1j * np.mean(r * z.imag, axis=1)
+            h[start : start + len(r)] = (r * z).sum(axis=1) / n
     return hs
 
 

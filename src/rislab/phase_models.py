@@ -271,10 +271,19 @@ class Product(PhaseErrorModel):
 
 
 def _phasors(theta: np.ndarray) -> np.ndarray:
-    """exp(j theta), its cos and sin written straight into the parts."""
+    """exp(j theta) from t = tan(theta / 2): cos theta = 2 / (1 + t^2) - 1
+    and sin theta = 2 t / (1 + t^2), written straight into the parts.
+    numpy's float64 tan has a SIMD loop on AVX512 machines, where cos and
+    sin run scalar libm; at theta = +-pi, t ~ 1.6e16 and t^2 stays far
+    from overflow."""
+    t = np.multiply(theta, 0.5)
+    np.tan(t, out=t)
+    g = np.multiply(t, t)
+    g += 1.0
+    np.divide(2.0, g, out=g)
     out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    np.subtract(g, 1.0, out=out.real)
+    np.multiply(g, t, out=out.imag)
     return out
 
 
@@ -294,6 +303,26 @@ def _uniform_tiles(rng: np.random.Generator, count: int, tile: int, w: float):
 _LARGE_KAPPA = 1e4
 
 
+def _proposal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 + z and 1 - z of the Best-Fisher proposal z = cos(pi u), u in
+    [0, 1), without a cosine: with t = tan((u - 1/2) pi/2) in [-1, 1),
+    1 + z = (1 - t)^2 / (1 + t^2) and 1 - z = (1 + t)^2 / (1 + t^2), which
+    have no cancellation at z = +-1.  Overwrites ``u``."""
+    t = u
+    t -= 0.5
+    t *= 0.5 * np.pi
+    np.tan(t, out=t)
+    s = np.multiply(t, t)
+    s += 1.0
+    plus = np.subtract(1.0, t)
+    plus *= plus
+    plus /= s
+    t += 1.0
+    t *= t
+    t /= s
+    return plus, t
+
+
 def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int):
     """Yield ``n`` phasors exp(j Theta) in tiles of ``tile``, by
     Best-Fisher rejection (Best & Fisher 1979, wrapped-Cauchy envelope):
@@ -303,6 +332,8 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
     The loop works with d = r - 1 and kc = kappa (r - 1)(r + 1) of the
     envelope parameter r, so that f = (1 + r z) / (r + z) is never formed:
     c = kappa (r - f) = kc / (r + z) and 1 - f = d (1 - z) / (r + z).
+    z = cos(pi u1) is not formed either: ``_proposal`` gives 1 + z and
+    1 - z in tangent form.
 
     A round takes size = min(_ROUND, missing) proposals: it reads size
     doubles each of u1, u2 and u3, in that order, straight from ``rng``,
@@ -339,13 +370,11 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
     missing = n
     while missing:
         size = min(_ROUND, missing)
-        z = rng.random(size)
-        np.cos(np.multiply(z, np.pi, out=z), out=z)
+        u = rng.random(size)
         v = rng.random(size)
         sign = rng.random(size)
-        # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on,
-        # and z = -1 would leave a zero denominator
-        den = z + 1.0
+        # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on
+        den, one_minus_z = _proposal(u)
         den += d
         with np.errstate(over="ignore"):
             c = np.divide(kc, den)
@@ -361,7 +390,7 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
         # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
         # dividing first keeps d (1 - z) from overflowing at tiny kappa
         one_minus_f = np.divide(d, den[idx])
-        one_minus_f *= np.subtract(1.0, z[idx])
+        one_minus_f *= one_minus_z[idx]
         im = np.subtract(2.0, one_minus_f)
         im *= one_minus_f
         np.sqrt(im, out=im)

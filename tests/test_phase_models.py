@@ -228,10 +228,42 @@ def test_tiny_concentration_sampling_is_near_uniform():
 
 def test_subnormal_concentration_samples_uniformly():
     # 1/kappa overflows here; the rejection sampler could accept nothing
-    z = pm.VonMises(1e-310).sample(np.random.default_rng(7), (10,))
-    th = np.random.default_rng(7).uniform(-math.pi, math.pi, 10)
-    np.testing.assert_array_equal(z.real, np.cos(th))
-    np.testing.assert_array_equal(z.imag, np.sin(th))
+    rng, uniform = np.random.default_rng(7), np.random.default_rng(7)
+    z = pm.VonMises(1e-310).sample(rng, (10,))
+    assert z.tobytes() == pm.UniformCircle().sample(uniform, (10,)).tobytes()
+    np.testing.assert_array_equal(rng.random(3), uniform.random(3))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "model", [*(pm.Quantizer(b) for b in range(1, 9)), pm.UniformCircle()], ids=lambda m: str(m.to_config())
+)
+def test_uniform_phasors_are_the_cos_and_sin_of_the_drawn_angle(model):
+    # the tangent form against numpy's cos and sin, at the angles read
+    # from a copy of the same stream and at the ends of the support
+    w = model.half_width if isinstance(model, pm.Quantizer) else math.pi
+    z = model.sample(np.random.default_rng(17), 10**5)
+    theta = np.random.default_rng(17).uniform(-w, w, 10**5)
+    ends = np.array([-math.pi, -w, w, math.pi])
+    for got, th in ((z, theta), (pm._phasors(ends), ends)):
+        assert np.all(np.abs(got.real - np.cos(th)) <= 2.0 * EPS)
+        assert np.all(np.abs(got.imag - np.sin(th)) <= 2.0 * EPS)
+
+
+def test_von_mises_proposal_in_tangent_form_is_one_plus_and_minus_the_cosine():
+    # (1 -+ t)^2 / (1 + t^2) against 1 +- cos(pi u) in 40 digits, at the
+    # ends and the middle of [0, 1) and at random u; both lie in [0, 2]
+    mp = pytest.importorskip("mpmath")
+    u = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], np.random.default_rng(19).random(2000)])
+    plus, minus = pm._proposal(u.copy())
+    with mp.workdps(40):
+        cos = [mp.cos(mp.pi * mp.mpf(float(x))) for x in u]
+        want_plus = np.array([float(1 + c) for c in cos])
+        want_minus = np.array([float(1 - c) for c in cos])
+    assert np.all(np.abs(plus - want_plus) <= 4.0 * EPS)
+    assert np.all(np.abs(minus - want_minus) <= 4.0 * EPS)
 
 
 _LARGE_KAPPA_SPREAD = """
