@@ -35,12 +35,14 @@ each model reads the phase stream from its start, and each model's
 reduction reads the noise stream from its start.  A model thus reads
 the numbers a run of its own would read, with the same result bytes.
 
-A block streams through row tiles of ``_TILE`` values (at least one
-row).  Each tile draws its source and destination magnitudes, multiplies
-them into the hop products, takes the next tile of whole rows of every
-model's phasors (``PhaseErrorModel.phasor_tiles``) and reduces that
-model's H for its rows.  Every stream is read in the same order as whole
-arrays would read it, so no result depends on the tile size.
+A block runs through row tiles, each of as many whole rows of n
+reflectors as fit in ``_TILE`` values (at least one row).  Each tile
+draws its source and destination magnitudes, multiplies them into the
+hop products, asks every model for the phasors of its rows with one
+``model.sample(rng, (rows, n))`` on the model's phase stream and
+reduces that model's H for its rows.  The row tile is thus part of the
+definition of the streams, as ``BLOCK_TRIALS`` is: the von Mises
+sampler sizes its rejection rounds by the values asked of it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ __all__ = [
 
 BLOCK_TRIALS = 1 << 14
 # values per row tile of a block: a few thousand keep a tile's
-# temporaries in cache
+# temporaries in cache; part of the definition of the streams
 _TILE = 1 << 13
 SNR_RETAIN_CAP = 10**6
 
@@ -165,26 +167,20 @@ def _rng_for(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([master_seed, *key])))
 
 
-def _tile_rows(n: int) -> int:
-    """Rows of n reflectors per tile: as many as fit in ``_TILE`` values, at least one."""
-    return max(1, _TILE // n)
-
-
-def _h_rows(scenario: LrsScenario, count: int, sources, destinations, phasors) -> list[np.ndarray]:
+def _h_rows(scenario: LrsScenario, count: int, sources, destinations, phases) -> list[np.ndarray]:
     """H = mean over reflectors of |H_i1| |H_i2| z, ``count`` values for
-    each iterator of unit phasors z in ``phasors``, row tile by row tile:
-    a tile draws its source magnitudes from ``sources``, then its
-    destination magnitudes from ``destinations``, then takes the next
-    tile of whole rows from every iterator of ``phasors``."""
+    each ``(model, rng)`` pair of ``phases``, row tile by row tile: a
+    tile draws its source magnitudes from ``sources``, then its
+    destination magnitudes from ``destinations``, then, model by model,
+    the unit phasors z of its rows, ``model.sample(rng, (rows, n))``."""
     n = scenario.n
-    rows = _tile_rows(n)
-    hs = [np.empty(count, dtype=complex) for _ in phasors]
+    rows = max(1, _TILE // n)
+    hs = [np.empty(count, dtype=complex) for _ in phases]
     for start in range(0, count, rows):
         r = scenario.fading_sr.sample_magnitude(sources, (min(rows, count - start), n))
         r *= scenario.fading_rd.sample_magnitude(destinations, r.shape)
-        for h, tiles in zip(hs, phasors):
-            z = next(tiles).reshape(r.shape)
-            h[start : start + len(r)] = (r * z).sum(axis=1) / n
+        for h, (model, rng) in zip(hs, phases):
+            h[start : start + len(r)] = (r * model.sample(rng, r.shape)).sum(axis=1) / n
     return hs
 
 
@@ -194,10 +190,7 @@ def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> 
     the row tile of ``_TILE`` values fixes how the stream is consumed."""
     if size < 1:
         raise numerics.DomainError(f"size must be >= 1, got {size!r}")
-    n = scenario.n
-    rows = _tile_rows(n)
-    phasors = (scenario.phase_error.sample(rng, min(rows, size - s) * n) for s in range(0, size, rows))
-    return _h_rows(scenario, size, rng, rng, [phasors])[0]
+    return _h_rows(scenario, size, rng, rng, [(scenario.phase_error, rng)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +209,9 @@ def _run_block(jobs, task):
     start of the phase stream, then ``reduce(h, rng, block)`` with the
     noise stream from its start; a pure function of its arguments."""
     scenario, master_seed, stream, block, count = task
-    n = scenario.n
     key = (master_seed, stream, block)
-    tile = _tile_rows(n) * n
-    phasors = [model.phasor_tiles(_rng_for(*key, _ROLE_PHASES), count * n, tile) for model, _ in jobs]
-    hs = _h_rows(scenario, count, _rng_for(*key, _ROLE_SOURCE), _rng_for(*key, _ROLE_DESTINATION), phasors)
+    phases = [(model, _rng_for(*key, _ROLE_PHASES)) for model, _ in jobs]
+    hs = _h_rows(scenario, count, _rng_for(*key, _ROLE_SOURCE), _rng_for(*key, _ROLE_DESTINATION), phases)
     return [reduce(h, _rng_for(*key, _ROLE_NOISE), block) for (_, reduce), h in zip(jobs, hs)]
 
 

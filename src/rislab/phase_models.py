@@ -6,8 +6,8 @@ quantities the analytics consume are the trigonometric moments
 E[exp(j p Theta)], which are real for every supported model because of
 the symmetry; the Monte Carlo engine additionally needs exact sampling,
 which every model delivers as unit phasors exp(j Theta), the form the
-engine consumes, in tiles of a size the caller chooses.  A product
-streams each component from its own child generator.  Every model but
+engine consumes, in arrays of the shape the caller asks for.  A product
+draws its components in turn from the one generator.  Every model but
 :class:`Product` also carries a fixed quadrature rule of its law,
 ``nodes()``, from which :func:`moment_by_integration` checks the closed
 forms without using them.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,18 @@ def _check_order(p: int) -> int:
     return int(p)
 
 
+def _shape(size) -> tuple[int, ...]:
+    """``size`` of a ``sample`` call as a shape of non-negative integers,
+    where numpy would return an empty array for a negative count."""
+    try:
+        shape = tuple(map(operator.index, size if isinstance(size, (tuple, list)) else (size,)))
+    except TypeError:
+        shape = None
+    if shape is None or min(shape, default=0) < 0:
+        raise numerics.DomainError(f"size must be a non-negative integer or a tuple of them, got {size!r}")
+    return shape
+
+
 class PhaseErrorModel(abc.ABC):
     """Common surface of all phase-error models.
 
@@ -70,26 +83,13 @@ class PhaseErrorModel(abc.ABC):
         """Closed-form trigonometric moment E[exp(j p Theta)], real valued."""
 
     @abc.abstractmethod
-    def phasor_tiles(self, rng: np.random.Generator, count: int, tile: int):
-        """Yield ``count`` unit phasors exp(j Theta) as complex tiles of
-        ``tile`` values, the last one shorter, in the order of the stream
-        that ``rng`` reads; no value depends on ``tile``.
-
-        The caller takes every tile before it uses ``rng`` again: the
-        stream is left where :meth:`sample` leaves it only once the last
-        tile has been taken (a :class:`Product` reads its child seeds
-        with the first tile).  The simulator needs only cos Theta
-        and sin Theta, so a sampler that finds them without the angle (the
-        von Mises one) skips the round trip through arccos and back."""
-
-    def sample(self, rng: np.random.Generator, size):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw unit phasors exp(j Theta), a complex array of shape
-        ``size``: :meth:`phasor_tiles` taken as one tile, so the values
-        and the stream read are the same."""
-        count = int(np.prod(size))
-        # a count of 0 yields no tile at all
-        z = next(self.phasor_tiles(rng, count, max(1, count)), np.empty(0, dtype=complex))
-        return z.reshape(size)
+        ``size`` (a non-negative integer or a tuple of them), from ``rng``.
+
+        The simulator needs only cos Theta and sin Theta, so a sampler
+        that finds them without the angle (the von Mises one) skips the
+        round trip through arccos and back."""
 
     @abc.abstractmethod
     def to_config(self) -> dict:
@@ -104,9 +104,8 @@ class NoError(PhaseErrorModel):
         _check_order(p)
         return 1.0
 
-    def phasor_tiles(self, rng, count, tile):
-        for start in range(0, count, tile):
-            yield np.ones(min(tile, count - start), dtype=complex)
+    def sample(self, rng, size):
+        return np.ones(_shape(size), dtype=complex)
 
     def nodes(self):
         return np.zeros(1), np.ones(1)
@@ -155,12 +154,8 @@ class VonMises(PhaseErrorModel):
         weights = self.pdf(theta)
         return theta, weights / weights.sum()
 
-    def phasor_tiles(self, rng, count, tile):
-        return _sample_von_mises(self.kappa, rng, count, tile)
-
-    # a class's own ``sample`` can be wrapped (as bench/tracer.py does)
-    # without touching the other models
-    sample = PhaseErrorModel.sample
+    def sample(self, rng, size):
+        return _sample_von_mises(self.kappa, rng, _shape(size))
 
     def to_config(self) -> dict:
         return {"type": "von_mises", "kappa": self.kappa}
@@ -200,10 +195,8 @@ class Quantizer(PhaseErrorModel):
         x, weights = numerics.gauss_legendre(32)
         return self.half_width * x, 0.5 * weights
 
-    def phasor_tiles(self, rng, count, tile):
-        return _uniform_tiles(rng, count, tile, self.half_width)
-
-    sample = PhaseErrorModel.sample  # its own entry, as for VonMises
+    def sample(self, rng, size):
+        return _phasors(rng.uniform(-self.half_width, self.half_width, _shape(size)))
 
     def to_config(self) -> dict:
         return {"type": "quantizer", "bits": self.bits}
@@ -220,8 +213,8 @@ class UniformCircle(PhaseErrorModel):
     def nodes(self):
         return _midpoints(math.pi), np.full(_MIDPOINTS, 1.0 / _MIDPOINTS)
 
-    def phasor_tiles(self, rng, count, tile):
-        return _uniform_tiles(rng, count, tile, math.pi)
+    def sample(self, rng, size):
+        return _phasors(rng.uniform(-math.pi, math.pi, _shape(size)))
 
     def to_config(self) -> dict:
         return {"type": "uniform"}
@@ -233,8 +226,7 @@ class Product(PhaseErrorModel):
 
     The trigonometric moments of a sum of independent angles are the
     products of the component moments; sampling multiplies the component
-    phasors, exp(j(T1 + T2)) = exp(j T1) exp(j T2).  Each component reads
-    its own child stream, so all of them are streamed tile by tile.
+    phasors, exp(j(T1 + T2)) = exp(j T1) exp(j T2).
     """
 
     components: tuple[PhaseErrorModel, ...]
@@ -251,15 +243,15 @@ class Product(PhaseErrorModel):
             out *= comp.trig_moment(p)
         return out
 
-    def phasor_tiles(self, rng, count, tile):
-        """Component k streams from a generator of ``rng``'s kind seeded
-        from words 2k and 2k + 1 of ``rng``; tiles multiply out of place,
-        as numpy rounds a one-value tile otherwise when in place."""
-        kind = type(rng.bit_generator)
-        children = [np.random.Generator(kind(rng.bit_generator.random_raw(2))) for _ in self.components]
-        streams = [comp.phasor_tiles(child, count, tile) for comp, child in zip(self.components, children)]
-        for first, *rest in zip(*streams):
-            yield math.prod(rest, start=first)
+    def sample(self, rng, size):
+        """The components draw in turn from ``rng``; ``np.multiply`` keeps
+        the product out of place, where numpy's in-place complex loop
+        rounds otherwise (``a * b`` may reuse a temporary from 256 kB on)."""
+        shape = _shape(size)
+        z = self.components[0].sample(rng, shape)
+        for comp in self.components[1:]:
+            z = np.multiply(z, comp.sample(rng, shape))
+        return z
 
     def to_config(self) -> dict:
         return {"type": "product", "components": [c.to_config() for c in self.components]}
@@ -287,15 +279,9 @@ def _phasors(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-# proposals per von Mises rejection round: part of the definition of the
-# stream, like montecarlo.BLOCK_TRIALS, not a tile size
+# most proposals per von Mises rejection round: part of the definition
+# of the stream, like montecarlo.BLOCK_TRIALS
 _ROUND = 1 << 13
-
-
-def _uniform_tiles(rng: np.random.Generator, count: int, tile: int, w: float):
-    """Phasors of ``count`` angles uniform on [-w, w], drawn ``tile`` at a time."""
-    for start in range(0, count, tile):
-        yield _phasors(rng.uniform(-w, w, min(tile, count - start)))
 
 
 # above this r - 1 ~ 1/(2 kappa) is kept apart from r: in r itself it
@@ -323,11 +309,10 @@ def _proposal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plus, t
 
 
-def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int):
-    """Yield ``n`` phasors exp(j Theta) in tiles of ``tile``, by
-    Best-Fisher rejection (Best & Fisher 1979, wrapped-Cauchy envelope):
-    a proposal is f = cos Theta; an accepted one gives Re = f and
-    Im = +-sqrt((1 - f)(1 + f)).
+def _sample_von_mises(kappa: float, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Phasors exp(j Theta) of shape ``shape``, by Best-Fisher rejection
+    (Best & Fisher 1979, wrapped-Cauchy envelope): a proposal is
+    f = cos Theta; an accepted one gives Re = f and Im = +-sqrt((1 - f)(1 + f)).
 
     The loop works with d = r - 1 and kc = kappa (r - 1)(r + 1) of the
     envelope parameter r, so that f = (1 + r z) / (r + z) is never formed:
@@ -335,16 +320,17 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
     z = cos(pi u1) is not formed either: ``_proposal`` gives 1 + z and
     1 - z in tangent form.
 
-    A round takes size = min(_ROUND, missing) proposals: it reads size
-    doubles each of u1, u2 and u3, in that order, straight from ``rng``,
-    and its accepted phasors fill output tiles of ``tile``, each yielded
-    once full.  The stream is thus read the same way whatever the tile
-    size, and the same way by every bit generator."""
+    A round takes size = min(_ROUND, missing * 3 // 2 + 16) proposals: it
+    reads size doubles each of u1, u2 and u3, in that order, straight
+    from ``rng``, so every bit generator is read the same way.  Its
+    accepted phasors fill the output in order, and those past ``missing``
+    are dropped.  As no kappa accepts fewer than 0.657 of the proposals,
+    the margin over ``missing`` ends most calls for 8192 values in two
+    rounds; a round of ``missing`` alone would take seven to nine."""
     # below ~5.6e-309 1/kappa overflows, no proposal could be accepted,
     # and the law differs from uniform by less than kappa anyway
     if kappa == 0.0 or math.isinf(1.0 / kappa):
-        yield from _uniform_tiles(rng, n, tile, math.pi)
-        return
+        return _phasors(rng.uniform(-math.pi, math.pi, shape))
     if kappa > _LARGE_KAPPA:
         # with t = tau / (2 kappa): rho = t - sqrt(t / kappa), and
         # sqrt(kappa) (1 - rho) = sqrt(t) - sqrt(kappa) (t - 1) has no cancellation
@@ -364,12 +350,12 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
         kd = kappa * d
     kc = kd * (2.0 + d)
 
-    out = np.empty(min(tile, n), dtype=complex)
-    filled = 0  # phasors in ``out``
-    emitted = 0  # phasors in the tiles already yielded
-    missing = n
-    while missing:
-        size = min(_ROUND, missing)
+    out = np.empty(shape, dtype=complex)
+    flat = out.reshape(-1)
+    filled = 0
+    while filled < flat.size:
+        missing = flat.size - filled
+        size = min(_ROUND, missing * 3 // 2 + 16)
         u = rng.random(size)
         v = rng.random(size)
         sign = rng.random(size)
@@ -386,7 +372,7 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
         c_rej = c[rejected]
         with np.errstate(divide="ignore", invalid="ignore"):
             accept[rejected] = np.log(c_rej / v[rejected]) + 1.0 - c_rej >= 0.0
-        idx = np.flatnonzero(accept)
+        idx = np.flatnonzero(accept)[:missing]
         # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
         # dividing first keeps d (1 - z) from overflowing at tiny kappa
         one_minus_f = np.divide(d, den[idx])
@@ -394,23 +380,12 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, n: int, tile: int)
         im = np.subtract(2.0, one_minus_f)
         im *= one_minus_f
         np.sqrt(im, out=im)
+        part = slice(filled, filled + idx.size)
+        np.subtract(1.0, one_minus_f, out=flat.real[part])
         # copysign, not sign(): u3 == 0.5 still yields a unit phasor
-        signs = sign[idx] - 0.5
-        missing -= idx.size
-        # the accepted phasors go into the output tile, yielded when full
-        taken = 0
-        while taken < idx.size:
-            k = min(out.size - filled, idx.size - taken)
-            piece, part = slice(taken, taken + k), slice(filled, filled + k)
-            np.subtract(1.0, one_minus_f[piece], out=out.real[part])
-            np.copysign(im[piece], signs[piece], out=out.imag[part])
-            taken += k
-            filled += k
-            if filled == out.size:
-                yield out
-                emitted += out.size
-                out = np.empty(min(tile, n - emitted), dtype=complex)
-                filled = 0
+        np.copysign(im, sign[idx] - 0.5, out=flat.imag[part])
+        filled += idx.size
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test stubs: models with pinned moments / mean magnitudes."""
+"""Shared test stubs: models with pinned moments / mean magnitudes, and
+a generator that records the draws asked of it."""
 
 from rislab import fading as fd
 from rislab import phase_models as pm
@@ -14,11 +15,27 @@ class FixedMoments(pm.PhaseErrorModel):
     def trig_moment(self, p):
         return {0: 1.0, 1: self.phi1, 2: self.phi2}[p]
 
-    def phasor_tiles(self, rng, count, tile):
+    def sample(self, rng, size):
         raise NotImplementedError
 
     def to_config(self):
         return {"type": "fixed", "phi1": self.phi1, "phi2": self.phi2}
+
+
+class RecordingGenerator:
+    """Passes ``random`` and ``uniform`` through to ``rng`` and records
+    each size asked for."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.uniform(low, high, size)
 
 
 class FixedMeanMagnitude(fd.FadingModel):

@@ -77,6 +77,9 @@ def test_equiv_command_reference(tmp_path):
     payload = json.loads((out / "equiv.json").read_text())
     assert payload["m"] == pytest.approx(14.17104408790501, rel=1e-10)
     assert not payload["rayleigh_equivalent"]
+    # E|H|^2 = 1/n + (1 - 1/n) mu^2 at finite n, mu^2 = phi_1^2 a^4 in the model
+    x = payload["mu"] ** 2
+    assert payload["finite_n_power_gap"] == pytest.approx((1.0 - x) / (32 * x), rel=1e-12)
 
 
 def test_equiv_command_flags_uniform_and_exact(tmp_path):
@@ -86,12 +89,15 @@ def test_equiv_command_flags_uniform_and_exact(tmp_path):
     payload = json.loads((out / "equiv.json").read_text())
     assert payload["rayleigh_equivalent"] is True
     assert payload["m"] == 1.0
+    assert payload["finite_n_power_gap"] is None
 
     exact = dict(REFERENCE_CONFIG, phase_error={"type": "none"})
     out2 = tmp_path / "e"
     run_cli("equiv", "--config", write_config(tmp_path, exact, "e.json"), "--out", str(out2))
     payload = json.loads((out2 / "equiv.json").read_text())
     assert payload["sigma_v2"] == 0.0
+    x = payload["mu"] ** 2
+    assert payload["finite_n_power_gap"] == pytest.approx((1.0 - x) / (32 * x), rel=1e-12)
 
 
 def test_ber_command_analytic_columns(tmp_path):

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from _stubs import RecordingGenerator
 
 from rislab import equiv_channel as ec
 from rislab import fading as fd
@@ -110,29 +111,42 @@ def test_quantizer_phasors_stay_within_half_a_step(model, seed):
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
 @given(model=wide_von_mises, seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_von_mises_tiles_are_the_sampled_phasors_whatever_the_round_tails(model, seed, data):
-    # rounds end where the acceptances take them, not on tile boundaries
-    count = data.draw(st.integers(min_value=1, max_value=3 * pm._ROUND), label="count")
-    tile = data.draw(st.integers(min_value=1, max_value=count + 5), label="tile")
-    tiled = np.random.Generator(np.random.Philox(seed))
-    whole = np.random.Generator(np.random.Philox(seed))
-    got = np.concatenate(list(model.phasor_tiles(tiled, count, tile)))
-    assert got.tobytes() == model.sample(whole, count).tobytes()
-    assert repr(tiled.bit_generator.state) == repr(whole.bit_generator.state)
+def test_von_mises_rounds_shrink_and_leave_the_stream_after_them(model, seed, data):
+    # whatever kappa and count: unit phasors, rounds of u1, u2 and u3 that
+    # never grow, the first one sized by the count, and the generator left
+    # just after the last one; kappa = 0 draws one uniform per phasor
+    count = data.draw(st.integers(min_value=0, max_value=3 * pm._ROUND), label="count")
+    rng = np.random.Generator(np.random.SFC64(seed))
+    recording = RecordingGenerator(rng)
+    z = model.sample(recording, count)
+    assert z.shape == (count,) and np.all(np.abs(np.abs(z) - 1.0) <= 4.0 * EPS)
+    after = np.random.Generator(np.random.SFC64(seed))
+    if model.kappa == 0.0:
+        assert recording.sizes == [(count,)]
+        after.random(count)
+    else:
+        rounds = recording.sizes[::3]
+        assert recording.sizes == [size for size in rounds for _ in range(3)]
+        assert rounds[:1] == ([min(pm._ROUND, count * 3 // 2 + 16)] if count else [])
+        assert all(0 < later <= earlier for earlier, later in zip(rounds, rounds[1:]))
+        after.random(3 * sum(rounds))
+    assert repr(rng.bit_generator.state) == repr(after.bit_generator.state)
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
 @given(model=products, seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_product_tiles_are_the_sampled_phasors(model, seed, data):
-    # each component streams its own child generator, so the tiles
-    # multiply out to the sampled phasors whatever their size
+def test_product_phasors_are_the_components_drawn_in_turn(model, seed, data):
+    # each component draws its array from the one generator in turn, and
+    # the arrays multiply out of place (np.multiply: ``want * temporary``
+    # may run in place, with other rounding)
     count = data.draw(st.integers(min_value=0, max_value=3 * pm._ROUND), label="count")
-    tile = data.draw(st.integers(min_value=1, max_value=count + 5), label="tile")
-    tiled = np.random.Generator(np.random.Philox(seed))
-    whole = np.random.Generator(np.random.Philox(seed))
-    got = np.concatenate([np.empty(0, dtype=complex), *model.phasor_tiles(tiled, count, tile)])
-    assert got.tobytes() == model.sample(whole, count).tobytes()
-    assert repr(tiled.bit_generator.state) == repr(whole.bit_generator.state)
+    product = np.random.Generator(np.random.SFC64(seed))
+    turns = np.random.Generator(np.random.SFC64(seed))
+    want = model.components[0].sample(turns, count)
+    for comp in model.components[1:]:
+        want = np.multiply(want, comp.sample(turns, count))
+    assert model.sample(product, count).tobytes() == want.tobytes()
+    assert repr(product.bit_generator.state) == repr(turns.bit_generator.state)
 
 
 SIMULATION = hypothesis.settings(derandomize=True, deadline=None, max_examples=20)
