@@ -210,6 +210,7 @@ def _cmd_snr_pdf(args) -> int:
             SimConfig(scenario, trials=args.trials, master_seed=args.seed), bin_edges=edges
         )
         density = smp.histogram / (smp.total_trials * width)
+        smp.values.sort()  # in place, so the fit reads the draws without a copy
         fit = ks_test(smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g))
         fit_path = os.path.join(args.out, "snr_fit.json")
         _write_json(fit_path, fit.to_dict())

@@ -43,11 +43,20 @@ hop products, asks every model for the phasors of its rows with one
 reduces that model's H for its rows.  The row tile is thus part of the
 definition of the streams, as ``BLOCK_TRIALS`` is: the von Mises
 sampler sizes its rejection rounds by the values asked of it.
+
+The semi-analytic reduction sorts a block's |H| once.  At every sweep
+point it evaluates Q on the ascending arguments, one contiguous slice
+per range of the rational approximation, in buffers allocated once per
+block (``numerics.gauss_q_ascending``), and puts the probabilities back
+in trial order before summing: the sums are those of an elementwise
+``numerics.gauss_q``, bit for bit.  SNR draws are written block by
+block into one array of at most ``SNR_RETAIN_CAP`` values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -188,9 +197,13 @@ def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> 
     """``size`` independent draws of H, all read from ``rng`` row tile by
     row tile: source magnitudes, destination magnitudes, then phases, so
     the row tile of ``_TILE`` values fixes how the stream is consumed."""
-    if size < 1:
-        raise numerics.DomainError(f"size must be >= 1, got {size!r}")
-    return _h_rows(scenario, size, rng, rng, [(scenario.phase_error, rng)])[0]
+    try:
+        count = 0 if isinstance(size, bool) else operator.index(size)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise numerics.DomainError(f"size must be an integer >= 1, got {size!r}")
+    return _h_rows(scenario, count, rng, rng, [(scenario.phase_error, rng)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +236,20 @@ def _worker_count() -> int:
         raise SimConfigError(f"RIS_LAB_WORKERS must be an integer, got {raw!r}") from None
 
 
-def _map_blocks(jobs, scenario, master_seed, stream, trials) -> list:
+def _map_blocks(jobs, scenario, master_seed, stream, trials):
     """For each block of ``trials`` draws, the list of ``reduce(h, rng,
-    block)`` over the ``(model, reduce)`` pairs of ``jobs``, returned in
-    block order.  Each ``reduce`` is a module-level function or a
-    ``partial`` of one, so that it pickles for the worker processes."""
+    block)`` over the ``(model, reduce)`` pairs of ``jobs``, yielded in
+    block order as the blocks finish.  Each ``reduce`` is a module-level
+    function or a ``partial`` of one, so that it pickles for the worker
+    processes."""
     tasks = [(scenario, master_seed, stream, b, c) for b, c in enumerate(_block_counts(trials))]
     run = partial(_run_block, jobs)
     workers = min(_worker_count(), len(tasks))
     if workers == 1:
-        return [run(t) for t in tasks]
+        yield from map(run, tasks)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+        yield from pool.map(run, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
 
 
 def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block) -> np.ndarray:
@@ -243,11 +258,19 @@ def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block)
     mag = np.abs(h)
     rows = np.zeros((len(points), 3))
     if estimator == "semianalytic":
+        # the exact conditional BPSK error probability given H, evaluated
+        # on the ascending magnitudes and summed in trial order
+        order = np.argsort(mag)
+        ascending = mag[order]
+        x, q, p = np.empty((3, mag.size))
+        work = np.empty((4, mag.size))
         for row, g in zip(rows, points):
-            # exact conditional BPSK error probability given H
-            p = numerics.gauss_q(n * math.sqrt(g) * mag * math.sqrt(2.0))
+            np.multiply(n * math.sqrt(g), ascending, out=x)
+            x *= math.sqrt(2.0)
+            numerics.gauss_q_ascending(x, q, work)
+            p[order] = q
             row[0] = np.sum(p)
-            row[1] = np.sum(p * p)
+            row[1] = np.sum(np.multiply(p, p, out=q))
     else:
         x = rng.integers(0, 2, size=h.size) * 2 - 1
         w = (rng.standard_normal(h.size) + 1j * rng.standard_normal(h.size)) / math.sqrt(2.0)
@@ -303,10 +326,10 @@ def simulate_ber(config: SimConfig) -> SimResult:
         (model, partial(_ber_block, scenario.n, tuple(points[i] for i in idx), config.estimator))
         for model, idx in zip(models, owned)
     ]
-    blocks = _map_blocks(jobs, scenario, config.master_seed, _STREAM_BER, config.trials)
+    per_job = zip(*_map_blocks(jobs, scenario, config.master_seed, _STREAM_BER, config.trials))
     point_sums = np.empty((len(points), 3))
-    for k, idx in enumerate(owned):
-        point_sums[idx] = sum(block[k] for block in blocks)
+    for idx, parts in zip(owned, per_job):
+        point_sums[idx] = sum(parts)
 
     n = config.trials
     ber = []
@@ -342,7 +365,8 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
     and phase-error model (``snr_points`` and ``phase_errors`` are not
     read).
 
-    At most ``SNR_RETAIN_CAP`` values are kept in memory; when
+    At most ``SNR_RETAIN_CAP`` values are kept in memory, in one array
+    that each block writes its draws into as it arrives; when
     ``bin_edges`` is given, histogram counts accumulate over all trials
     regardless of the cap.  Blocks run on as many worker processes as
     the RIS_LAB_WORKERS environment variable says; the result does not
@@ -350,12 +374,10 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
     """
     scenario = config.scenario
     jobs = [(scenario.phase_error, partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges))]
-    parts = [part for part, in _map_blocks(jobs, scenario, config.master_seed, _STREAM_SNR, config.trials)]
-    histogram = None if bin_edges is None else sum(hist for _, hist in parts)
-    values = np.empty(sum(kept.size for kept, _ in parts))
-    filled = 0
-    for b, (kept, _) in enumerate(parts):
-        values[filled : filled + kept.size] = kept
-        filled += kept.size
-        parts[b] = None  # each block's draws are freed once copied
+    values = np.empty(min(config.trials, SNR_RETAIN_CAP))
+    histogram = None
+    for b, [(kept, hist)] in enumerate(_map_blocks(jobs, scenario, config.master_seed, _STREAM_SNR, config.trials)):
+        values[b * BLOCK_TRIALS : b * BLOCK_TRIALS + kept.size] = kept
+        if hist is not None:
+            histogram = hist if histogram is None else histogram + hist
     return SnrSample(values=values, total_trials=config.trials, histogram=histogram)

@@ -2,8 +2,10 @@
 
 Every analytic formula in the package reduces to a handful of kernels:
 the exponentially scaled modified Bessel function exp(-x) I_p(x), the
-log-gamma function, the Gaussian tail probability Q, the regularized
-lower incomplete gamma P (one array path: a scalar is a 0-d array), the
+log-gamma function, the Gaussian tail probability Q (one kernel on
+ascending arguments, which ``gauss_q`` sorts and the Monte Carlo engine
+calls on each block's sorted magnitudes), the regularized lower
+incomplete gamma P (one array path: a scalar is a 0-d array), the
 Laguerre function L_{1/2} of the Rician mean magnitude, the
 Gauss-Legendre rule, and an adaptive integrator built on it with the one
 fixed error target the BER integral needs.  They are implemented on
@@ -34,9 +36,9 @@ __all__ = [
     "NumericsError",
     "RangeError",
     "bessel_i_scaled",
-    "erfc",
     "gauss_legendre",
     "gauss_q",
+    "gauss_q_ascending",
     "integrate",
     "laguerre_half",
     "ln_gamma",
@@ -175,12 +177,13 @@ def bessel_i_scaled(p: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# complementary error function and the Gaussian tail Q
+# the Gaussian tail Q through the complementary error function
 # ---------------------------------------------------------------------------
 #
 # Rational approximations of W. J. Cody (netlib CALERF), three regimes,
 # relative error around 1e-16.  Vectorized because the Monte Carlo engine
-# evaluates Q over millions of samples at once.
+# evaluates Q over millions of samples at once: on ascending arguments
+# each regime is one contiguous slice, evaluated in place.
 
 _CODY_A = (
     3.16112374387056560e0,
@@ -233,74 +236,113 @@ _CODY_Q = (
 )
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-def _erfc_positive(y: np.ndarray) -> np.ndarray:
-    """erfc(y) for y >= 0, elementwise."""
-    out = np.empty_like(y)
-
-    small = y <= 0.46875
-    if np.any(small):
-        ys = y[small]
-        z = ys * ys
-        xnum = _CODY_A[4] * z
-        xden = z
-        for i in range(3):
-            xnum = (xnum + _CODY_A[i]) * z
-            xden = (xden + _CODY_B[i]) * z
-        out[small] = 1.0 - ys * (xnum + _CODY_A[3]) / (xden + _CODY_B[3])
-
-    mid = (y > 0.46875) & (y <= 4.0)
-    if np.any(mid):
-        ym = y[mid]
-        xnum = _CODY_C[8] * ym
-        xden = ym
-        for i in range(7):
-            xnum = (xnum + _CODY_C[i]) * ym
-            xden = (xden + _CODY_D[i]) * ym
-        res = (xnum + _CODY_C[7]) / (xden + _CODY_D[7])
-        ysq = np.trunc(ym * 16.0) / 16.0
-        out[mid] = np.exp(-ysq * ysq) * np.exp(-(ym - ysq) * (ym + ysq)) * res
-
-    big = y > 4.0
-    if np.any(big):
-        yb = y[big]
-        z = 1.0 / (yb * yb)
-        xnum = _CODY_P[5] * z
-        xden = z
-        for i in range(4):
-            xnum = (xnum + _CODY_P[i]) * z
-            xden = (xden + _CODY_Q[i]) * z
-        res = z * (xnum + _CODY_P[4]) / (xden + _CODY_Q[4])
-        res = (_INV_SQRT_PI - res) / yb
-        ysq = np.trunc(yb * 16.0) / 16.0
-        with np.errstate(under="ignore"):
-            out[big] = np.exp(-ysq * ysq) * np.exp(-(yb - ysq) * (yb + ysq)) * res
-
-    return out
-
-
-def erfc(x):
-    """Complementary error function, elementwise on scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    y = np.atleast_1d(np.abs(arr))
-    res = _erfc_positive(y)
-    neg = np.atleast_1d(arr) < 0.0
-    res = np.where(neg, 2.0 - res, res)
-    return float(res[0]) if scalar else res.reshape(arr.shape)
-
-
 _SQRT_HALF = math.sqrt(0.5)
+# Cody's range bounds, and a last one past which erfc(y) < exp(-y^2) is
+# below the smallest subnormal (from y = 27.3 on), so erfc is 0
+_CODY_BOUNDS = (0.46875, 4.0, 32.0)
+
+
+def _rational(v, lead, top, bottom, num, den) -> None:
+    """Horner steps of Cody's rational functions in place:
+    num = (..((lead v + top[0]) v + top[1]) v ..) v and
+    den = (..((v + bottom[0]) v + bottom[1]) v ..) v."""
+    np.multiply(v, lead, out=num)
+    den[:] = v
+    for c_top, c_bottom in zip(top, bottom):
+        num += c_top
+        num *= v
+        den += c_bottom
+        den *= v
+
+
+def _scaled_exp(y, res, out, a, b) -> None:
+    """out = exp(-y^2) res, with y^2 split at y rounded down to 1/16 so
+    that no digits of the exponent are lost; ``a`` and ``b`` are scratch."""
+    ysq = np.multiply(y, 16.0, out=a)
+    np.trunc(ysq, out=ysq)
+    ysq /= 16.0
+    np.negative(ysq, out=out)
+    out *= ysq
+    np.exp(out, out=out)
+    np.subtract(y, ysq, out=b)
+    np.negative(b, out=b)
+    ysq += y
+    b *= ysq
+    np.exp(b, out=b)
+    out *= b
+    out *= res
+
+
+def gauss_q_ascending(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """Q(x) into ``out`` for ascending x >= 0 (NaN last), as ``gauss_q``
+    would return it, bit for bit.
+
+    Each of Cody's three ranges is a contiguous slice of the ascending
+    arguments, found by bisection and evaluated in place, so the call
+    allocates no array of the size of x: ``work`` is scratch of shape
+    ``(4, m)`` with m >= x.size.
+    """
+    y = np.multiply(x, _SQRT_HALF, out=work[3, : x.size])
+    i, j, k = np.searchsorted(y, _CODY_BOUNDS, side="right")
+
+    # y <= 0.46875: erfc = 1 - y R(y^2)
+    ys = y[:i]
+    z, num, den = (w[:i] for w in work[:3])
+    np.multiply(ys, ys, out=z)
+    _rational(z, _CODY_A[4], _CODY_A[:3], _CODY_B[:3], num, den)
+    num += _CODY_A[3]
+    num *= ys
+    den += _CODY_B[3]
+    num /= den
+    np.subtract(1.0, num, out=out[:i])
+
+    # 0.46875 < y <= 4: erfc = exp(-y^2) R(y)
+    ym = y[i:j]
+    num, den, c = (w[: j - i] for w in work[:3])
+    _rational(ym, _CODY_C[8], _CODY_C[:7], _CODY_D[:7], num, den)
+    num += _CODY_C[7]
+    den += _CODY_D[7]
+    num /= den
+    _scaled_exp(ym, num, out[i:j], den, c)
+
+    # 4 < y <= 32: erfc = exp(-y^2) (1/sqrt(pi) - z R(z)) / y with z = 1/y^2
+    yb = y[j:k]
+    z, num, den = (w[: k - j] for w in work[:3])
+    np.multiply(yb, yb, out=z)
+    np.divide(1.0, z, out=z)
+    _rational(z, _CODY_P[5], _CODY_P[:4], _CODY_Q[:4], num, den)
+    num += _CODY_P[4]
+    num *= z
+    den += _CODY_Q[4]
+    num /= den
+    np.subtract(_INV_SQRT_PI, num, out=num)
+    num /= yb
+    with np.errstate(under="ignore"):
+        _scaled_exp(yb, num, out[j:k], z, den)
+
+    # y > 32, inf included: erfc = 0; NaN, sorted last, stays NaN
+    np.minimum(y[k:], 0.0, out=out[k:])
+    out *= 0.5
 
 
 def gauss_q(x):
     """Gaussian tail probability Q(x) = P[N(0,1) > x].
 
-    Accepts scalars or arrays.  Q(x) + Q(-x) = 1 holds to machine
-    precision by construction.
+    Accepts scalars or arrays.  The kernel runs on |x| in ascending
+    order; Q(x) = 1 - Q(|x|) for negative x, so Q(x) + Q(-x) = 1 holds
+    to machine precision by construction.  Q(nan) is nan, Q(inf) = 0
+    and Q(-inf) = 1.
     """
-    return 0.5 * erfc(np.asarray(x, dtype=float) * _SQRT_HALF)
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    mag = np.abs(flat)
+    order = np.argsort(mag)
+    q = np.empty_like(mag)
+    gauss_q_ascending(mag[order], q, np.empty((4, mag.size)))
+    out = np.empty_like(mag)
+    out[order] = q
+    out = np.where(flat < 0.0, 1.0 - out, out)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,7 @@ def check_snr_fit(trials: int = 10**5, seed: int = 777) -> CheckResult:
         sc = reference_scenario(n)
         ch = derive(sc)
         smp = sample_snr(SimConfig(sc, trials=trials, master_seed=seed))
+        smp.values.sort()
         rep = stats.ks_test(smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g), threshold=thr)
         distances[n] = rep.statistic
         reports[n] = rep.to_dict()

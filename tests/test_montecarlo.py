@@ -80,6 +80,18 @@ def test_draw_h_batch_reads_row_tiles_from_its_one_generator():
     np.testing.assert_array_equal(rng.random(3), end)
 
 
+@pytest.mark.parametrize("size", [0, -3, 2.5, True, False, "4", None])
+def test_draw_h_batch_rejects_a_size_that_is_no_positive_integer(size):
+    with pytest.raises(nx.DomainError):
+        mc.draw_h_batch(ref_scenario(n=4), np.random.default_rng(0), size)
+
+
+def test_draw_h_batch_takes_numpy_integer_sizes():
+    a = mc.draw_h_batch(ref_scenario(n=4), np.random.default_rng(3), np.int64(5))
+    b = mc.draw_h_batch(ref_scenario(n=4), np.random.default_rng(3), 5)
+    assert a.tobytes() == b.tobytes()
+
+
 def test_standardized_re_part_converges_to_normal():
     # Kolmogorov distance to the standard normal shrinks as n doubles
     distances = []
@@ -183,6 +195,26 @@ def test_semianalytic_ber_never_rises_along_a_sweep():
         cfg = mc.SimConfig(ref_scenario(gamma0=pts[0]), 4096, seed, snr_points=pts)
         ber = mc.simulate_ber(cfg).ber
         assert all(b <= a for a, b in zip(ber, ber[1:])), seed
+
+
+def test_semianalytic_block_is_gauss_q_summed_in_trial_order():
+    # magnitudes whose Q arguments n sqrt(2 g)|H| span all three of Cody's
+    # ranges, with ties, in no order; the block sorts them once and must
+    # give the bytes of a plain per-point gauss_q sum
+    rng = np.random.default_rng(11)
+    mag = np.concatenate([rng.uniform(0.0, 1.6, 5000), np.full(7, 0.25), [0.0, 1e-9, 30.0]])
+    rng.shuffle(mag)
+    h = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, mag.size))
+    n, points = 16, (0.001, 0.01, 0.1, 1.0, 4.0)
+    got = mc._ber_block(n, points, "semianalytic", h, None, 0)
+    want = np.zeros((len(points), 3))
+    for row, g in zip(want, points):
+        p = nx.gauss_q(n * math.sqrt(g) * np.abs(h) * math.sqrt(2.0))
+        row[:2] = np.sum(p), np.sum(p * p)
+    y = n * math.sqrt(points[-1]) * np.abs(h)
+    assert y.min() <= 0.46875 and np.any((y > 0.46875) & (y <= 4.0)) and np.any((y > 4.0) & (y <= 32.0))
+    assert y.max() > 32.0
+    assert got.tobytes() == want.tobytes()
 
 
 def test_direct_error_counts_never_rise_along_a_sweep():
@@ -462,6 +494,12 @@ def test_ks_fit_peak_memory_is_bounded():
     assert peak_bytes(lambda: st.ks_test(xs, lambda g: ec.snr_cdf(2.5, 1.0, g))) <= 16e6
 
 
+def test_ks_fit_reads_ascending_samples_in_place():
+    # snr-pdf sorts its draws in place; the fit then makes no 4 MB copy
+    xs = np.sort(np.random.default_rng(6).gamma(2.5, 0.4, 5 * 10**5))
+    assert peak_bytes(lambda: st.ks_test(xs, lambda g: ec.snr_cdf(2.5, 1.0, g))) <= 3e6
+
+
 def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):
     # one source-magnitude draw per row tile, shared by every model
     calls = []
@@ -576,7 +614,23 @@ def test_sample_snr_worker_independent(monkeypatch):
     edges = np.linspace(0.0, 3000.0, 31)
     monkeypatch.setenv("RIS_LAB_WORKERS", "1")
     a = mc.sample_snr(cfg, bin_edges=edges)
-    monkeypatch.setenv("RIS_LAB_WORKERS", "3")
-    b = mc.sample_snr(cfg, bin_edges=edges)
-    np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.histogram, b.histogram)
+    for workers in ("2", "3"):
+        monkeypatch.setenv("RIS_LAB_WORKERS", workers)
+        b = mc.sample_snr(cfg, bin_edges=edges)
+        assert b.values.tobytes() == a.values.tobytes()
+        np.testing.assert_array_equal(a.histogram, b.histogram)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sample_snr_keeps_the_first_draws_under_the_cap(monkeypatch, workers):
+    # a cap inside the second block: the kept values are the uncapped run's
+    # first ones, and the histogram still counts every trial
+    cfg = mc.SimConfig(ref_scenario(n=16, gamma0=1.0), 40000, 9)
+    edges = np.linspace(0.0, 3000.0, 31)
+    monkeypatch.setenv("RIS_LAB_WORKERS", workers)
+    full = mc.sample_snr(cfg, bin_edges=edges)
+    monkeypatch.setattr(mc, "SNR_RETAIN_CAP", 20000)
+    capped = mc.sample_snr(cfg, bin_edges=edges)
+    assert capped.values.tobytes() == full.values[:20000].tobytes()
+    np.testing.assert_array_equal(capped.histogram, full.histogram)
+    assert capped.total_trials == 40000

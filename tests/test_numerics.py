@@ -130,7 +130,7 @@ def test_ln_gamma_domain_error():
 
 
 # ---------------------------------------------------------------------------
-# gauss_q and erfc
+# gauss_q
 # ---------------------------------------------------------------------------
 
 
@@ -161,6 +161,45 @@ def test_gauss_q_vectorized_matches_scalar():
     vec = nx.gauss_q(xs)
     for x, v in zip(xs, vec):
         assert v == pytest.approx(nx.gauss_q(float(x)), rel=1e-14)
+
+
+def test_gauss_q_of_nan_and_infinities():
+    assert math.isnan(nx.gauss_q(math.nan))
+    assert nx.gauss_q(math.inf) == 0.0
+    assert nx.gauss_q(-math.inf) == 1.0
+    assert nx.gauss_q(-0.0) == 0.5
+    # inside an array, whatever the order around them
+    xs = np.array([1.0, math.nan, -math.inf, 50.0, math.inf, -0.0, math.nan, -3.0])
+    q = nx.gauss_q(xs)
+    assert np.isnan(q[[1, 6]]).all()
+    assert q[[2, 4, 5]].tolist() == [1.0, 0.0, 0.5]
+    assert q[[0, 3, 7]].tolist() == [nx.gauss_q(1.0), nx.gauss_q(50.0), nx.gauss_q(-3.0)]
+
+
+def _with_neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+@pytest.mark.parametrize(
+    "x",
+    # Cody's range bounds 0.46875 and 4 of the erfc argument x/sqrt(2),
+    # and the same numbers as arguments of Q
+    _with_neighbours(0.46875 * math.sqrt(2.0))
+    + _with_neighbours(4.0 * math.sqrt(2.0))
+    + _with_neighbours(0.46875)
+    + _with_neighbours(4.0),
+)
+def test_gauss_q_at_the_range_bounds(x):
+    assert nx.gauss_q(x) == pytest.approx(q_oracle(x), rel=1e-12)
+    assert nx.gauss_q(-x) == pytest.approx(1.0 - q_oracle(x), rel=1e-12)
+
+
+def test_gauss_q_ascending_fills_the_caller_buffers():
+    xs = np.array([0.0, 0.3, 0.7, 1.5, 6.0, 45.0, math.inf, math.nan])
+    out = np.full(xs.size, -1.0)
+    work = np.full((4, xs.size + 3), -1.0)
+    nx.gauss_q_ascending(xs, out, work)
+    assert out.tobytes() == nx.gauss_q(xs).tobytes()
 
 
 # ---------------------------------------------------------------------------

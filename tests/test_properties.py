@@ -63,6 +63,71 @@ products = st.lists(st.one_of(von_mises, quantizers), min_size=1, max_size=3).ma
 phase_errors = st.one_of(von_mises, quantizers, products)
 
 
+def _masked_gauss_q(x):
+    """Q(x) as the three Cody ranges were evaluated under boolean masks,
+    range by range on gathered copies: the reference for the bytes of
+    ``nx.gauss_q``, which sorts the arguments instead."""
+    t = np.asarray(x, dtype=float) * math.sqrt(0.5)
+    y = np.abs(t)
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    ys = y[small]
+    z = ys * ys
+    xnum, xden = nx._CODY_A[4] * z, z
+    for i in range(3):
+        xnum = (xnum + nx._CODY_A[i]) * z
+        xden = (xden + nx._CODY_B[i]) * z
+    out[small] = 1.0 - ys * (xnum + nx._CODY_A[3]) / (xden + nx._CODY_B[3])
+    mid = (y > 0.46875) & (y <= 4.0)
+    ym = y[mid]
+    xnum, xden = nx._CODY_C[8] * ym, ym
+    for i in range(7):
+        xnum = (xnum + nx._CODY_C[i]) * ym
+        xden = (xden + nx._CODY_D[i]) * ym
+    res = (xnum + nx._CODY_C[7]) / (xden + nx._CODY_D[7])
+    ysq = np.trunc(ym * 16.0) / 16.0
+    out[mid] = np.exp(-ysq * ysq) * np.exp(-(ym - ysq) * (ym + ysq)) * res
+    big = y > 4.0
+    yb = y[big]
+    with np.errstate(over="ignore", under="ignore"):
+        z = 1.0 / (yb * yb)
+        xnum, xden = nx._CODY_P[5] * z, z
+        for i in range(4):
+            xnum = (xnum + nx._CODY_P[i]) * z
+            xden = (xden + nx._CODY_Q[i]) * z
+        res = z * (xnum + nx._CODY_P[4]) / (xden + nx._CODY_Q[4])
+        res = (1.0 / math.sqrt(math.pi) - res) / yb
+        ysq = np.trunc(yb * 16.0) / 16.0
+        out[big] = np.exp(-ysq * ysq) * np.exp(-(yb - ysq) * (yb + ysq)) * res
+    return 0.5 * np.where(t < 0.0, 2.0 - out, out)
+
+
+# Cody's range bounds of x/sqrt(2) and their neighbours, the same numbers
+# as arguments, the deep tail and far past it
+_Q_EDGES = sorted(
+    {
+        v
+        for b in (0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0), 0.46875, 4.0, 27.0, 40.0)
+        for v in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))
+    }
+    | {0.0, 1e300}
+)
+q_arguments = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.sampled_from(_Q_EDGES + [-v for v in _Q_EDGES]),
+)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+@given(xs=st.lists(q_arguments, min_size=1, max_size=64))
+def test_gauss_q_is_the_masked_evaluation_bit_for_bit(xs):
+    xs = np.array(xs)
+    q = nx.gauss_q(xs)
+    assert q.tobytes() == _masked_gauss_q(xs).tobytes()
+    assert q.tolist() == [nx.gauss_q(float(x)) for x in xs]
+
+
 @PROPERTY
 @given(model=phase_errors, p=st.integers(min_value=1, max_value=8))
 def test_trig_moments_are_bounded(model, p):

@@ -41,14 +41,25 @@ def test_ks_permutation_invariant():
     assert a.statistic == b.statistic == c.statistic
 
 
+def test_ks_same_report_for_sorted_and_shuffled_samples_and_leaves_them_as_they_were():
+    rng = np.random.default_rng(8)
+    shuffled = rng.random(3000)
+    before = shuffled.copy()
+    ascending = np.sort(shuffled)
+    cdf = lambda x: np.clip(x, 0.0, 1.0)
+    assert st.ks_test(shuffled, cdf) == st.ks_test(ascending, cdf)
+    assert shuffled.tobytes() == before.tobytes()
+
+
 def test_ks_input_guards():
     cdf = lambda x: np.clip(x, 0.0, 1.0)
     with pytest.raises(nx.DomainError):
         st.ks_test(np.ones(50), cdf)  # too few samples
-    bad = np.ones(200)
-    bad[3] = np.nan
-    with pytest.raises(nx.DomainError):
-        st.ks_test(bad, cdf)
+    for where in (0, 3, -1):  # -1: a NaN after ascending samples
+        bad = np.linspace(0.0, 1.0, 200)
+        bad[where] = np.nan
+        with pytest.raises(nx.DomainError):
+            st.ks_test(bad, cdf)
     with pytest.raises(nx.DomainError):
         st.ks_test(np.ones(200), lambda x: x * 5.0)  # not a cdf
 
