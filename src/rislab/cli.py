@@ -5,6 +5,8 @@ Scenario configuration comes from a JSON document (see config module);
 outputs are CSV / JSON files written to --out plus a run manifest with
 SHA-256 digests of every file produced.  With a fixed --seed the CSV
 outputs are byte-identical run to run, whatever RIS_LAB_WORKERS says.
+Run telemetry lives only in the manifest: ``ber --simulate`` records the
+semianalytic estimator's per-point variance ratio under "telemetry".
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation failure.
@@ -85,7 +87,7 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: str, subcommand: str, resolved: dict, seed, outputs: list[str]) -> str:
+def _write_manifest(out_dir: str, subcommand: str, resolved: dict, seed, outputs: list[str], telemetry=None) -> str:
     manifest = {
         "tool": "rislab",
         "version": __version__,
@@ -96,6 +98,8 @@ def _write_manifest(out_dir: str, subcommand: str, resolved: dict, seed, outputs
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
+    if telemetry is not None:
+        manifest["telemetry"] = telemetry
     path = os.path.join(out_dir, f"{subcommand.replace('-', '_')}.manifest.json")
     _write_json(path, manifest)
     return path
@@ -155,6 +159,7 @@ def _cmd_ber(args) -> int:
 
     sim = [None] * len(points)
     halfwidth = [None] * len(points)
+    telemetry = None
     if args.simulate:
         res = simulate_ber(
             SimConfig(
@@ -167,6 +172,7 @@ def _cmd_ber(args) -> int:
         )
         sim = list(res.ber)
         halfwidth = list(res.ci_halfwidth)
+        telemetry = {"variance_ratio": res.variance_ratio}
 
     rows = [
         [gdb, linear_to_db(ch.gamma_bar), ana, asy, s, hw]
@@ -184,7 +190,7 @@ def _cmd_ber(args) -> int:
         "trials": args.trials,
         "estimator": args.estimator,
     }
-    _write_manifest(args.out, "ber", resolved, args.seed if args.simulate else None, [path])
+    _write_manifest(args.out, "ber", resolved, args.seed if args.simulate else None, [path], telemetry)
     print(f"wrote {path} ({len(rows)} sweep points)")
     return 0
 

@@ -3,7 +3,7 @@
 Only two statistics of a hop matter to the large-surface analytics: the
 power is normalized to E[|H|^2] = 1 and the mean magnitude E[|H|] < 1
 enters the equivalent-channel parameters.  The built-in families are
-Rayleigh and Rician (any K factor); anything satisfying the same
+Rayleigh and Rician (any finite K factor); anything satisfying the same
 unit-power and mean-magnitude contract could be added behind
 :class:`FadingModel`.
 
@@ -72,8 +72,8 @@ class Rician(FadingModel):
     k_factor: float
 
     def __post_init__(self):
-        if not self.k_factor >= 0.0:
-            raise numerics.DomainError(f"k_factor must be >= 0, got {self.k_factor!r}")
+        if not (self.k_factor >= 0.0 and math.isfinite(self.k_factor)):
+            raise numerics.DomainError(f"k_factor must be finite and >= 0, got {self.k_factor!r}")
 
     def mean_magnitude(self) -> float:
         # sqrt(pi / (4(K+1))) * L_{1/2}(-K); the Laguerre form is the

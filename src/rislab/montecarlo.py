@@ -11,6 +11,17 @@ conditional error probability Q(sqrt(2 n^2 gamma0 |H|^2)) and averages
 it over the H draws (semi-analytic, variance reduced).  This is the
 ground truth every analytic module is validated against.
 
+The semi-analytic average is corrected by three control variates whose
+means are exactly zero at every n, not only in the large-n limit:
+x_1 = Re H - mu, x_2 = x_1^2 - sigma_U^2 and x_3 = (Im H)^2 - sigma_V^2,
+with mu = phi_1 a^2, sigma_U^2 and sigma_V^2 from
+``equiv_channel.derive``.  The estimate p_bar - beta^T x_bar, with beta
+fitted by least squares on the same draws, is a weighted mean
+(1/N) sum w_i p_i whose weights do not depend on gamma0; the fit is
+used only where every weight is provably >= 0, so an estimate is never
+negative and a sweep never rises.  Blocks return the sums the fit
+needs, so it costs no second pass over the draws.
+
 Every simulation runs through one block engine.  Trials are partitioned
 into fixed blocks of 2^14, and block results are reduced in block
 order.  Each random input of block b has its own SFC64 stream, seeded by
@@ -49,7 +60,9 @@ point it evaluates Q on the ascending arguments, one contiguous slice
 per range of the rational approximation, in buffers allocated once per
 block (``numerics.gauss_q_ascending``), and puts the probabilities back
 in trial order before summing: the sums are those of an elementwise
-``numerics.gauss_q``, bit for bit.  SNR draws are written block by
+``numerics.gauss_q``, bit for bit.  The block's sums are formed with
+``np.sum`` and ``np.einsum``, never through BLAS, which could start
+threads inside the worker processes.  SNR draws are written block by
 block into one array of at most ``SNR_RETAIN_CAP`` values.
 """
 
@@ -60,14 +73,14 @@ import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import numerics
 from .config import ConfigError
-from .equiv_channel import LrsScenario
+from .equiv_channel import LrsScenario, derive
 from .phase_models import PhaseErrorModel
 
 __all__ = [
@@ -150,11 +163,15 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     """Per sweep point of the config: BER estimate, 95% confidence
-    half-width and, for the direct estimator only, the error count."""
+    half-width and, for the direct estimator only, the error count.
+    ``variance_ratio`` (semianalytic only) is the plain mean's variance
+    over the control-variate estimate's: 1.0 where the plain mean
+    stands."""
 
     ber: tuple[float, ...]
     ci_halfwidth: tuple[float, ...]
     error_counts: tuple[int, ...] | None
+    variance_ratio: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -252,14 +269,33 @@ def _map_blocks(jobs, scenario, master_seed, stream, trials):
         yield from pool.map(run, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
 
 
-def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block) -> np.ndarray:
-    """Per-point ``[sum p, sum p^2, errors]`` rows of one block; every
-    sweep point is evaluated on the same draws."""
+def _ber_block(n: int, points: tuple[float, ...], estimator: str, moments, h, rng, block) -> tuple:
+    """One block's sums, every sweep point evaluated on the same draws.
+
+    Semianalytic: per point ``[sum p, sum p^2, sum p x_1, sum p x_2, sum
+    p x_3]``, and the controls' ``(sums, lo, hi)``: row k of ``sums`` is
+    ``[sum x_k, sum x_k x_1, sum x_k x_2, sum x_k x_3]``, ``lo`` and ``hi``
+    the smallest and largest x_k.  The controls x_1 = Re H - mu, x_2 =
+    x_1^2 - sigma_U^2 and x_3 = (Im H)^2 - sigma_V^2 are centred by the
+    exact ``moments = (mu, sigma_U^2, sigma_V^2)``.  Direct: per point
+    ``[errors]`` and no controls.  The sums use no BLAS call.
+    """
     mag = np.abs(h)
-    rows = np.zeros((len(points), 3))
     if estimator == "semianalytic":
+        mu, sigma_u2, sigma_v2 = moments
+        xs = np.empty((3, mag.size))
+        np.subtract(h.real, mu, out=xs[0])
+        np.multiply(xs[0], xs[0], out=xs[1])
+        xs[1] -= sigma_u2
+        np.multiply(h.imag, h.imag, out=xs[2])
+        xs[2] -= sigma_v2
+        sums = np.empty((3, 4))
+        sums[:, 0] = np.sum(xs, axis=1)
+        sums[:, 1:] = np.einsum("ki,li->kl", xs, xs)
+        controls = (sums, xs.min(axis=1), xs.max(axis=1))
         # the exact conditional BPSK error probability given H, evaluated
         # on the ascending magnitudes and summed in trial order
+        rows = np.empty((len(points), 5))
         order = np.argsort(mag)
         ascending = mag[order]
         x, q, p = np.empty((3, mag.size))
@@ -271,16 +307,18 @@ def _ber_block(n: int, points: tuple[float, ...], estimator: str, h, rng, block)
             p[order] = q
             row[0] = np.sum(p)
             row[1] = np.sum(np.multiply(p, p, out=q))
-    else:
-        x = rng.integers(0, 2, size=h.size) * 2 - 1
-        w = (rng.standard_normal(h.size) + 1j * rng.standard_normal(h.size)) / math.sqrt(2.0)
-        # coherent detection rotates Y = n sqrt(g) H x + w by -arg(H),
-        # which leaves n sqrt(g) |H| x plus the rotated noise
-        w_rot = (np.exp(-1j * np.angle(h)) * w).real
-        for row, g in zip(rows, points):
-            detected = np.where(n * math.sqrt(g) * mag * x + w_rot >= 0.0, 1, -1)
-            row[2] = np.count_nonzero(detected != x)
-    return rows
+            row[2:] = np.sum(np.multiply(xs, p, out=work[:3]), axis=1)
+        return rows, controls
+    x = rng.integers(0, 2, size=h.size) * 2 - 1
+    w = (rng.standard_normal(h.size) + 1j * rng.standard_normal(h.size)) / math.sqrt(2.0)
+    # coherent detection rotates Y = n sqrt(g) H x + w by -arg(H),
+    # which leaves n sqrt(g) |H| x plus the rotated noise
+    w_rot = (np.exp(-1j * np.angle(h)) * w).real
+    rows = np.empty((len(points), 1))
+    for row, g in zip(rows, points):
+        detected = np.where(n * math.sqrt(g) * mag * x + w_rot >= 0.0, 1, -1)
+        row[0] = np.count_nonzero(detected != x)
+    return rows, None
 
 
 def _snr_block(scale: float, bin_edges, h, rng, block) -> tuple:
@@ -298,6 +336,68 @@ def _wilson_halfwidth(k: int, n: int) -> float:
     return (_Z95 / (1.0 + z2 / n)) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
 
 
+def _control_fit(trials: int, sums: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``(x_bar, C+, a, rank)`` of the controls, with a = C+ x_bar, or
+    None where the plain mean must stand in (beta = 0).
+
+    The control-variate estimate at any point is (1/N) sum w_i p_i with
+    weights w_i = 1 - (x_i - x_bar)^T a that do not depend on the point.
+    The weights are affine in x, so their minimum over the box of the
+    controls' extremes bounds them all from below; the fit is used only
+    where that bound is >= 0, which keeps every estimate positive and
+    every sweep from rising, and where the residual variance has
+    N - 1 - rank > 0 degrees of freedom.  C is singular when a control
+    vanishes (Im H = 0 without phase errors), hence the pseudo-inverse.
+    """
+    x_bar = sums[:, 0] / trials
+    second = sums[:, 1:] / trials
+    eigval, eigvec = np.linalg.eigh(second - np.outer(x_bar, x_bar))
+    # directions with less variance than this are roundoff of C = 0
+    keep = eigval > 1e-10 * np.trace(second)
+    rank = int(np.count_nonzero(keep))
+    if trials <= rank + 1:
+        return None
+    c_pinv = (eigvec[:, keep] / eigval[keep]) @ eigvec[:, keep].T
+    a = c_pinv @ x_bar
+    if 1.0 - np.sum(np.maximum((lo - x_bar) * a, (hi - x_bar) * a)) < 0.0:
+        return None
+    return x_bar, c_pinv, a, rank
+
+
+def _semianalytic_estimate(n: int, row, fit) -> tuple[float, float, float]:
+    """BER estimate p_bar - beta^T x_bar over ``n`` trials, its 95%
+    half-width and the plain mean's variance over the estimate's, at one
+    point, from the point's ``[sum p, sum p^2, sum p x_k]`` and the
+    model's ``_control_fit``."""
+    sum_p, sum_p2, *sum_px = row
+    mean = sum_p / n
+    plain = max(0.0, (sum_p2 - n * mean * mean) / max(1, n - 1))
+    if fit is None:
+        estimate, var = mean, plain
+    else:
+        x_bar, c_pinv, a, rank = fit
+        c = np.asarray(sum_px) / n - mean * x_bar
+        beta = c_pinv @ c
+        estimate = mean - float(beta @ x_bar)
+        # residual variance of p - beta^T x on N - 1 - rank degrees of
+        # freedom, inflated by the uncertainty of the fitted beta
+        resid = max(0.0, (sum_p2 - n * mean * mean - n * float(beta @ c)) / (n - 1 - rank))
+        var = resid * (1.0 + float(x_bar @ a))
+    hw = _Z95 * math.sqrt(var / n)
+    if 0.0 < estimate < 1.0:
+        hw = max(hw, sys.float_info.epsilon * estimate)  # roundoff floor
+    return estimate, hw, plain / var if var > 0.0 else 1.0
+
+
+def _direct_estimate(trials: int, errors: int) -> tuple[float, float]:
+    """Error rate and its 95% half-width: normal approximation from 100
+    errors on, a Wilson interval below."""
+    mean = errors / trials
+    if errors >= 100:
+        return mean, _Z95 * math.sqrt(mean * (1.0 - mean) / trials)
+    return mean, _wilson_halfwidth(errors, trials)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -307,10 +407,16 @@ def simulate_ber(config: SimConfig) -> SimResult:
     """Estimate the BER at every sweep point of ``config``.
 
     The semi-analytic estimator averages the exact conditional error
-    probability over the H draws (unbiased, far lower variance); the
-    direct estimator transmits a random symbol per trial, adds receiver
-    noise, rotates by the channel phase and counts sign errors.  All
-    sweep points share the same draws, and points with different
+    probability p = Q(sqrt(2 gamma0) n |H|) over the H draws, corrected
+    by three control variates whose means are exactly zero at every n:
+    x_1 = Re H - mu, x_2 = x_1^2 - sigma_U^2 and x_3 = (Im H)^2 -
+    sigma_V^2, with the moments of ``equiv_channel.derive``.  The
+    estimate is p_bar - beta^T x_bar with beta fitted by least squares on
+    the same draws (Lavenberg and Welch), falling back to the plain mean
+    where the fit could make a weight negative (see ``_control_fit``).
+    The direct estimator transmits a random symbol per trial, adds
+    receiver noise, rotates by the channel phase and counts sign errors.
+    All sweep points share the same draws, and points with different
     phase-error models share the hop magnitudes: each point is evaluated
     on the draws a run of its model alone would make, so grouping models
     into one call changes no result.  95% confidence half-widths use the
@@ -320,43 +426,42 @@ def simulate_ber(config: SimConfig) -> SimResult:
     depend on their number.
     """
     scenario, points = config.scenario, config.snr_points
+    semianalytic = config.estimator == "semianalytic"
     models = list(dict.fromkeys(config.phase_errors))
     owned = [[i for i, pe in enumerate(config.phase_errors) if pe == model] for model in models]
-    jobs = [
-        (model, partial(_ber_block, scenario.n, tuple(points[i] for i in idx), config.estimator))
-        for model, idx in zip(models, owned)
-    ]
+    jobs = []
+    for model, idx in zip(models, owned):
+        moments = None
+        if semianalytic:
+            ch = derive(replace(scenario, phase_error=model))
+            moments = (ch.mu, ch.sigma_u2, ch.sigma_v2)
+        pts = tuple(points[i] for i in idx)
+        jobs.append((model, partial(_ber_block, scenario.n, pts, config.estimator, moments)))
     per_job = zip(*_map_blocks(jobs, scenario, config.master_seed, _STREAM_BER, config.trials))
-    point_sums = np.empty((len(points), 3))
-    for idx, parts in zip(owned, per_job):
-        point_sums[idx] = sum(parts)
 
     n = config.trials
-    ber = []
-    halfwidth = []
-    errors = []
-    for sum_p, sum_p2, k in point_sums.tolist():
-        if config.estimator == "semianalytic":
-            mean = sum_p / n
-            var = max(0.0, (sum_p2 - n * mean * mean) / max(1, n - 1))
-            hw = _Z95 * math.sqrt(var / n)
-            if 0.0 < mean < 1.0:
-                hw = max(hw, sys.float_info.epsilon * mean)  # roundoff floor
+    estimates = [None] * len(points)
+    for idx, parts in zip(owned, per_job):
+        # blocks reduce in block order; extremes combine elementwise
+        rows = sum(block_rows for block_rows, _ in parts)
+        if semianalytic:
+            controls = [block_controls for _, block_controls in parts]
+            sums = sum(c[0] for c in controls)
+            lo = np.min([c[1] for c in controls], axis=0)
+            hi = np.max([c[2] for c in controls], axis=0)
+            fit = _control_fit(n, sums, lo, hi)
+            for i, row in zip(idx, rows.tolist()):
+                estimates[i] = _semianalytic_estimate(n, row, fit)
         else:
-            k = int(k)
-            errors.append(k)
-            mean = k / n
-            if k >= 100:
-                hw = _Z95 * math.sqrt(mean * (1.0 - mean) / n)
-            else:
-                hw = _wilson_halfwidth(k, n)
-        ber.append(mean)
-        halfwidth.append(hw)
+            for i, (k,) in zip(idx, rows.tolist()):
+                estimates[i] = (*_direct_estimate(n, int(k)), int(k))
 
+    ber, halfwidth, extra = zip(*estimates)
     return SimResult(
-        ber=tuple(ber),
-        ci_halfwidth=tuple(halfwidth),
-        error_counts=tuple(errors) if config.estimator == "direct" else None,
+        ber=ber,
+        ci_halfwidth=halfwidth,
+        error_counts=None if semianalytic else extra,
+        variance_ratio=extra if semianalytic else None,
     )
 
 
@@ -368,10 +473,15 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
     At most ``SNR_RETAIN_CAP`` values are kept in memory, in one array
     that each block writes its draws into as it arrives; when
     ``bin_edges`` is given, histogram counts accumulate over all trials
-    regardless of the cap.  Blocks run on as many worker processes as
+    regardless of the cap; they must be a 1-D array of at least two
+    increasing edges.  Blocks run on as many worker processes as
     the RIS_LAB_WORKERS environment variable says; the result does not
     depend on their number.
     """
+    if bin_edges is not None:
+        bin_edges = np.asarray(bin_edges, dtype=float)
+        if bin_edges.ndim != 1 or bin_edges.size < 2 or not np.all(bin_edges[1:] > bin_edges[:-1]):
+            raise SimConfigError("bin_edges must be a 1-D array of at least two increasing edges")
     scenario = config.scenario
     jobs = [(scenario.phase_error, partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges))]
     values = np.empty(min(config.trials, SNR_RETAIN_CAP))

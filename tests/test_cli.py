@@ -135,18 +135,36 @@ def test_ber_command_simulation_and_manifest(tmp_path):
     assert manifest["seed"] == 9
     digest = hashlib.sha256((out / "ber.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["ber.csv"] == digest
+    # the control variates' variance cut, one ratio per sweep point
+    ratios = manifest["telemetry"]["variance_ratio"]
+    assert len(ratios) == len(rows) and all(r >= 1.0 for r in ratios)
+
+
+def test_direct_ber_manifest_has_no_variance_ratio(tmp_path):
+    cfg = write_config(tmp_path, REFERENCE_CONFIG)
+    out = tmp_path / "out"
+    res = run_cli(
+        "ber", "--config", cfg, "--out", str(out), "--simulate", "--trials", "20000",
+        "--seed", "9", "--estimator", "direct",
+    )
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((out / "ber.manifest.json").read_text())
+    assert manifest["telemetry"] == {"variance_ratio": None}
 
 
 def test_ber_reruns_are_byte_identical(tmp_path):
+    # and so are the results of one and of two worker processes
     cfg = write_config(tmp_path, REFERENCE_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
+    for out, workers in ((out1, "1"), (out2, "2")):
         res = run_cli(
             "ber", "--config", cfg, "--out", str(out), "--simulate",
-            "--trials", "40000", "--seed", "5",
+            "--trials", "40000", "--seed", "5", env={"RIS_LAB_WORKERS": workers},
         )
         assert res.returncode == 0, res.stderr
     assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
+    telemetry = [json.loads((out / "ber.manifest.json").read_text())["telemetry"] for out in (out1, out2)]
+    assert telemetry[0] == telemetry[1]
 
 
 def test_snr_pdf_command(tmp_path):
@@ -183,6 +201,17 @@ def test_snr_pdf_rejects_too_few_trials_before_simulating(tmp_path):
     assert res.returncode == 2
     assert "config error" in res.stderr
     assert not (out / "snr_pdf.csv").exists()
+
+
+def test_infinite_rice_factor_is_a_config_error(tmp_path):
+    # JSON reads 1e999 as inf; the hop model rejects it as it does a
+    # negative factor, before anything is derived from it
+    text = json.dumps(REFERENCE_CONFIG).replace('"k_factor": 1.0', '"k_factor": 1e999')
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    res = run_cli("equiv", "--config", str(path), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error" in res.stderr and "k_factor" in res.stderr
 
 
 @pytest.mark.parametrize(

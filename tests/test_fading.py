@@ -81,6 +81,13 @@ def test_negative_k_rejected():
         fd.Rician(-0.1)
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_rician_rejects_a_factor_that_is_not_finite(k):
+    # Rician(inf) used to construct and then sample NaN magnitudes
+    with pytest.raises(nx.DomainError):
+        fd.Rician(k)
+
+
 def test_equiv_parameters_depend_only_on_magnitude_product():
     # swapping which hop carries the Rician factor leaves a1*a2 unchanged,
     # so the derived channel must be identical, field by field

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from rislab import equiv_channel as ec
 from rislab import fading as fd
 from rislab import montecarlo as mc
 from rislab import numerics as nx
+from rislab import performance as pf
 from rislab import phase_models as pm
 from rislab import stats as st
 
@@ -90,6 +92,29 @@ def test_draw_h_batch_takes_numpy_integer_sizes():
     a = mc.draw_h_batch(ref_scenario(n=4), np.random.default_rng(3), np.int64(5))
     b = mc.draw_h_batch(ref_scenario(n=4), np.random.default_rng(3), 5)
     assert a.tobytes() == b.tobytes()
+
+
+CONTROL_MODELS = (
+    pm.NoError(),
+    pm.UniformCircle(),
+    pm.VonMises(2.0),
+    pm.Quantizer(1),
+    pm.Product((pm.VonMises(8.0), pm.Quantizer(2))),
+)
+
+
+@pytest.mark.parametrize("pe", CONTROL_MODELS, ids=lambda pe: type(pe).__name__)
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_controls_are_centred_at_every_reflector_count(n, pe):
+    # mu, sigma_U^2 and sigma_V^2 are exact moments of H at every n, not
+    # only in the large-n limit: the semianalytic estimator's control
+    # variates are centred by them
+    sc = ref_scenario(n=n, pe=pe)
+    ch = ec.derive(sc)
+    h = mc.draw_h_batch(sc, np.random.default_rng(100 + n), 1 << 20)
+    x1 = h.real - ch.mu
+    for x in (x1, x1 * x1 - ch.sigma_u2, h.imag * h.imag - ch.sigma_v2):
+        assert abs(x.mean()) <= 5.0 * x.std() / math.sqrt(x.size)
 
 
 def test_standardized_re_part_converges_to_normal():
@@ -197,24 +222,123 @@ def test_semianalytic_ber_never_rises_along_a_sweep():
         assert all(b <= a for a, b in zip(ber, ber[1:])), seed
 
 
+README_SWEEP = tuple(10.0 ** (g / 10.0) for g in range(-24, -9))
+
+
+def plain_and_control_variate(cfg, monkeypatch):
+    """``simulate_ber`` of ``cfg`` with the plain mean (beta = 0) and with
+    the control variates, on the same draws."""
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_control_fit", lambda *args: None)
+        plain = mc.simulate_ber(cfg)
+    return plain, mc.simulate_ber(cfg)
+
+
+def recorded_fits(monkeypatch):
+    """The list that every later ``_control_fit`` result is appended to."""
+    fits = []
+    fit = mc._control_fit
+    monkeypatch.setattr(mc, "_control_fit", lambda *args: fits.append(fit(*args)) or fits[-1])
+    return fits
+
+
+def test_control_variates_cut_the_halfwidth_on_the_same_draws(monkeypatch):
+    sc = ref_scenario(gamma0=README_SWEEP[0])
+    plain, cv = plain_and_control_variate(mc.SimConfig(sc, 1 << 17, 1, README_SWEEP), monkeypatch)
+    analytic = [pf.ber_bpsk(ch.m, ch.gamma_bar) for ch in (ec.derive(replace(sc, gamma0=g)) for g in README_SWEEP)]
+    for ana, p, hw_p, b, hw in zip(analytic, plain.ber, plain.ci_halfwidth, cv.ber, cv.ci_halfwidth):
+        assert 0.0 < b and abs(b - p) <= hw_p
+        if ana >= 1e-3:
+            assert hw <= 0.5 * hw_p
+    assert plain.variance_ratio == (1.0,) * len(README_SWEEP)
+    assert all(r > 1.0 for r in cv.variance_ratio)
+
+
+def test_control_variate_intervals_cover_a_high_trial_reference():
+    # BER about 1e-3; the reference's half-width is about 1/11 of each run's
+    sc = ref_scenario(gamma0=10.0**-2.0)
+    ref = mc.simulate_ber(mc.SimConfig(sc, 1 << 20, 0)).ber[0]
+    runs = [mc.simulate_ber(mc.SimConfig(sc, 8192, seed)) for seed in range(1, 41)]
+    assert 5e-4 < ref < 2e-3
+    covered = sum(abs(r.ber[0] - ref) <= r.ci_halfwidth[0] for r in runs)
+    assert covered >= 34  # 85% of 40
+
+
+@pytest.mark.parametrize("pe", [pm.VonMises(8.0), pm.Quantizer(1), pm.NoError()], ids=lambda pe: type(pe).__name__)
+def test_control_variate_estimates_stay_positive_and_never_rise(pe):
+    # every weight of the fitted estimate is >= 0, so the deep points of
+    # the README sweep (BER down to 1e-13) stay positive and fine steps,
+    # far below the noise of independent draws, never rise
+    for seed in (5, 6, 7):
+        for pts in (README_SWEEP, fine_sweep(start_db=-24.0, count=40)):
+            cfg = mc.SimConfig(ref_scenario(gamma0=pts[0], pe=pe), 4096, seed, snr_points=pts)
+            ber = mc.simulate_ber(cfg).ber
+            assert all(b > 0.0 for b in ber), seed
+            assert all(b <= a for a, b in zip(ber, ber[1:])), seed
+
+
+@pytest.mark.parametrize(
+    "n, pe, rank",
+    [(32, pm.NoError(), 2), (32, pm.UniformCircle(), 3), (1, pm.VonMises(8.0), 3), (1, pm.NoError(), 2)],
+    ids=["singular-no-error", "mean-zero-uniform", "one-reflector", "one-reflector-no-error"],
+)
+def test_control_variates_in_degenerate_cases(monkeypatch, n, pe, rank):
+    # without phase errors Im H = 0, so x_3 = 0 and C is singular; uniform
+    # phases give mu = 0; one reflector gives |H| = |H_1||H_2| whatever
+    # the phase
+    fits = recorded_fits(monkeypatch)
+    sc = ec.LrsScenario(n, 0.01, fd.Rician(1.0), fd.Rayleigh(), pe)
+    points = (0.01 / n, 0.1 / n)
+    plain, cv = plain_and_control_variate(mc.SimConfig(sc, 20000, 3, points), monkeypatch)
+    assert [f[3] for f in fits] == [rank]
+    for p, hw_p, b, hw, r in zip(plain.ber, plain.ci_halfwidth, cv.ber, cv.ci_halfwidth, cv.variance_ratio):
+        assert 0.0 < b < 0.5 and abs(b - p) <= hw_p
+        assert 0.0 < hw < hw_p and r > 1.0
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+def test_few_trials_keep_positive_estimates(monkeypatch, trials):
+    # with N <= rank + 1 the residual has no degrees of freedom and the
+    # plain mean stands with its bytes: always so for one trial, and for
+    # up to four trials of three controls (Im H = 0 without phase
+    # errors leaves two)
+    fits = recorded_fits(monkeypatch)
+    for pe in CONTROL_MODELS:
+        cfg = mc.SimConfig(ref_scenario(n=8, gamma0=0.01, pe=pe), trials, 3, (0.01, 0.1))
+        plain, cv = plain_and_control_variate(cfg, monkeypatch)
+        assert all(0.0 < b <= 0.5 and math.isfinite(hw) for b, hw in zip(cv.ber, cv.ci_halfwidth))
+        if trials == 1 or (trials < 5 and pe.trig_moment(2) < 1.0):
+            assert fits[-1] is None
+        if fits[-1] is None:
+            assert (cv.ber, cv.ci_halfwidth) == (plain.ber, plain.ci_halfwidth)
+            assert cv.variance_ratio == (1.0, 1.0)
+
+
 def test_semianalytic_block_is_gauss_q_summed_in_trial_order():
     # magnitudes whose Q arguments n sqrt(2 g)|H| span all three of Cody's
     # ranges, with ties, in no order; the block sorts them once and must
-    # give the bytes of a plain per-point gauss_q sum
+    # give the bytes of a plain per-point gauss_q sum, and of its
+    # products with the three controls
     rng = np.random.default_rng(11)
     mag = np.concatenate([rng.uniform(0.0, 1.6, 5000), np.full(7, 0.25), [0.0, 1e-9, 30.0]])
     rng.shuffle(mag)
     h = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, mag.size))
-    n, points = 16, (0.001, 0.01, 0.1, 1.0, 4.0)
-    got = mc._ber_block(n, points, "semianalytic", h, None, 0)
-    want = np.zeros((len(points), 3))
+    n, points, moments = 16, (0.001, 0.01, 0.1, 1.0, 4.0), (0.4, 0.05, 0.03)
+    got, (sums, lo, hi) = mc._ber_block(n, points, "semianalytic", moments, h, None, 0)
+    x1 = h.real - moments[0]
+    xs = np.array([x1, x1 * x1 - moments[1], h.imag * h.imag - moments[2]])
+    want = np.zeros((len(points), 5))
     for row, g in zip(want, points):
         p = nx.gauss_q(n * math.sqrt(g) * np.abs(h) * math.sqrt(2.0))
         row[:2] = np.sum(p), np.sum(p * p)
+        row[2:] = np.sum(xs * p, axis=1)
     y = n * math.sqrt(points[-1]) * np.abs(h)
     assert y.min() <= 0.46875 and np.any((y > 0.46875) & (y <= 4.0)) and np.any((y > 4.0) & (y <= 32.0))
     assert y.max() > 32.0
     assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(sums, np.column_stack([xs.sum(axis=1), xs @ xs.T]), rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(lo, xs.min(axis=1))
+    np.testing.assert_array_equal(hi, xs.max(axis=1))
 
 
 def test_direct_error_counts_never_rise_along_a_sweep():
@@ -254,14 +378,15 @@ def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimato
             assert res.error_counts == tuple(want[i][2] for i in range(len(points)))
 
 
-# float.hex of (ber, ci_halfwidth), and the error counts, over two blocks,
+# float.hex of (ber, ci_halfwidth), and the error counts, over two blocks
+# (semianalytic: the control-variate estimate and its half-width),
 # each drawing its source magnitudes, destination magnitudes, phases and
 # the direct estimator's symbols and noise from four keyed SFC64 streams:
 # these models' phasors are formed from the tangent of half the drawn angle
 PINNED_BER = {
     ("quantizer", "semianalytic"): (
-        ("0x1.1e3b1f12b8b9bp-2", "0x1.0885d50ac5b83p-3"),
-        ("0x1.8a9f67ac655bfp-11", "0x1.cf55dc9dc20cap-11"),
+        ("0x1.1eb3af6cec479p-2", "0x1.09e4df0352f96p-3"),
+        ("0x1.bbee72ad8fa5ep-16", "0x1.bbc69201f3718p-15"),
         None,
     ),
     ("quantizer", "direct"): (
@@ -270,8 +395,8 @@ PINNED_BER = {
         (4903, 2278),
     ),
     ("uniform", "semianalytic"): (
-        ("0x1.9c99906fd16bcp-2", "0x1.44244ed1ea0d7p-2"),
-        ("0x1.92e9b6614ef54p-11", "0x1.5c69f16da7671p-10"),
+        ("0x1.9cd87a296c034p-2", "0x1.448cac6e35e1dp-2"),
+        ("0x1.18917b14f9454p-12", "0x1.2b61017f671aep-11"),
         None,
     ),
     ("uniform", "direct"): (
@@ -280,8 +405,8 @@ PINNED_BER = {
         (6983, 5412),
     ),
     ("none", "semianalytic"): (
-        ("0x1.0d08e2746ab7dp-2", "0x1.c55c7fffe1619p-4"),
-        ("0x1.99fe8d0cbddb2p-11", "0x1.bbd0071f7125dp-11"),
+        ("0x1.0d83b18ea2adcp-2", "0x1.c7e501b1f3505p-4"),
+        ("0x1.0d5b471d3de53p-18", "0x1.f226a5788bd2fp-16"),
         None,
     ),
     ("none", "direct"): (
@@ -297,8 +422,8 @@ PINNED_BER = {
 # sides; rejection rounds are sized by the row tile of phasors asked for
 PINNED_KERNEL_BER = {
     ("von_mises_1e-7", "semianalytic"): (
-        ("0x1.9c98d157a83bfp-2", "0x1.4423f043a23a3p-2"),
-        ("0x1.93b3db40ef751p-11", "0x1.5db7aae156d46p-10"),
+        ("0x1.9cdeb3169e3d7p-2", "0x1.4498855ed4bf8p-2"),
+        ("0x1.14d5f0e671d9dp-12", "0x1.27c90f59bb056p-11"),
         None,
     ),
     ("von_mises_1e-7", "direct"): (
@@ -307,8 +432,8 @@ PINNED_KERNEL_BER = {
         (6926, 5400),
     ),
     ("von_mises_2", "semianalytic"): (
-        ("0x1.4554f7f953c36p-2", "0x1.710209d7549dep-3"),
-        ("0x1.b22193daa246fp-11", "0x1.2e72cc3f6a70fp-10"),
+        ("0x1.4597cf01c54d5p-2", "0x1.71ca38c60058ep-3"),
+        ("0x1.ac711434ca25bp-14", "0x1.c12ff3983f686p-13"),
         None,
     ),
     ("von_mises_2", "direct"): (
@@ -317,8 +442,8 @@ PINNED_KERNEL_BER = {
         (5549, 3164),
     ),
     ("von_mises_8", "semianalytic"): (
-        ("0x1.183ce4d034452p-2", "0x1.f5f900850fde9p-4"),
-        ("0x1.90b1bfb127f7cp-11", "0x1.c99c91aca0666p-11"),
+        ("0x1.18a81a08fba8ap-2", "0x1.f84e4af8b9958p-4"),
+        ("0x1.3540e03e13f20p-16", "0x1.6d8de8d6e924ep-15"),
         None,
     ),
     ("von_mises_8", "direct"): (
@@ -327,8 +452,8 @@ PINNED_KERNEL_BER = {
         (4774, 2140),
     ),
     ("von_mises_1e5", "semianalytic"): (
-        ("0x1.0d091a1d41105p-2", "0x1.c55d677f65f78p-4"),
-        ("0x1.99fe4ffe66faap-11", "0x1.bbd03f65bbf27p-11"),
+        ("0x1.0d83e8c9cf933p-2", "0x1.c7e5e82124fe8p-4"),
+        ("0x1.0d59f83df99cdp-18", "0x1.f22458fcf2d97p-16"),
         None,
     ),
     ("von_mises_1e5", "direct"): (
@@ -337,8 +462,8 @@ PINNED_KERNEL_BER = {
         (4573, 1897),
     ),
     ("von_mises_2_x_quantizer_2", "semianalytic"): (
-        ("0x1.52b2ca2a5a59cp-2", "0x1.97b4ec51055b2p-3"),
-        ("0x1.b666dfb58a3f0p-11", "0x1.40235ccbdf805p-10"),
+        ("0x1.529c1e83351bdp-2", "0x1.9799ef0839e63p-3"),
+        ("0x1.24e99844bd1d7p-13", "0x1.35af7128d0a7ep-12"),
         None,
     ),
     ("von_mises_2_x_quantizer_2", "direct"): (
@@ -347,8 +472,8 @@ PINNED_KERNEL_BER = {
         (5701, 3487),
     ),
     ("rician_hops", "semianalytic"): (
-        ("0x1.09480af50cdabp-2", "0x1.a996a7a64d9bcp-4"),
-        ("0x1.4eba79be3a00cp-11", "0x1.6696b6d68ccb6p-11"),
+        ("0x1.0901c979c5de2p-2", "0x1.a8b4b9ddacad2p-4"),
+        ("0x1.c2ab16b8be605p-17", "0x1.fcc73d404c00cp-16"),
         None,
     ),
     ("rician_hops", "direct"): (
@@ -466,7 +591,8 @@ def peak_bytes(run):
 def block_peak_bytes(n, pe):
     """``peak_bytes`` of one full semianalytic block at ``n`` reflectors."""
     sc = ref_scenario(n=n, gamma0=0.01, pe=pe)
-    jobs = [(pe, partial(mc._ber_block, n, (0.01,), "semianalytic"))]
+    ch = ec.derive(sc)
+    jobs = [(pe, partial(mc._ber_block, n, (0.01,), "semianalytic", (ch.mu, ch.sigma_u2, ch.sigma_v2)))]
     return peak_bytes(lambda: mc._run_block(jobs, (sc, 1, mc._STREAM_BER, 0, mc.BLOCK_TRIALS)))
 
 
@@ -531,7 +657,7 @@ def test_block_reads_each_random_input_from_its_keyed_stream():
     key = (31, mc._STREAM_BER, 2)
     r = sc.fading_sr.sample_magnitude(mc._rng_for(*key, 0), (count, 8))
     r *= sc.fading_rd.sample_magnitude(mc._rng_for(*key, 1), (count, 8))
-    direct = partial(mc._ber_block, 8, points, "direct")
+    direct = partial(mc._ber_block, 8, points, "direct", None)
     want = []
     for pe in GROUPED_MODELS:
         phases = mc._rng_for(*key, 2)
@@ -544,7 +670,7 @@ def test_block_reads_each_random_input_from_its_keyed_stream():
     assert mc._TILE // 8 == 1024
     for (h, rows, after), (h_want, rows_want, after_want) in zip(got, want, strict=True):
         assert h.tobytes() == h_want.tobytes()
-        np.testing.assert_array_equal(rows, rows_want)
+        np.testing.assert_array_equal(rows[0], rows_want[0])
         np.testing.assert_array_equal(after, after_want)
 
 
@@ -607,6 +733,22 @@ def test_sample_snr_histogram_counts_all_trials():
     assert smp.histogram.sum() <= 40000  # values beyond the last edge are out of range
     assert smp.histogram.sum() > 39000
     assert smp.values.size == 40000
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [[0.0, 1.0], [1.0, 2.0]], [1.0], [0.0, math.nan, 1.0]],
+    ids=["decreasing", "repeated", "2-d", "one-edge", "nan"],
+)
+def test_sample_snr_rejects_bad_bin_edges_before_drawing(monkeypatch, edges):
+    # such edges used to fail in np.histogram inside a worker, after the
+    # first block was drawn
+    def no_draws(*args):
+        raise AssertionError("drew before checking the bin edges")
+
+    monkeypatch.setattr(mc, "_map_blocks", no_draws)
+    with pytest.raises(nx.DomainError, match="bin_edges"):
+        mc.sample_snr(mc.SimConfig(ref_scenario(n=4), 100, 5), bin_edges=np.array(edges))
 
 
 def test_sample_snr_worker_independent(monkeypatch):
