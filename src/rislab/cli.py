@@ -114,11 +114,7 @@ def _cmd_moments(args) -> int:
     cfg = load_config(args.config)
     with config_errors():
         model = phase_from_config(cfg["phase_error"])
-        orders = cfg.get("orders", 4)
-        top = MAX_INTEGRATION_ORDER
-        if isinstance(orders, bool) or orders != int(orders) or not 1 <= orders <= top:
-            raise ConfigError(f"orders must be an integer in [1, {top}], got {orders!r}")
-        orders = int(orders)
+        orders = numerics.check_count(cfg.get("orders", 4), "orders", 1, MAX_INTEGRATION_ORDER)
     rows = []
     for p in range(1, orders + 1):
         closed = model.trig_moment(p)
@@ -249,10 +245,9 @@ def _cmd_plan(args) -> int:
     with config_errors():
         pe = phase_from_config(cfg["phase_error"])
         hops = fading_from_config(cfg["fading_sr"]), fading_from_config(cfg["fading_rd"])
-        targets = {key: float(cfg[key]) for key in ("target_gd", "target_gc") if key in cfg}
-        for key, target in targets.items():
-            if not (math.isfinite(target) and target > 0.0):
-                raise ConfigError(f"{key} must be finite and > 0, got {target!r}")
+        targets = {
+            key: numerics.check_real(cfg[key], key, strict=True) for key in ("target_gd", "target_gc") if key in cfg
+        }
     if not targets:
         raise ConfigError("plan config needs 'target_gd' and/or 'target_gc'")
     a = math.sqrt(hops[0].mean_magnitude() * hops[1].mean_magnitude())
@@ -330,9 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rislab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="scenario JSON document")
+    def common(p):
+        p.add_argument("--config", required=True, help="scenario JSON document")
         p.add_argument("--out", default=".", help="output directory (created if absent)")
 
     p = sub.add_parser("moments", help="trigonometric moments, closed form vs quadrature")

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import fading, phase_models
+from . import fading, numerics, phase_models
 from .equiv_channel import LrsScenario
 
 __all__ = [
@@ -75,9 +75,9 @@ def load_config(path: str) -> dict:
 
 def _gamma0_from(cfg: dict) -> float:
     if "gamma0_db" in cfg:
-        return db_to_linear(float(cfg["gamma0_db"]))
+        return db_to_linear(numerics.check_real(cfg["gamma0_db"], "gamma0_db", -math.inf))
     if "gamma0" in cfg:
-        return float(cfg["gamma0"])
+        return cfg["gamma0"]
     raise ConfigError("config needs 'gamma0_db' (or linear 'gamma0')")
 
 
@@ -105,10 +105,11 @@ def scenario_to_config(scenario: LrsScenario) -> dict:
 def sweep_from_config(cfg: dict) -> np.ndarray:
     """Single-reflector SNR sweep in dB, inclusive of the stop value."""
     with config_errors():
-        start, stop, step = (float(cfg["sweep"][key]) for key in ("start_db", "stop_db", "step_db"))
-    # NaN fails every comparison, so finiteness is checked first
-    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
-        raise ConfigError("sweep needs finite values, step_db > 0 and stop_db >= start_db")
+        sweep = cfg["sweep"]
+        start, stop = (numerics.check_real(sweep[key], key, -math.inf) for key in ("start_db", "stop_db"))
+        step = numerics.check_real(sweep["step_db"], "step_db", strict=True)
+    if stop < start:
+        raise ConfigError("sweep needs stop_db >= start_db")
     try:
         grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
     except (OverflowError, ValueError, MemoryError) as exc:

@@ -51,6 +51,7 @@ class LrsScenario:
 
     ``gamma0`` is the average SNR that a single reflector alone would
     deliver, in linear scale; dB conversions belong to the CLI boundary.
+    ``n`` stops at 2^53, beyond which counts are not distinct doubles.
     """
 
     n: int
@@ -60,11 +61,8 @@ class LrsScenario:
     phase_error: PhaseErrorModel
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 1:
-            raise numerics.DomainError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if not (self.gamma0 > 0.0 and math.isfinite(self.gamma0)):
-            raise numerics.DomainError(f"gamma0 must be finite and > 0, got {self.gamma0!r}")
+        object.__setattr__(self, "n", numerics.check_count(self.n, "n", 1, 2**53))
+        object.__setattr__(self, "gamma0", numerics.check_real(self.gamma0, "gamma0", strict=True))
 
     @property
     def a_squared(self) -> float:
@@ -179,7 +177,7 @@ def nakagami_pdf(m: float, omega: float, x):
     """Density of |H|: 2 m^m x^(2m-1) exp(-m x^2 / omega) / (Gamma(m) omega^m).
 
     |H|^2 is gamma distributed with shape m and mean omega, so this is the
-    change of variables 2x snr_pdf(m, omega, x^2).
+    change of variables 2x snr_pdf(m, omega, x^2), which checks m and omega.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
@@ -201,8 +199,8 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
     Evaluated in the log domain; m grows linearly with n so m^m and
     gamma_bar^m overflow long before the density does.
     """
-    if not m > 0.0:
-        raise numerics.DomainError(f"m must be > 0, got {m!r}")
+    m = numerics.check_real(m, "m", strict=True)
+    gamma_bar = numerics.check_real(gamma_bar, "gamma_bar", strict=True)
     arr = np.asarray(gamma, dtype=float)
     if not np.all(arr >= 0.0):
         raise numerics.DomainError("snr must be >= 0")
@@ -230,6 +228,8 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
 
 def snr_cdf(m: float, gamma_bar: float, gamma):
     """Distribution function of the gamma law with shape m and mean gamma_bar."""
+    m = numerics.check_real(m, "m", strict=True)
+    gamma_bar = numerics.check_real(gamma_bar, "gamma_bar", strict=True)
     arr = np.asarray(gamma, dtype=float)
     if not np.all(arr >= 0.0):
         raise numerics.DomainError("snr must be >= 0")
@@ -256,7 +256,7 @@ def cgf_exact(ch: EquivChannel, t: float) -> float:
     stricter requirement of the gamma reduction so both are comparable.
     """
     _require_aligned(ch, "cgf_exact")
-    t = float(t)
+    t = numerics.check_real(t, "t", -math.inf)
     if 4.0 * ch.sigma_u2 * t >= 1.0 or 2.0 * ch.sigma_v2 * t >= 1.0:
         raise numerics.DomainError(f"t = {t!r} outside the CGF domain")
     return (
@@ -276,7 +276,7 @@ def cgf_gamma_approx(ch: EquivChannel, t: float) -> float:
     n at matched t.
     """
     _require_aligned(ch, "cgf_gamma_approx")
-    t = float(t)
+    t = numerics.check_real(t, "t", -math.inf)
     if 4.0 * ch.sigma_u2 * t >= 1.0:
         raise numerics.DomainError(f"t = {t!r} outside the CGF domain")
     return -ch.m * math.log1p(-4.0 * ch.sigma_u2 * t)

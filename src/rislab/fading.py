@@ -25,6 +25,7 @@ from . import numerics
 __all__ = ["FadingModel", "Rayleigh", "Rician", "from_config"]
 
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class FadingModel(abc.ABC):
@@ -72,15 +73,15 @@ class Rician(FadingModel):
     k_factor: float
 
     def __post_init__(self):
-        if not (self.k_factor >= 0.0 and math.isfinite(self.k_factor)):
-            raise numerics.DomainError(f"k_factor must be finite and >= 0, got {self.k_factor!r}")
+        object.__setattr__(self, "k_factor", numerics.check_real(self.k_factor, "k_factor"))
 
     def mean_magnitude(self) -> float:
         # sqrt(pi / (4(K+1))) * L_{1/2}(-K); the Laguerre form is the
         # stable evaluation of the confluent-hypergeometric mean of a
-        # Rice magnitude (see numerics.laguerre_half)
+        # Rice magnitude (see numerics.laguerre_half).  From K ~ 4e15 on
+        # it may round to 1.0 or above, and is then kept just below 1
         k = self.k_factor
-        return math.sqrt(math.pi / (4.0 * (k + 1.0))) * numerics.laguerre_half(k)
+        return min(math.sqrt(math.pi / (4.0 * (k + 1.0))) * numerics.laguerre_half(k), _BELOW_ONE)
 
     def _parts(self) -> tuple[float, float]:
         k = self.k_factor
@@ -111,5 +112,5 @@ def from_config(cfg: dict) -> FadingModel:
     if kind == "rayleigh":
         return Rayleigh()
     if kind == "rician":
-        return Rician(k_factor=float(cfg["k_factor"]))
+        return Rician(k_factor=cfg["k_factor"])
     raise numerics.DomainError(f"unknown fading type {kind!r}")

@@ -69,7 +69,6 @@ block into one array of at most ``SNR_RETAIN_CAP`` values.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -110,6 +109,9 @@ _ROLE_PHASES = 2
 _ROLE_NOISE = 3
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# fewest residual degrees of freedom of a control-variate fit: from 30 on its
+# t quantile is at most 4.2% above _Z95; on one or two it was far too narrow
+_MIN_RESIDUAL_DOF = 30
 
 
 class SimConfigError(ConfigError, numerics.DomainError):
@@ -138,17 +140,17 @@ class SimConfig:
     phase_errors: tuple[PhaseErrorModel, ...] = ()
 
     def __post_init__(self):
-        for name in ("trials", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise SimConfigError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise SimConfigError(f"trials must be >= 1, got {self.trials!r}")
-        if self.master_seed < 0:
-            raise SimConfigError("master_seed must be a non-negative integer")
-        points = tuple(self.snr_points) or (self.scenario.gamma0,)
-        if any(not (g > 0.0 and math.isfinite(g)) for g in points):
-            raise SimConfigError("snr points must be positive and finite")
+        try:
+            trials = numerics.check_count(self.trials, "trials", 1)
+            seed = numerics.check_count(self.master_seed, "master_seed")
+            points = tuple(
+                numerics.check_real(g, "snr point", strict=True)
+                for g in tuple(self.snr_points) or (self.scenario.gamma0,)
+            )
+        except numerics.DomainError as exc:
+            raise SimConfigError(*exc.args) from None
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "snr_points", points)
         models = tuple(self.phase_errors) or (self.scenario.phase_error,) * len(points)
         if len(models) != len(points):
@@ -214,12 +216,7 @@ def draw_h_batch(scenario: LrsScenario, rng: np.random.Generator, size: int) -> 
     """``size`` independent draws of H, all read from ``rng`` row tile by
     row tile: source magnitudes, destination magnitudes, then phases, so
     the row tile of ``_TILE`` values fixes how the stream is consumed."""
-    try:
-        count = 0 if isinstance(size, bool) else operator.index(size)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise numerics.DomainError(f"size must be an integer >= 1, got {size!r}")
+    count = numerics.check_count(size, "size", 1)
     return _h_rows(scenario, count, rng, rng, [(scenario.phase_error, rng)])[0]
 
 
@@ -345,9 +342,10 @@ def _control_fit(trials: int, sums: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     The weights are affine in x, so their minimum over the box of the
     controls' extremes bounds them all from below; the fit is used only
     where that bound is >= 0, which keeps every estimate positive and
-    every sweep from rising, and where the residual variance has
-    N - 1 - rank > 0 degrees of freedom.  C is singular when a control
-    vanishes (Im H = 0 without phase errors), hence the pseudo-inverse.
+    every sweep from rising, and where the residual variance has at
+    least ``_MIN_RESIDUAL_DOF`` degrees of freedom, N - 1 - rank.  C is
+    singular when a control vanishes (Im H = 0 without phase errors),
+    hence the pseudo-inverse.
     """
     x_bar = sums[:, 0] / trials
     second = sums[:, 1:] / trials
@@ -355,7 +353,7 @@ def _control_fit(trials: int, sums: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     # directions with less variance than this are roundoff of C = 0
     keep = eigval > 1e-10 * np.trace(second)
     rank = int(np.count_nonzero(keep))
-    if trials <= rank + 1:
+    if trials - 1 - rank < _MIN_RESIDUAL_DOF:
         return None
     c_pinv = (eigvec[:, keep] / eigval[keep]) @ eigvec[:, keep].T
     a = c_pinv @ x_bar

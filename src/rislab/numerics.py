@@ -10,7 +10,9 @@ Laguerre function L_{1/2} of the Rician mean magnitude, the
 Gauss-Legendre rule, and an adaptive integrator built on it with the one
 fixed error target the BER integral needs.  They are implemented on
 plain numpy so the analytic modules carry no further math dependency and
-can be tested in isolation against independent oracles.
+can be tested in isolation against independent oracles.  Two argument
+checks, ``check_count`` and ``check_real``, define a valid count and a
+valid real for every module of the package.
 
 Accuracy targets (relative unless stated otherwise):
 
@@ -36,6 +38,8 @@ __all__ = [
     "NumericsError",
     "RangeError",
     "bessel_i_scaled",
+    "check_count",
+    "check_real",
     "gauss_legendre",
     "gauss_q",
     "gauss_q_ascending",
@@ -70,6 +74,39 @@ class AccuracyError(NumericsError, RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# argument checks: the one definition of a valid count and a valid real
+# ---------------------------------------------------------------------------
+
+
+def check_count(value, name: str, low: int = 0, high: float = math.inf) -> int:
+    """``value`` as an int in [low, high].  An int, a numpy integer or an
+    integral float passes; a bool, NaN, an infinity, a fraction or a
+    non-number raises :class:`DomainError`."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral or not low <= int(value) <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str, low: float = 0.0, strict: bool = False) -> float:
+    """``value`` as a finite float >= low, or > low when ``strict``.  An
+    int, a float or a numpy real passes; a bool, a string, a non-finite
+    value or one below the bound raises :class:`DomainError`."""
+    x = math.nan
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the double range
+            pass
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        raise DomainError(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")
+    return x
+
+
+# ---------------------------------------------------------------------------
 # log-gamma (Lanczos, g = 7, 9 coefficients)
 # ---------------------------------------------------------------------------
 
@@ -89,10 +126,8 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
+    """Natural log of the gamma function for finite x > 0."""
+    x = check_real(x, "ln_gamma argument", strict=True)
     if x < 0.5:
         # reflection keeps the Lanczos series in its accurate range
         return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
@@ -150,22 +185,14 @@ def _bessel_asym_scaled(p: int, x: float) -> float:
     return total / math.sqrt(2.0 * math.pi * x)
 
 
-def _check_bessel_args(p: int, x: float) -> tuple[int, float]:
-    if p != int(p) or p < 0:
-        raise DomainError(f"order must be a non-negative integer, got {p!r}")
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
-    return int(p), x
-
-
 def bessel_i_scaled(p: int, x: float) -> float:
     """exp(-x) * I_p(x), stable for arbitrarily large x.
 
     This is the form needed for Bessel ratios such as I_p(x)/I_0(x), which
     stay well defined long after I_p itself overflows.
     """
-    p, x = _check_bessel_args(p, x)
+    p = check_count(p, "order")
+    x = check_real(x, "argument")
     if 0.5 * x == 0.0:  # also the smallest subnormal, whose half underflows
         return 1.0 if p == 0 else 0.0
     if x >= 50.0 and p * p < x:
@@ -407,9 +434,7 @@ def regularized_gamma_p(m: float, x):
     below m + 1, the continued fraction 1 - P from there on, both times
     exp(-x + m log x - ln Gamma(m)).  P(m, inf) = 1; nan raises.
     """
-    m = float(m)
-    if not m > 0.0:
-        raise DomainError(f"shape must be positive, got {m!r}")
+    m = check_real(m, "shape", strict=True)
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
         raise DomainError("x must be >= 0")
@@ -438,9 +463,7 @@ def laguerre_half(k: float) -> float:
     a Rician channel; the direct alternating series would lose all
     precision already around k = 25.
     """
-    k = float(k)
-    if k < 0.0 or not math.isfinite(k):
-        raise DomainError(f"argument must be finite and >= 0, got {k!r}")
+    k = check_real(k, "argument")
     if k == 0.0:
         return 1.0
     half = 0.5 * k

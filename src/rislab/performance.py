@@ -67,10 +67,8 @@ def ber_bpsk(m: float, gamma_bar: float) -> float:
     """Exact average BPSK error probability over a Nakagami-``m`` link with
     average SNR ``gamma_bar`` (the ``m`` and ``gamma_bar`` of an
     :class:`EquivChannel`)."""
-    if not m > 0.0:
-        raise numerics.DomainError(f"m must be > 0, got {m!r}")
-    if gamma_bar < 0.0:
-        raise numerics.DomainError(f"gamma_bar must be >= 0, got {gamma_bar!r}")
+    m = numerics.check_real(m, "m", strict=True)
+    gamma_bar = numerics.check_real(gamma_bar, "gamma_bar")
     if gamma_bar == 0.0:
         return 0.5
 
@@ -100,10 +98,8 @@ def ber_high_snr(m: float, gamma_bar: float) -> float:
     ``≈ m^2 (2m+1) / ((2m+2) gamma_bar)``: the first-order term of
     ``(1 + gamma_bar/(m sin^2 theta))^(-m)`` averaged over the integrand.
     """
-    if not m > 0.0:
-        raise numerics.DomainError(f"m must be > 0, got {m!r}")
-    if not gamma_bar > 0.0:
-        raise numerics.DomainError("asymptote requires gamma_bar > 0")
+    m = numerics.check_real(m, "m", strict=True)
+    gamma_bar = numerics.check_real(gamma_bar, "gamma_bar", strict=True)
     with np.errstate(under="ignore"):
         return math.exp(_log_asymptote_bracket(m) - m * math.log(gamma_bar))
 
@@ -175,10 +171,8 @@ def reflectors_for_diversity(target_gd: float, a: float, phi1: float, phi2: floa
     Counts above 2^53 are not distinct doubles; a target beyond them
     raises :class:`numerics.RangeError`.
     """
-    if not target_gd > 0.0:
-        raise numerics.DomainError(f"target diversity gain must be > 0, got {target_gd!r}")
-    if not phi1 > 0.0:
-        raise numerics.DomainError("planner requires phi_1 > 0")
+    target_gd = numerics.check_real(target_gd, "target diversity gain", strict=True)
+    phi1 = numerics.check_real(phi1, "planner phi_1", strict=True)
     a2 = a * a
     floor = target_gd * (1.0 - _DIVERSITY_SLACK)
     n = _smallest_n(lambda n: m_from_moments(n, a2, phi1, phi2) >= floor, 2**53)
@@ -198,10 +192,8 @@ def reflectors_for_coding_gain(
     G_c(1) is therefore met by a tail of counts, and one at or below it
     by n = 1, so bisection finds the smallest n.
     """
-    if not target_gc > 0.0:
-        raise numerics.DomainError(f"target coding gain must be > 0, got {target_gc!r}")
-    if not phi1 > 0.0:
-        raise numerics.DomainError("planner requires phi_1 > 0")
+    target_gc = numerics.check_real(target_gc, "target coding gain", strict=True)
+    phi1 = numerics.check_real(phi1, "planner phi_1", strict=True)
 
     gc = lambda n: _coding_gain(n, a, phi1, phi2)
     n = _smallest_n(lambda n: gc(n) >= target_gc, _PLANNER_N_MAX)

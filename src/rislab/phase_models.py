@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import abc
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,22 +52,10 @@ MAX_INTEGRATION_ORDER = 16
 _MIDPOINTS = 64
 
 
-def _check_order(p: int) -> int:
-    if p != int(p) or p < 0:
-        raise numerics.DomainError(f"moment order must be a non-negative integer, got {p!r}")
-    return int(p)
-
-
 def _shape(size) -> tuple[int, ...]:
     """``size`` of a ``sample`` call as a shape of non-negative integers,
     where numpy would return an empty array for a negative count."""
-    try:
-        shape = tuple(map(operator.index, size if isinstance(size, (tuple, list)) else (size,)))
-    except TypeError:
-        shape = None
-    if shape is None or min(shape, default=0) < 0:
-        raise numerics.DomainError(f"size must be a non-negative integer or a tuple of them, got {size!r}")
-    return shape
+    return tuple(numerics.check_count(s, "size") for s in (size if isinstance(size, (tuple, list)) else (size,)))
 
 
 class PhaseErrorModel(abc.ABC):
@@ -101,7 +88,7 @@ class NoError(PhaseErrorModel):
     """Perfectly estimated and configured phases: Theta = 0."""
 
     def trig_moment(self, p: int) -> float:
-        _check_order(p)
+        numerics.check_count(p, "moment order")
         return 1.0
 
     def sample(self, rng, size):
@@ -125,11 +112,10 @@ class VonMises(PhaseErrorModel):
     kappa: float
 
     def __post_init__(self):
-        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
-            raise numerics.DomainError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+        object.__setattr__(self, "kappa", numerics.check_real(self.kappa, "kappa"))
 
     def trig_moment(self, p: int) -> float:
-        p = _check_order(p)
+        p = numerics.check_count(p, "moment order")
         if p == 0:
             return 1.0
         if self.kappa == 0.0:
@@ -173,16 +159,14 @@ class Quantizer(PhaseErrorModel):
 
     def __post_init__(self):
         # from 1024 bits on, 2**bits overflows a double
-        if self.bits != int(self.bits) or not 1 <= self.bits <= 1023:
-            raise numerics.DomainError(f"bits must be an integer in [1, 1023], got {self.bits!r}")
-        object.__setattr__(self, "bits", int(self.bits))
+        object.__setattr__(self, "bits", numerics.check_count(self.bits, "bits", 1, 1023))
 
     @property
     def half_width(self) -> float:
         return math.pi / (2 ** self.bits)
 
     def trig_moment(self, p: int) -> float:
-        p = _check_order(p)
+        p = numerics.check_count(p, "moment order")
         if p == 0:
             return 1.0
         if p % (2 ** self.bits) == 0:
@@ -207,7 +191,7 @@ class UniformCircle(PhaseErrorModel):
     """Complete phase uncertainty: uniform on [-pi, pi)."""
 
     def trig_moment(self, p: int) -> float:
-        p = _check_order(p)
+        p = numerics.check_count(p, "moment order")
         return 1.0 if p == 0 else 0.0
 
     def nodes(self):
@@ -232,12 +216,15 @@ class Product(PhaseErrorModel):
     components: tuple[PhaseErrorModel, ...]
 
     def __post_init__(self):
-        if not self.components:
-            raise numerics.DomainError("Product requires at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
+        comps = tuple(self.components) if isinstance(self.components, (tuple, list)) else ()
+        if not comps or not all(isinstance(c, PhaseErrorModel) for c in comps):
+            raise numerics.DomainError(
+                f"Product requires a non-empty tuple of phase-error models, got {self.components!r}"
+            )
+        object.__setattr__(self, "components", comps)
 
     def trig_moment(self, p: int) -> float:
-        p = _check_order(p)
+        p = numerics.check_count(p, "moment order")
         out = 1.0
         for comp in self.components:
             out *= comp.trig_moment(p)
@@ -406,7 +393,7 @@ def moment_by_integration(model: PhaseErrorModel, p: int) -> float:
     products recurse over their components (expectations of independent
     factors multiply).
     """
-    p = _check_order(p)
+    p = numerics.check_count(p, "moment order")
     if p > MAX_INTEGRATION_ORDER:
         raise numerics.RangeError(
             f"integration oracle capped at order {MAX_INTEGRATION_ORDER}, got {p}"
@@ -434,7 +421,7 @@ def from_config(cfg: dict) -> PhaseErrorModel:
     if kind == "none":
         return NoError()
     if kind == "von_mises":
-        return VonMises(kappa=float(cfg["kappa"]))
+        return VonMises(kappa=cfg["kappa"])
     if kind == "quantizer":
         return Quantizer(bits=cfg["bits"])
     if kind == "uniform":

@@ -69,6 +69,7 @@ def ks_test(samples, cdf: Callable, threshold: float | None = None) -> FitReport
     ``threshold`` is omitted the 99% critical distance 1.6276/sqrt(N) is
     used.
     """
+    threshold = None if threshold is None else numerics.check_real(threshold, "threshold", strict=True)
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size < KS_MIN_SAMPLES:
         raise numerics.DomainError(f"ks_test needs >= {KS_MIN_SAMPLES} samples, got {xs.size}")

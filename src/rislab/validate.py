@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import performance, phase_models, stats
+from . import numerics, performance, phase_models, stats
 from .config import ConfigError
 from .equiv_channel import (
     LrsScenario,
@@ -110,11 +110,12 @@ def check_moment_formulas() -> CheckResult:
 
 def _check_draws(trials: int, seed: int) -> None:
     """Reject, before any draw, fewer trials than the sample statistics
-    need or a negative seed."""
-    if trials < stats.KS_MIN_SAMPLES:
-        raise SimConfigError(f"trials must be >= {stats.KS_MIN_SAMPLES}, got {trials}")
-    if seed < 0:
-        raise SimConfigError(f"seed must be a non-negative integer, got {seed}")
+    need or a seed that is no non-negative integer."""
+    try:
+        numerics.check_count(trials, "trials", stats.KS_MIN_SAMPLES)
+        numerics.check_count(seed, "seed")
+    except numerics.DomainError as exc:
+        raise SimConfigError(*exc.args) from None
 
 
 def check_gaussian_limit(trials: int = 10**5, seed: int = 4242) -> CheckResult:

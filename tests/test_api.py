@@ -1,9 +1,12 @@
 """Public surface: every exported name and every traced benchmark layer
-resolves, so a removal cannot leave a stale export or trace target."""
+resolves, so a removal cannot leave a stale export or trace target; and
+scalar arguments are checked only by the two ``numerics`` validators."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,9 @@ MODULES = ["rislab"] + [
     if info.name != "__main__"
 ]
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+SOURCES = Path(rislab.__file__).resolve().parent
+# integer tests that each module used to roll by hand, with their own answers
+HAND_ROLLED = re.compile(r"!= int\(|operator\.index\b|isinstance\([^()]*\bbool\b")
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -35,3 +41,18 @@ def test_benchmark_trace_targets_resolve_to_callables():
         for attr in path.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), layer
+
+
+def test_scalar_arguments_are_checked_only_by_the_numerics_validators():
+    found = []
+    for path in sorted(SOURCES.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        validators = set()
+        if path.name == "numerics.py":
+            for node in ast.parse(source).body:
+                if isinstance(node, ast.FunctionDef) and node.name in ("check_count", "check_real"):
+                    validators.update(range(node.lineno, node.end_lineno + 1))
+        for i, line in enumerate(source.splitlines(), start=1):
+            if i not in validators and HAND_ROLLED.search(line):
+                found.append(f"{path.name}:{i}: {line.strip()}")
+    assert not found, "use numerics.check_count or check_real:\n" + "\n".join(found)

@@ -7,6 +7,7 @@ import pytest
 
 from rislab import equiv_channel as ec
 from rislab import fading as fd
+from rislab import montecarlo as mc
 from rislab import numerics as nx
 from rislab import phase_models as pm
 
@@ -86,6 +87,18 @@ def test_rician_rejects_a_factor_that_is_not_finite(k):
     # Rician(inf) used to construct and then sample NaN magnitudes
     with pytest.raises(nx.DomainError):
         fd.Rician(k)
+
+
+def test_rician_mean_magnitude_stays_below_one_for_huge_factors():
+    # from K ~ 4e15 on the Laguerre form rounds to 1.0 or above; then a^4
+    # = 1 left no spread in Re(H) and derive, and simulate_ber with it, raised
+    assert fd.Rician(1.0).mean_magnitude().hex() == "0x1.d01abdf5e3897p-1"
+    for k in (4060094842987756.0, 1e100, 1e300):
+        assert 0.0 < fd.Rician(k).mean_magnitude() < 1.0
+    sc = ec.LrsScenario(1, 1.0, fd.Rician(1e300), fd.Rician(1e300), pm.NoError())
+    assert ec.derive(sc).sigma_u2 > 0.0
+    (ber,) = mc.simulate_ber(mc.SimConfig(sc, 100, 1)).ber
+    assert 0.0 < ber < 0.5
 
 
 def test_equiv_parameters_depend_only_on_magnitude_product():

@@ -314,6 +314,26 @@ def test_few_trials_keep_positive_estimates(monkeypatch, trials):
             assert cv.variance_ratio == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("pe, trials", [(pm.VonMises(8.0), 6), (pm.NoError(), 5)], ids=["von-mises", "no-error"])
+def test_fit_on_few_residual_degrees_of_freedom_keeps_the_plain_mean(monkeypatch, pe, trials):
+    # a fit on 1-2 residual degrees of freedom reported variance ratios of
+    # 1.6e5 and 8.8e4 here, with a half-width far too narrow
+    cfg = mc.SimConfig(ref_scenario(n=8, gamma0=0.01, pe=pe), trials, 3)
+    plain, cv = plain_and_control_variate(cfg, monkeypatch)
+    assert cv == plain and cv.variance_ratio == (1.0,)
+
+
+def test_control_fit_needs_thirty_residual_degrees_of_freedom():
+    # three controls of unit variance whose box of extremes keeps every
+    # weight positive: the fit stands from N - 1 - rank = 30 on
+    def fit(trials):
+        sums = np.hstack([np.zeros((3, 1)), trials * np.eye(3)])
+        return mc._control_fit(trials, sums, np.full(3, -1.0), np.full(3, 1.0))
+
+    assert fit(33) is None
+    assert fit(34)[3] == 3
+
+
 def test_semianalytic_block_is_gauss_q_summed_in_trial_order():
     # magnitudes whose Q arguments n sqrt(2 g)|H| span all three of Cody's
     # ranges, with ties, in no order; the block sorts them once and must

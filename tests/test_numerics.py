@@ -103,6 +103,23 @@ def test_bessel_range_and_domain_errors():
     assert nx.bessel_i_scaled(27, 700.0) > 0.0  # series boundary stays finite
 
 
+def test_validators_take_integral_floats_and_numpy_scalars():
+    for value in (3, 3.0, np.int64(3), np.uint8(3), np.float32(3.0)):
+        count = nx.check_count(value, "count", 1, 3)
+        assert count == 3 and type(count) is int
+    for value in (2, 2.5, np.int32(2), np.float64(2.5), 10**300):
+        real = nx.check_real(value, "real", strict=True)
+        assert real == float(value) and type(real) is float
+    assert nx.check_real(-7.5, "db", -math.inf) == -7.5
+    for bad in (np.bool_(True), np.float64(np.nan), np.array(2.0), 2 + 0j):
+        with pytest.raises(nx.DomainError, match="real"):
+            nx.check_real(bad, "real")
+        with pytest.raises(nx.DomainError, match="count"):
+            nx.check_count(bad, "count")
+    with pytest.raises(nx.DomainError):
+        nx.check_real(10**400, "real")  # float() of it overflows
+
+
 # ---------------------------------------------------------------------------
 # ln_gamma
 # ---------------------------------------------------------------------------

@@ -109,8 +109,9 @@ def test_bad_parameters_rejected():
     for bits in (1024, 2000):
         with pytest.raises(nx.DomainError, match="1023"):
             pm.Quantizer(bits)
-    with pytest.raises(nx.DomainError):
-        pm.Product(())
+    for components in ((), (1,), (pm.NoError(), "none"), pm.NoError()):
+        with pytest.raises(nx.DomainError):
+            pm.Product(components)
 
 
 # ---------------------------------------------------------------------------

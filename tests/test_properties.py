@@ -1,21 +1,29 @@
 """Invariants of the gamma-law kernels over random shapes and mean SNRs,
 of the circular moments and sampled phasors over random phase-error
-models, and of the simulator over random small configurations."""
+models, of the simulator over random small configurations, and of the
+argument checks over bad scalars."""
 
+import contextlib
+import io
+import json
 import math
 import os
+import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from _stubs import RecordingGenerator
 
+from rislab import cli
 from rislab import equiv_channel as ec
 from rislab import fading as fd
 from rislab import montecarlo as mc
 from rislab import numerics as nx
 from rislab import performance as pf
 from rislab import phase_models as pm
+from rislab import validate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -369,3 +377,153 @@ def test_coding_gain_never_falls_after_it_has_risen(channel, start):
         vals = [pf._coding_gain(n, *channel) for n in counts]
         rise = next((i for i in range(1, len(vals)) if vals[i] > vals[i - 1]), len(vals))
         assert all(b >= a for a, b in zip(vals[rise:], vals[rise + 1 :]))
+
+
+# ---------------------------------------------------------------------------
+# argument checks: every scalar parameter goes through numerics.check_count
+# or numerics.check_real, and a bad value is a DomainError, a
+# SimConfigError or, at the command line, exit 2
+# ---------------------------------------------------------------------------
+
+LINK = {
+    "n": 4,
+    "gamma0_db": -16.0,
+    "fading_sr": {"type": "rician", "k_factor": 1.0},
+    "fading_rd": {"type": "rayleigh"},
+    "phase_error": {"type": "von_mises", "kappa": 8.0},
+}
+VM2 = pm.VonMises(2.0)
+
+
+def _scenario(**fields):
+    return replace(ec.LrsScenario(4, 1.0, fd.Rician(1.0), fd.Rayleigh(), pm.NoError()), **fields)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+ALIGNED = ec.derive(_scenario(phase_error=VM2))
+
+
+def _exit_code(command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main([command, "--config", path, "--out", tmp])
+
+
+def _in(key, **value):
+    return {**LINK, key: {**LINK[key], **value}}
+
+
+def _sweep(**steps):
+    return {"start_db": -20.0, "stop_db": -10.0, **steps}
+
+
+# valid ranges, as (kind, lowest, highest or None, lower bound strict)
+def count(low=0, high=None):
+    return ("count", low, high, False)
+
+
+NON_NEGATIVE = ("real", 0.0, None, False)
+POSITIVE = ("real", 0.0, None, True)
+FINITE = ("real", -math.inf, None, False)
+
+# name: (call with the value, valid range, what a bad value gives: an
+# exception class or, at the command line, an exit code)
+ROUTED = {
+    "ln_gamma x": (nx.ln_gamma, POSITIVE, nx.DomainError),
+    "bessel_i_scaled order": (lambda v: nx.bessel_i_scaled(v, 1.0), count(), nx.DomainError),
+    "bessel_i_scaled x": (lambda v: nx.bessel_i_scaled(1, v), NON_NEGATIVE, nx.DomainError),
+    "regularized_gamma_p shape": (lambda v: nx.regularized_gamma_p(v, 1.0), POSITIVE, nx.DomainError),
+    "laguerre_half k": (nx.laguerre_half, NON_NEGATIVE, nx.DomainError),
+    **{
+        f"{type(model).__name__}.trig_moment order": (model.trig_moment, count(), nx.DomainError)
+        for model in (pm.NoError(), VM2, pm.Quantizer(2), pm.UniformCircle(), pm.Product((VM2,)))
+    },
+    "moment_by_integration order": (lambda v: pm.moment_by_integration(VM2, v), count(), nx.DomainError),
+    "sample size": (lambda v: VM2.sample(_rng(), v), count(), nx.DomainError),
+    "sample shape entry": (lambda v: pm.Quantizer(2).sample(_rng(), (2, v)), count(), nx.DomainError),
+    "VonMises kappa": (pm.VonMises, NON_NEGATIVE, nx.DomainError),
+    "Quantizer bits": (pm.Quantizer, count(1, 1023), nx.DomainError),
+    "Rician k_factor": (fd.Rician, NON_NEGATIVE, nx.DomainError),
+    "LrsScenario n": (lambda v: _scenario(n=v), count(1, 2**53), nx.DomainError),
+    "LrsScenario gamma0": (lambda v: _scenario(gamma0=v), POSITIVE, nx.DomainError),
+    "snr_pdf m": (lambda v: ec.snr_pdf(v, 1.0, 1.0), POSITIVE, nx.DomainError),
+    "snr_pdf gamma_bar": (lambda v: ec.snr_pdf(2.0, v, 1.0), POSITIVE, nx.DomainError),
+    "snr_cdf m": (lambda v: ec.snr_cdf(v, 1.0, 1.0), POSITIVE, nx.DomainError),
+    "snr_cdf gamma_bar": (lambda v: ec.snr_cdf(2.0, v, 1.0), POSITIVE, nx.DomainError),
+    "nakagami_pdf m": (lambda v: ec.nakagami_pdf(v, 1.0, 1.0), POSITIVE, nx.DomainError),
+    "nakagami_pdf omega": (lambda v: ec.nakagami_pdf(2.0, v, 1.0), POSITIVE, nx.DomainError),
+    "cgf_exact t": (lambda v: ec.cgf_exact(ALIGNED, v), FINITE, nx.DomainError),
+    "cgf_gamma_approx t": (lambda v: ec.cgf_gamma_approx(ALIGNED, v), FINITE, nx.DomainError),
+    "ber_bpsk m": (lambda v: pf.ber_bpsk(v, 1.0), POSITIVE, nx.DomainError),
+    "ber_bpsk gamma_bar": (lambda v: pf.ber_bpsk(2.0, v), NON_NEGATIVE, nx.DomainError),
+    "ber_high_snr m": (lambda v: pf.ber_high_snr(v, 1.0), POSITIVE, nx.DomainError),
+    "ber_high_snr gamma_bar": (lambda v: pf.ber_high_snr(2.0, v), POSITIVE, nx.DomainError),
+    "diversity target": (lambda v: pf.reflectors_for_diversity(v, 0.9, 0.8, 0.5), POSITIVE, nx.DomainError),
+    "coding-gain target": (lambda v: pf.reflectors_for_coding_gain(v, 0.9, 0.8, 0.5), POSITIVE, nx.DomainError),
+    "diversity planner phi_1": (lambda v: pf.reflectors_for_diversity(10.0, 0.9, v, 0.5), POSITIVE, nx.DomainError),
+    "coding-gain planner phi_1": (lambda v: pf.reflectors_for_coding_gain(10.0, 0.9, v, 0.5), POSITIVE, nx.DomainError),
+    "SimConfig trials": (lambda v: mc.SimConfig(_scenario(), v, 1), count(1), mc.SimConfigError),
+    "SimConfig master_seed": (lambda v: mc.SimConfig(_scenario(), 10, v), count(), mc.SimConfigError),
+    "SimConfig snr point": (lambda v: mc.SimConfig(_scenario(), 10, 1, (1.0, v)), POSITIVE, mc.SimConfigError),
+    "draw_h_batch size": (lambda v: mc.draw_h_batch(_scenario(), _rng(), v), count(1), nx.DomainError),
+    "validate trials": (lambda v: validate.check_gaussian_limit(trials=v), count(100), mc.SimConfigError),
+    "validate seed": (lambda v: validate.check_snr_fit(seed=v), count(), mc.SimConfigError),
+    "cli moments orders": (lambda v: _exit_code("moments", {**LINK, "orders": v}), count(1, 16), 2),
+    "cli plan target_gd": (lambda v: _exit_code("plan", {**LINK, "target_gd": v}), POSITIVE, 2),
+    "cli plan target_gc": (lambda v: _exit_code("plan", {**LINK, "target_gc": v}), POSITIVE, 2),
+    "config n": (lambda v: _exit_code("equiv", {**LINK, "n": v}), count(1, 2**53), 2),
+    "config gamma0_db": (lambda v: _exit_code("equiv", {**LINK, "gamma0_db": v}), FINITE, 2),
+    "config kappa": (lambda v: _exit_code("equiv", _in("phase_error", kappa=v)), NON_NEGATIVE, 2),
+    "config bits": (lambda v: _exit_code("equiv", _in("phase_error", type="quantizer", bits=v)), count(1, 1023), 2),
+    "config k_factor": (lambda v: _exit_code("equiv", _in("fading_sr", k_factor=v)), NON_NEGATIVE, 2),
+    "config step_db": (lambda v: _exit_code("ber", {**LINK, "sweep": _sweep(step_db=v)}), POSITIVE, 2),
+}
+
+# not a finite number, or a bool: bad for every parameter
+NOT_A_NUMBER = [math.nan, math.inf, -math.inf, True, False, "1", None]
+
+
+def _out_of_range(kind, low, high, strict):
+    """Numbers outside the valid range of a parameter of this kind."""
+    if kind == "count":
+        fractions = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: not x.is_integer())
+        above = st.integers(min_value=high + 1) if high is not None else st.nothing()
+        return st.one_of(st.integers(max_value=low - 1), above, fractions)
+    beyond_doubles = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+    if low == -math.inf:
+        return beyond_doubles
+    if strict:
+        return st.floats(max_value=0.0) | st.integers(max_value=0) | beyond_doubles
+    return st.floats(max_value=-5e-324) | st.integers(max_value=-1) | beyond_doubles
+
+
+def _assert_rejected(call, expected, value):
+    if expected == 2:
+        assert call(value) == 2, value
+        return
+    with pytest.raises(expected):
+        call(value)
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_every_scalar_parameter_rejects_bad_values_at_the_boundary(name):
+    # at the parent a bad value could leak TypeError, OverflowError,
+    # ZeroDivisionError or 'math domain error', return NaN, or pass:
+    # Quantizer(inf), trig_moment(nan), LrsScenario(True, ...),
+    # VonMises("2"), laguerre_half("1"), ln_gamma(inf), snr_cdf(2, 0, 1)
+    call, (kind, low, high, strict), expected = ROUTED[name]
+    for value in NOT_A_NUMBER:
+        _assert_rejected(call, expected, value)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=25)
+    @given(value=_out_of_range(kind, low, high, strict))
+    def out_of_range(value):
+        _assert_rejected(call, expected, value)
+
+    out_of_range()

@@ -62,6 +62,10 @@ def test_ks_input_guards():
             st.ks_test(bad, cdf)
     with pytest.raises(nx.DomainError):
         st.ks_test(np.ones(200), lambda x: x * 5.0)  # not a cdf
+    # a threshold that is no positive real used to give passed=False or a TypeError
+    for threshold in (0.0, -0.1, math.nan, math.inf, True, "0.05"):
+        with pytest.raises(nx.DomainError):
+            st.ks_test(np.linspace(0.0, 1.0, 200), cdf, threshold)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
