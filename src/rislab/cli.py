@@ -192,10 +192,10 @@ def _cmd_ber(args) -> int:
 
 
 def _cmd_snr_pdf(args) -> int:
-    if args.bins < 1:
-        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
-    if args.simulate and args.trials < KS_MIN_SAMPLES:
-        raise ConfigError(f"--trials must be >= {KS_MIN_SAMPLES} for the fit, got {args.trials}")
+    with config_errors():
+        numerics.check_count(args.bins, "--bins", 1)
+        if args.simulate:
+            numerics.check_count(args.trials, "--trials", KS_MIN_SAMPLES)
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
     ch = derive(scenario)
@@ -294,10 +294,7 @@ def _cmd_validate(args) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
-    try:
-        results = validate.run_suite(args.suite, **overrides)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = validate.run_suite(args.suite, **overrides)
     payload = {
         "suite": args.suite,
         "passed": all(r.passed for r in results),

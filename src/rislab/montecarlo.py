@@ -243,11 +243,11 @@ def _run_block(jobs, task):
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("RIS_LAB_WORKERS", "1") or "1"
+    raw = os.environ.get("RIS_LAB_WORKERS") or "1"
     try:
-        return max(1, int(raw))
-    except ValueError:
-        raise SimConfigError(f"RIS_LAB_WORKERS must be an integer, got {raw!r}") from None
+        return numerics.check_count(int(raw), "RIS_LAB_WORKERS", 1)
+    except ValueError:  # also the DomainError of a count below 1
+        raise SimConfigError(f"RIS_LAB_WORKERS must be an integer >= 1, got {raw!r}") from None
 
 
 def _map_blocks(jobs, scenario, master_seed, stream, trials):

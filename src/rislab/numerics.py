@@ -464,8 +464,6 @@ def laguerre_half(k: float) -> float:
     precision already around k = 25.
     """
     k = check_real(k, "argument")
-    if k == 0.0:
-        return 1.0
     half = 0.5 * k
     return (1.0 + k) * bessel_i_scaled(0, half) + k * bessel_i_scaled(1, half)
 
@@ -517,8 +515,8 @@ def integrate(f: Callable, a: float, b: float) -> float:
     estimate) when the error cannot be brought below the target within
     ``_QUAD_MAX_SPLITS`` bisections.
     """
-    a = float(a)
-    b = float(b)
+    a = check_real(a, "lower limit", -math.inf)
+    b = check_real(b, "upper limit", -math.inf)
     if not a < b:
         raise DomainError(f"integration interval must satisfy a < b, got [{a}, {b}]")
 

@@ -116,11 +116,8 @@ class VonMises(PhaseErrorModel):
 
     def trig_moment(self, p: int) -> float:
         p = numerics.check_count(p, "moment order")
-        if p == 0:
-            return 1.0
-        if self.kappa == 0.0:
-            return 0.0
-        # scaled ratio survives arbitrarily large concentrations
+        # scaled ratio survives arbitrarily large concentrations, and is
+        # exactly 1 at p = 0 and 0 at kappa = 0
         return numerics.bessel_i_scaled(p, self.kappa) / numerics.bessel_i_scaled(0, self.kappa)
 
     def pdf(self, theta):
@@ -271,11 +268,6 @@ def _phasors(theta: np.ndarray) -> np.ndarray:
 _ROUND = 1 << 13
 
 
-# above this r - 1 ~ 1/(2 kappa) is kept apart from r: in r itself it
-# loses every digit from kappa ~ 1e16 on, and no proposal is accepted
-_LARGE_KAPPA = 1e4
-
-
 def _proposal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1 + z and 1 - z of the Best-Fisher proposal z = cos(pi u), u in
     [0, 1), without a cosine: with t = tan((u - 1/2) pi/2) in [-1, 1),
@@ -294,6 +286,26 @@ def _proposal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t *= t
     t /= s
     return plus, t
+
+
+def _envelope(kappa: float) -> tuple[float, float]:
+    """d = r - 1 and kc = kappa (r - 1)(r + 1) of the Best-Fisher
+    envelope parameter r = (1 + rho^2) / (2 rho), for kappa > 0 with
+    1 / kappa finite.  With h = sqrt(1/4 + kappa^2), t = 1/2 + h and
+    q = sqrt(t), the textbook rho = (t - q) / kappa is kappa / (t + q), so
+    1 - rho = (1/2 + 1 / (4 (h + kappa)) + q) / (t + q), as h - kappa =
+    1 / (4 (h + kappa)), and kappa (r - 1) = (1 - rho)^2 (t + q) / 2: all
+    terms are positive, so nothing cancels or overflows at any kappa.
+    The rounding of r moves only the acceptance rate, not the law, as
+    the test accepts with c exp(1 - c), proportional to target over
+    envelope for any r > 1."""
+    h = math.hypot(0.5, kappa)
+    t = 0.5 + h
+    q = math.sqrt(t)
+    one_minus_rho = (0.5 + 0.25 / (h + kappa) + q) / (t + q)
+    kd = 0.5 * one_minus_rho * one_minus_rho * (t + q)  # kappa (r - 1)
+    d = kd / kappa
+    return d, kd * (2.0 + d)
 
 
 def _sample_von_mises(kappa: float, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -318,24 +330,7 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, shape: tuple[int, 
     # and the law differs from uniform by less than kappa anyway
     if kappa == 0.0 or math.isinf(1.0 / kappa):
         return _phasors(rng.uniform(-math.pi, math.pi, shape))
-    if kappa > _LARGE_KAPPA:
-        # with t = tau / (2 kappa): rho = t - sqrt(t / kappa), and
-        # sqrt(kappa) (1 - rho) = sqrt(t) - sqrt(kappa) (t - 1) has no cancellation
-        h = 0.5 / kappa
-        t1 = h + h * h / (math.sqrt(1.0 + h * h) + 1.0)  # t - 1
-        e = math.sqrt(1.0 + t1) - math.sqrt(kappa) * t1
-        kd = e * e / (2.0 - 2.0 * e / math.sqrt(kappa))  # kappa (r - 1)
-        d = kd / kappa
-    else:
-        if kappa < 1e-5:
-            r = 1.0 / kappa + kappa  # Taylor form, avoids cancellation
-        else:
-            tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
-            rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
-            r = (1.0 + rho * rho) / (2.0 * rho)
-        d = r - 1.0
-        kd = kappa * d
-    kc = kd * (2.0 + d)
+    d, kc = _envelope(kappa)
 
     out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)

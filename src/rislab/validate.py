@@ -9,6 +9,7 @@ every stochastic quantity uses a fixed seed recorded in the details.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -416,21 +417,19 @@ def run_suite(name: str, **overrides) -> list[CheckResult]:
     """Run one suite by name, or every suite with ``name = "all"``.
 
     ``overrides`` are forwarded to each check that accepts them (e.g.
-    ``trials`` for the simulation-backed suites); one that a named suite
-    would not read is a :class:`ConfigError`.
+    ``trials`` for the simulation-backed suites).  An unknown suite, or
+    an override that a named suite would not read, is a :class:`ConfigError`.
     """
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     results = []
     for key in names:
         fn = SUITES[key]
-        kwargs = {
-            k: v for k, v in overrides.items() if k in fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        }
+        kwargs = {k: v for k, v in overrides.items() if k in inspect.signature(fn).parameters}
         if name != "all" and kwargs.keys() != overrides.keys():
             raise ConfigError(f"suite {name!r} takes no {' or '.join(sorted(overrides.keys() - kwargs.keys()))}")
         results.append(fn(**kwargs))

@@ -423,6 +423,7 @@ def test_validate_rejects_bad_sampling_input_before_drawing(tmp_path, capsys, su
 def test_validate_unknown_suite_is_config_error(tmp_path):
     res = run_cli("validate", "no-such-suite", "--out", str(tmp_path))
     assert res.returncode == 2
+    assert "config error: unknown suite 'no-such-suite'" in res.stderr
 
 
 def test_missing_config_exits_2(tmp_path):

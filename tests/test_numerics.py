@@ -296,6 +296,11 @@ def test_laguerre_half_vs_kummer_transformed_oracle():
         assert nx.laguerre_half(k) == pytest.approx(want, rel=1e-11)
 
 
+def test_laguerre_half_is_exactly_one_at_zero():
+    # (1 + 0) exp(0) I_0(0) + 0 exp(0) I_1(0), with no special case for k = 0
+    assert nx.laguerre_half(0.0) == 1.0
+
+
 def test_laguerre_half_large_argument_asymptote():
     # L_{1/2}(-k) ~ 2 sqrt(k/pi) for large k
     for k in (1e4, 1e6):
@@ -349,3 +354,9 @@ def test_integrate_rejects_bad_interval_and_nonfinite():
 
     with pytest.raises(nx.DomainError):
         nx.integrate(nan_left_of_half, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [("0", 1.0), (0.0, "1"), (True, 2.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_integrate_rejects_limits_that_are_not_finite_reals(a, b):
+    with pytest.raises(nx.DomainError):
+        nx.integrate(lambda x: x, a, b)

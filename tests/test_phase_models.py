@@ -56,7 +56,7 @@ def test_uniform_circle_moments_vanish():
 
 def test_zero_concentration_matches_uniform():
     vm0 = pm.VonMises(0.0)
-    for p in (1, 2, 3):
+    for p in (0, 1, 2, 3):
         assert vm0.trig_moment(p) == pm.UniformCircle().trig_moment(p)
 
 
@@ -266,6 +266,26 @@ def test_von_mises_proposal_in_tangent_form_is_one_plus_and_minus_the_cosine():
         want_minus = np.array([float(1 - c) for c in cos])
     assert np.all(np.abs(plus - want_plus) <= 4.0 * EPS)
     assert np.all(np.abs(minus - want_minus) <= 4.0 * EPS)
+
+
+@pytest.mark.parametrize(
+    "kappa", [*np.logspace(-300, 308, 61), np.finfo(float).max, 1e-5, 0.5, 8.0, 30.0, 1e3]
+)
+def test_envelope_parameter_is_within_8_ulps_for_every_concentration(kappa):
+    # d = r - 1 and kc = kappa (r - 1)(r + 1) against the textbook tau,
+    # rho, r in 800 digits, enough for the 600 that tau - sqrt(2 tau)
+    # cancels at kappa = 1e-300
+    mp = pytest.importorskip("mpmath")
+    d, kc = pm._envelope(float(kappa))
+    with mp.workdps(800):
+        k = mp.mpf(float(kappa))
+        tau = 1 + mp.sqrt(1 + 4 * k * k)
+        rho = (tau - mp.sqrt(2 * tau)) / (2 * k)
+        r = (1 + rho * rho) / (2 * rho)
+        want_d, want_kc = float(r - 1), float(k * (r - 1) * (r + 1))
+    assert math.isfinite(d) and math.isfinite(kc)
+    assert abs(d - want_d) <= 8 * math.ulp(want_d)
+    assert abs(kc - want_kc) <= 8 * math.ulp(want_kc)
 
 
 _LARGE_KAPPA_SPREAD = """

@@ -44,6 +44,11 @@ def test_bisection_stops_early_with_the_bits_of_80_steps(monkeypatch):
     assert crossings() == got
 
 
+def test_unknown_suite_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown suite 'no-such-suite'"):
+        validate.run_suite("no-such-suite")
+
+
 def test_overrides_reach_only_the_checks_that_take_them(monkeypatch):
     calls = []
 
