@@ -6,7 +6,8 @@ outputs are CSV / JSON files written to --out plus a run manifest with
 SHA-256 digests of every file produced.  With a fixed --seed the CSV
 outputs are byte-identical run to run, whatever RIS_LAB_WORKERS says.
 Run telemetry lives only in the manifest: ``ber --simulate`` records the
-semianalytic estimator's per-point variance ratio under "telemetry".
+semianalytic estimator's per-point variance ratio and number of control
+variates under "telemetry".
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validation failure.
@@ -144,6 +145,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_ber(args) -> int:
+    # the manifest records --trials with or without --simulate
+    with config_errors():
+        numerics.check_count(args.trials, "--trials", 1)
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
     sweep_db = sweep_from_config(cfg)
@@ -168,7 +172,7 @@ def _cmd_ber(args) -> int:
         )
         sim = list(res.ber)
         halfwidth = list(res.ci_halfwidth)
-        telemetry = {"variance_ratio": res.variance_ratio}
+        telemetry = {"variance_ratio": res.variance_ratio, "controls": res.controls}
 
     rows = [
         [gdb, linear_to_db(ch.gamma_bar), ana, asy, s, hw]
@@ -194,8 +198,7 @@ def _cmd_ber(args) -> int:
 def _cmd_snr_pdf(args) -> int:
     with config_errors():
         numerics.check_count(args.bins, "--bins", 1)
-        if args.simulate:
-            numerics.check_count(args.trials, "--trials", KS_MIN_SAMPLES)
+        numerics.check_count(args.trials, "--trials", KS_MIN_SAMPLES)
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
     ch = derive(scenario)

@@ -18,6 +18,11 @@ instantaneous SNR n^2 gamma0 |H|^2 is gamma distributed with shape m and
 mean gamma_bar = n^2 gamma0 phi_1^2 a^4.  The cumulant generating
 function of |H|^2 and its single-gamma approximation are exposed so the
 quality of that reduction can be measured directly.
+
+At finite n the law of H is not Gaussian, but its cumulants are exact:
+H is the mean of n i.i.d. reflector terms, so kappa_pq(Re H, Im H) =
+n^(1-p-q) kappa_pq(R cos Theta, R sin Theta).  ``control_moments``
+turns them into the exact means of the simulator's control variates.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "LrsScenario",
     "cgf_exact",
     "cgf_gamma_approx",
+    "control_moments",
     "derive",
     "finite_n_second_moment",
     "m_from_moments",
@@ -154,6 +160,112 @@ def derive(scenario: LrsScenario) -> EquivChannel:
         n=n,
         gamma0=scenario.gamma0,
     )
+
+
+# the powers (p, q) of the monomials u^p v^q of the standardized parts of
+# H that serve the simulator as control variates, in the order of its
+# nested fits on the first 3, 5 or all 8 of them
+CONTROL_POWERS = ((1, 0), (2, 0), (0, 2), (3, 0), (1, 2), (4, 0), (2, 2), (0, 4))
+# E[cos^p Theta sin^q Theta] of a symmetric Theta by the powers above, as
+# weights of phi_0 .. phi_4 (products of cosines and sines expanded)
+_TRIG = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.5, 0.0, 0.5, 0.0, 0.0],
+        [0.5, 0.0, -0.5, 0.0, 0.0],
+        [0.0, 0.75, 0.0, 0.25, 0.0],
+        [0.0, 0.25, 0.0, -0.25, 0.0],
+        [0.375, 0.0, 0.5, 0.0, 0.125],
+        [0.125, 0.0, 0.0, 0.0, -0.125],
+        [0.375, 0.0, -0.5, 0.0, 0.125],
+    ]
+)
+# E[u^p v^q] of a Gaussian (u, v) of independent standard parts
+_GAUSSIAN_MEANS = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 3.0, 1.0, 3.0])
+# relative error of the inputs (a few ulps each) and of the arithmetic
+# that combines them, per unit of the sum of the magnitudes of all terms
+_ROUNDING = 1e-14
+# a control mean whose rounding bound exceeds this is reported as nan: an
+# error delta in the mean of a standardized control shifts the estimate
+# by about beta delta, beta of the order of the standard deviation of p,
+# which stays under a tenth of the standard error while trials times the
+# variance ratio stay below 10^10
+CONTROL_MEAN_TOL = 1e-6
+
+
+def _reflector_cumulants(raw: dict, m: float, s: float) -> np.ndarray:
+    """By ``CONTROL_POWERS``: m, then kappa_pq of A = R cos Theta - m and
+    B = R sin Theta, from the raw moments ``raw[p, q]`` of (R cos Theta,
+    R sin Theta).  s = -1 gives their values; s = +1, with magnitudes in
+    place of the inputs, the sum of the magnitudes of all terms."""
+    a2 = raw[2, 0] + s * m * m
+    b2 = raw[0, 2]
+    return np.array(
+        [
+            m,
+            a2,
+            b2,
+            raw[3, 0] + s * 3.0 * m * raw[2, 0] + 2.0 * m**3,
+            raw[1, 2] + s * m * b2,
+            raw[4, 0] + s * 4.0 * m * raw[3, 0] + 6.0 * m * m * raw[2, 0] + s * 3.0 * m**4 + s * 3.0 * a2 * a2,
+            raw[2, 2] + s * 2.0 * m * raw[1, 2] + m * m * b2 + s * a2 * b2,
+            raw[0, 4] + s * 3.0 * b2 * b2,
+        ]
+    )
+
+
+def _control_means(scenario: LrsScenario) -> tuple[EquivChannel, np.ndarray, np.ndarray]:
+    """``derive(scenario)``, the exact means of the monomials of
+    ``CONTROL_POWERS`` and a bound on the rounding of each."""
+    ch = derive(scenario)
+    phi = np.array([scenario.phi(p) for p in range(5)])
+    hops = [scenario.fading_sr.magnitude_moment(k) * scenario.fading_rd.magnitude_moment(k) for k in range(5)]
+    raw, size = {}, {}
+    for pq, t, t_abs in zip(CONTROL_POWERS, _TRIG @ phi, np.abs(_TRIG) @ np.abs(phi)):
+        raw[pq], size[pq] = hops[sum(pq)] * t, hops[sum(pq)] * t_abs
+    m = hops[1] * phi[1]
+    kappa = _reflector_cumulants(raw, m, -1.0)
+    magnitude = _reflector_cumulants(size, abs(m), 1.0)
+
+    p, q = np.array(CONTROL_POWERS, dtype=float).T
+    sigma_u, sigma_v = math.sqrt(ch.sigma_u2), math.sqrt(ch.sigma_v2)
+    means, bound = np.zeros(len(p)), np.zeros(len(p))
+    live = (q == 0) | (sigma_v > 0.0)  # v = 0 where sigma_V = 0
+    p, q, kappa, magnitude = p[live], q[live], kappa[live], magnitude[live]
+    scale = scenario.n ** (1.0 - p - q) / (sigma_u**p * sigma_v**q)
+    excess = np.where(p + q > 2, kappa, 0.0)
+    means[live] = _GAUSSIAN_MEANS[live] + excess * scale
+    # the scales' relative errors enter with the powers of the parts
+    rel = p * magnitude[1] / (2.0 * kappa[1])
+    if sigma_v > 0.0:
+        rel += q * magnitude[2] / (2.0 * kappa[2])
+    bound[live] = _ROUNDING * scale * (magnitude + np.abs(excess) * rel)
+    return ch, means, bound
+
+
+def control_moments(scenario: LrsScenario) -> tuple[float, float, float, np.ndarray]:
+    """``(mu, sigma_U, sigma_V, means)``: the centre and scales of the
+    standardized parts u = (Re H - mu) / sigma_U and v = Im H / sigma_V
+    (from ``derive``; v = 0 where sigma_V = 0), and the exact finite-n
+    means of the monomials u^p v^q of ``CONTROL_POWERS``.
+
+    Per reflector, A = R cos Theta - mu and B = R sin Theta have raw
+    moments E R^(p+q) E[cos^p Theta sin^q Theta], from the hop moments
+    E|H_1|^k E|H_2|^k and phi_1 .. phi_4; their cumulants scale to those
+    of H as n^(1-p-q) kappa_pq.  E[u^3] = kappa_30 / (n^2 sigma_U^3), E[u^4]
+    = 3 + kappa_40 / (n^3 sigma_U^4) and so on; kappa_11 = 0 by symmetry.
+
+    Where the moments cancel (near-deterministic hops without phase
+    errors, or nearly exact phases, whose 1 - phi_p are a few ulps of
+    phi_p), a mean can lose its digits.  Each mean's rounding is bounded
+    by ``_ROUNDING`` times the sum of the magnitudes of the terms that
+    form it, scaled like the mean; a mean whose bound exceeds
+    ``CONTROL_MEAN_TOL`` is returned as nan, and the simulator leaves
+    that control out.
+    """
+    ch, means, bound = _control_means(scenario)
+    means[bound > CONTROL_MEAN_TOL] = math.nan
+    return ch.mu, math.sqrt(ch.sigma_u2), math.sqrt(ch.sigma_v2), means
 
 
 def finite_n_second_moment(scenario: LrsScenario) -> float:

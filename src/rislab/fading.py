@@ -2,10 +2,11 @@
 
 Only two statistics of a hop matter to the large-surface analytics: the
 power is normalized to E[|H|^2] = 1 and the mean magnitude E[|H|] < 1
-enters the equivalent-channel parameters.  The built-in families are
-Rayleigh and Rician (any finite K factor); anything satisfying the same
-unit-power and mean-magnitude contract could be added behind
-:class:`FadingModel`.
+enters the equivalent-channel parameters.  The simulator's control
+variates also read the third and fourth magnitude moments.  The
+built-in families are Rayleigh and Rician (any finite K factor);
+anything satisfying the same unit-power and moment contract could be
+added behind :class:`FadingModel`.
 
 A model reads its stream one magnitude after the other, so the
 simulator can draw a hop's magnitudes row tile by row tile from that
@@ -25,6 +26,8 @@ from . import numerics
 __all__ = ["FadingModel", "Rayleigh", "Rician", "from_config"]
 
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
+# E|H|^k = Gamma(1 + k/2) of unit-power Rayleigh fading, k = 0..4
+_RAYLEIGH_MOMENTS = (1.0, _SQRT_PI_HALF, 1.0, 1.5 * _SQRT_PI_HALF, 2.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
@@ -34,6 +37,11 @@ class FadingModel(abc.ABC):
     @abc.abstractmethod
     def mean_magnitude(self) -> float:
         """E[|H|], strictly inside (0, 1) for unit-power fading."""
+
+    @abc.abstractmethod
+    def magnitude_moment(self, k: int) -> float:
+        """E[|H|^k] for k = 0..4: 1 at k = 0 and 2, ``mean_magnitude()``
+        at k = 1."""
 
     @abc.abstractmethod
     def sample_magnitude(self, rng: np.random.Generator, size=None):
@@ -52,6 +60,9 @@ class Rayleigh(FadingModel):
 
     def mean_magnitude(self) -> float:
         return _SQRT_PI_HALF
+
+    def magnitude_moment(self, k: int) -> float:
+        return _RAYLEIGH_MOMENTS[numerics.check_count(k, "moment order", 0, 4)]
 
     def sample_magnitude(self, rng, size=None):
         return rng.rayleigh(scale=math.sqrt(0.5), size=size)
@@ -82,6 +93,25 @@ class Rician(FadingModel):
         # it may round to 1.0 or above, and is then kept just below 1
         k = self.k_factor
         return min(math.sqrt(math.pi / (4.0 * (k + 1.0))) * numerics.laguerre_half(k), _BELOW_ONE)
+
+    def magnitude_moment(self, k: int) -> float:
+        """E|H|^k = Gamma(1 + k/2) (K+1)^(-k/2) L_{k/2}(-K).  With x =
+        1/(K+1), L_2(-K) = (K^2 + 4K + 2)/2 gives 1 + x (2 - x) at k = 4;
+        at k = 3 the recurrence 1.5 L_{3/2}(-K) = (2 + K) L_{1/2}(-K) -
+        L_{-1/2}(-K)/2, with L_{-1/2}(-K) = exp(-K/2) I_0(K/2), is grouped
+        so that no factor overflows or underflows at any finite K."""
+        k = numerics.check_count(k, "moment order", 0, 4)
+        if k == 1:
+            return self.mean_magnitude()
+        x = 1.0 / (self.k_factor + 1.0)
+        if k == 4:
+            return 1.0 + x * (2.0 - x)
+        if k == 3:
+            root = math.sqrt(x)
+            lag = numerics.laguerre_half(self.k_factor)
+            i0 = numerics.bessel_i_scaled(0, 0.5 * self.k_factor)
+            return _SQRT_PI_HALF * ((2.0 + self.k_factor) * x * (lag * root) - 0.5 * i0 * x * root)
+        return 1.0
 
     def _parts(self) -> tuple[float, float]:
         k = self.k_factor

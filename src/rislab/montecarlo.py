@@ -11,16 +11,21 @@ conditional error probability Q(sqrt(2 n^2 gamma0 |H|^2)) and averages
 it over the H draws (semi-analytic, variance reduced).  This is the
 ground truth every analytic module is validated against.
 
-The semi-analytic average is corrected by three control variates whose
-means are exactly zero at every n, not only in the large-n limit:
-x_1 = Re H - mu, x_2 = x_1^2 - sigma_U^2 and x_3 = (Im H)^2 - sigma_V^2,
-with mu = phi_1 a^2, sigma_U^2 and sigma_V^2 from
-``equiv_channel.derive``.  The estimate p_bar - beta^T x_bar, with beta
+The semi-analytic average is corrected by eight control variates whose
+means are exact at every n, not only in the large-n limit: the
+monomials u, u^2, v^2, u^3, u v^2, u^4, u^2 v^2 and v^4 of the
+standardized parts u = (Re H - mu) / sigma_U and v = Im H / sigma_V,
+each less its mean from the exact finite-n cumulants of H
+(``equiv_channel.control_moments``).  Q(c |H|) is a smooth function of
+(Re H, (Im H)^2), which polynomials of degree 4 follow far more closely
+than the degree-2 ones.  The estimate p_bar - beta^T x_bar, with beta
 fitted by least squares on the same draws, is a weighted mean
-(1/N) sum w_i p_i whose weights do not depend on gamma0; the fit is
-used only where every weight is provably >= 0, so an estimate is never
-negative and a sweep never rises.  Blocks return the sums the fit
-needs, so it costs no second pass over the draws.
+(1/N) sum w_i p_i whose weights do not depend on gamma0.  The fit runs
+on the first 8, 5 or 3 controls, the largest that leaves at least 30
+residual degrees of freedom and every weight provably >= 0, else on
+none; so an estimate is never negative and a sweep never rises.  Blocks
+return the sums the fit needs, so it costs no second pass over the
+draws.
 
 Every simulation runs through one block engine.  Trials are partitioned
 into fixed blocks of 2^14, and block results are reduced in block
@@ -60,9 +65,10 @@ point it evaluates Q on the ascending arguments, one contiguous slice
 per range of the rational approximation, in buffers allocated once per
 block (``numerics.gauss_q_ascending``), and puts the probabilities back
 in trial order before summing: the sums are those of an elementwise
-``numerics.gauss_q``, bit for bit.  The block's sums are formed with
-``np.sum`` and ``np.einsum``, never through BLAS, which could start
-threads inside the worker processes.  SNR draws are written block by
+``numerics.gauss_q``, bit for bit.  The controls are built in place in
+one (8, N) array, and the block's sums are formed with ``np.sum`` and
+``np.einsum``, never through BLAS, which could start threads inside the
+worker processes.  SNR draws are written block by
 block into one array of at most ``SNR_RETAIN_CAP`` values.
 """
 
@@ -79,7 +85,7 @@ import numpy as np
 
 from . import numerics
 from .config import ConfigError
-from .equiv_channel import LrsScenario, derive
+from .equiv_channel import LrsScenario, control_moments
 from .phase_models import PhaseErrorModel
 
 __all__ = [
@@ -112,6 +118,9 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # fewest residual degrees of freedom of a control-variate fit: from 30 on its
 # t quantile is at most 4.2% above _Z95; on one or two it was far too narrow
 _MIN_RESIDUAL_DOF = 30
+# the nested control-variate fits, largest first: the first 8, 5 or 3
+# monomials of equiv_channel.CONTROL_POWERS
+_RUNGS = (8, 5, 3)
 
 
 class SimConfigError(ConfigError, numerics.DomainError):
@@ -167,13 +176,15 @@ class SimResult:
     """Per sweep point of the config: BER estimate, 95% confidence
     half-width and, for the direct estimator only, the error count.
     ``variance_ratio`` (semianalytic only) is the plain mean's variance
-    over the control-variate estimate's: 1.0 where the plain mean
-    stands."""
+    over the control-variate estimate's, and ``controls`` the number of
+    control variates the fit used (8, 5 or 3): 1.0 and 0 where the plain
+    mean stands."""
 
     ber: tuple[float, ...]
     ci_halfwidth: tuple[float, ...]
     error_counts: tuple[int, ...] | None
     variance_ratio: tuple[float, ...] | None = None
+    controls: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -266,33 +277,52 @@ def _map_blocks(jobs, scenario, master_seed, stream, trials):
         yield from pool.map(run, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
 
 
+def _controls(h, mu: float, sigma_u: float, sigma_v: float, means: np.ndarray) -> np.ndarray:
+    """The monomials u, u^2, v^2, u^3, u v^2, u^4, u^2 v^2, v^4 (the order
+    of ``equiv_channel.CONTROL_POWERS``) of u = (Re H - mu) / sigma_U and
+    v = Im H / sigma_V, less ``means``, built in place in one (8, N)
+    array; v = 0 where sigma_V = 0, and a control whose mean is nan is 0."""
+    xs = np.empty((len(means), h.size))
+    u, u2, v2, u3, uv2, u4, u2v2, v4 = xs
+    np.subtract(h.real, mu, out=u)
+    u /= sigma_u
+    np.multiply(u, u, out=u2)
+    if sigma_v > 0.0:
+        np.divide(h.imag, sigma_v, out=v2)
+        v2 *= v2
+    else:
+        v2.fill(0.0)
+    np.multiply(u2, u, out=u3)
+    np.multiply(u, v2, out=uv2)
+    np.multiply(u2, u2, out=u4)
+    np.multiply(u2, v2, out=u2v2)
+    np.multiply(v2, v2, out=v4)
+    xs -= means[:, None]
+    xs[np.isnan(means)] = 0.0
+    return xs
+
+
 def _ber_block(n: int, points: tuple[float, ...], estimator: str, moments, h, rng, block) -> tuple:
     """One block's sums, every sweep point evaluated on the same draws.
 
-    Semianalytic: per point ``[sum p, sum p^2, sum p x_1, sum p x_2, sum
-    p x_3]``, and the controls' ``(sums, lo, hi)``: row k of ``sums`` is
-    ``[sum x_k, sum x_k x_1, sum x_k x_2, sum x_k x_3]``, ``lo`` and ``hi``
-    the smallest and largest x_k.  The controls x_1 = Re H - mu, x_2 =
-    x_1^2 - sigma_U^2 and x_3 = (Im H)^2 - sigma_V^2 are centred by the
-    exact ``moments = (mu, sigma_U^2, sigma_V^2)``.  Direct: per point
-    ``[errors]`` and no controls.  The sums use no BLAS call.
+    Semianalytic: per point ``[sum p, sum p^2, sum p x_1, ..., sum p
+    x_8]``, and the controls' ``(sums, lo, hi)``: row k of ``sums`` is
+    ``[sum x_k, sum x_k x_1, ..., sum x_k x_8]``, ``lo`` and ``hi`` the
+    smallest and largest x_k.  The controls x_k are those of
+    ``_controls(h, *moments)``, with ``moments`` from
+    ``equiv_channel.control_moments``.  Direct: per point ``[errors]``
+    and no controls.  The sums use no BLAS call.
     """
     mag = np.abs(h)
     if estimator == "semianalytic":
-        mu, sigma_u2, sigma_v2 = moments
-        xs = np.empty((3, mag.size))
-        np.subtract(h.real, mu, out=xs[0])
-        np.multiply(xs[0], xs[0], out=xs[1])
-        xs[1] -= sigma_u2
-        np.multiply(h.imag, h.imag, out=xs[2])
-        xs[2] -= sigma_v2
-        sums = np.empty((3, 4))
+        xs = _controls(h, *moments)
+        sums = np.empty((len(xs), len(xs) + 1))
         sums[:, 0] = np.sum(xs, axis=1)
         sums[:, 1:] = np.einsum("ki,li->kl", xs, xs)
         controls = (sums, xs.min(axis=1), xs.max(axis=1))
         # the exact conditional BPSK error probability given H, evaluated
         # on the ascending magnitudes and summed in trial order
-        rows = np.empty((len(points), 5))
+        rows = np.empty((len(points), 2 + len(xs)))
         order = np.argsort(mag)
         ascending = mag[order]
         x, q, p = np.empty((3, mag.size))
@@ -304,7 +334,7 @@ def _ber_block(n: int, points: tuple[float, ...], estimator: str, moments, h, rn
             p[order] = q
             row[0] = np.sum(p)
             row[1] = np.sum(np.multiply(p, p, out=q))
-            row[2:] = np.sum(np.multiply(xs, p, out=work[:3]), axis=1)
+            row[2:] = np.einsum("ki,i->k", xs, p)
         return rows, controls
     x = rng.integers(0, 2, size=h.size) * 2 - 1
     w = (rng.standard_normal(h.size) + 1j * rng.standard_normal(h.size)) / math.sqrt(2.0)
@@ -334,47 +364,50 @@ def _wilson_halfwidth(k: int, n: int) -> float:
 
 
 def _control_fit(trials: int, sums: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """``(x_bar, C+, a, rank)`` of the controls, with a = C+ x_bar, or
-    None where the plain mean must stand in (beta = 0).
+    """``(x_bar, C+, a, rank, k)`` of the first k controls, with a = C+
+    x_bar, for the largest k of ``_RUNGS`` whose fit stands, or None
+    where none does and the plain mean must stand in (beta = 0).
 
     The control-variate estimate at any point is (1/N) sum w_i p_i with
     weights w_i = 1 - (x_i - x_bar)^T a that do not depend on the point.
     The weights are affine in x, so their minimum over the box of the
-    controls' extremes bounds them all from below; the fit is used only
-    where that bound is >= 0, which keeps every estimate positive and
-    every sweep from rising, and where the residual variance has at
-    least ``_MIN_RESIDUAL_DOF`` degrees of freedom, N - 1 - rank.  C is
+    controls' extremes bounds them all from below; a fit stands where
+    that bound is >= 0, which keeps every estimate positive and every
+    sweep from rising, and where the residual variance has at least
+    ``_MIN_RESIDUAL_DOF`` degrees of freedom, N - 1 - rank.  Fewer
+    controls leave more degrees of freedom and a narrower box.  C is
     singular when a control vanishes (Im H = 0 without phase errors),
     hence the pseudo-inverse.
     """
-    x_bar = sums[:, 0] / trials
-    second = sums[:, 1:] / trials
-    eigval, eigvec = np.linalg.eigh(second - np.outer(x_bar, x_bar))
-    # directions with less variance than this are roundoff of C = 0
-    keep = eigval > 1e-10 * np.trace(second)
-    rank = int(np.count_nonzero(keep))
-    if trials - 1 - rank < _MIN_RESIDUAL_DOF:
-        return None
-    c_pinv = (eigvec[:, keep] / eigval[keep]) @ eigvec[:, keep].T
-    a = c_pinv @ x_bar
-    if 1.0 - np.sum(np.maximum((lo - x_bar) * a, (hi - x_bar) * a)) < 0.0:
-        return None
-    return x_bar, c_pinv, a, rank
+    for k in _RUNGS:
+        x_bar = sums[:k, 0] / trials
+        second = sums[:k, 1 : k + 1] / trials
+        eigval, eigvec = np.linalg.eigh(second - np.outer(x_bar, x_bar))
+        # directions with less variance than this are roundoff of C = 0
+        keep = eigval > 1e-10 * np.trace(second)
+        rank = int(np.count_nonzero(keep))
+        if trials - 1 - rank < _MIN_RESIDUAL_DOF:
+            continue
+        c_pinv = (eigvec[:, keep] / eigval[keep]) @ eigvec[:, keep].T
+        a = c_pinv @ x_bar
+        if 1.0 - np.sum(np.maximum((lo[:k] - x_bar) * a, (hi[:k] - x_bar) * a)) >= 0.0:
+            return x_bar, c_pinv, a, rank, k
+    return None
 
 
-def _semianalytic_estimate(n: int, row, fit) -> tuple[float, float, float]:
+def _semianalytic_estimate(n: int, row, fit) -> tuple[float, float, float, int]:
     """BER estimate p_bar - beta^T x_bar over ``n`` trials, its 95%
-    half-width and the plain mean's variance over the estimate's, at one
-    point, from the point's ``[sum p, sum p^2, sum p x_k]`` and the
-    model's ``_control_fit``."""
+    half-width, the plain mean's variance over the estimate's and the
+    number of controls used, at one point, from the point's ``[sum p,
+    sum p^2, sum p x_k]`` and the model's ``_control_fit``."""
     sum_p, sum_p2, *sum_px = row
     mean = sum_p / n
     plain = max(0.0, (sum_p2 - n * mean * mean) / max(1, n - 1))
     if fit is None:
-        estimate, var = mean, plain
+        estimate, var, used = mean, plain, 0
     else:
-        x_bar, c_pinv, a, rank = fit
-        c = np.asarray(sum_px) / n - mean * x_bar
+        x_bar, c_pinv, a, rank, used = fit
+        c = np.asarray(sum_px[:used]) / n - mean * x_bar
         beta = c_pinv @ c
         estimate = mean - float(beta @ x_bar)
         # residual variance of p - beta^T x on N - 1 - rank degrees of
@@ -384,7 +417,7 @@ def _semianalytic_estimate(n: int, row, fit) -> tuple[float, float, float]:
     hw = _Z95 * math.sqrt(var / n)
     if 0.0 < estimate < 1.0:
         hw = max(hw, sys.float_info.epsilon * estimate)  # roundoff floor
-    return estimate, hw, plain / var if var > 0.0 else 1.0
+    return estimate, hw, plain / var if var > 0.0 else 1.0, used
 
 
 def _direct_estimate(trials: int, errors: int) -> tuple[float, float]:
@@ -406,12 +439,13 @@ def simulate_ber(config: SimConfig) -> SimResult:
 
     The semi-analytic estimator averages the exact conditional error
     probability p = Q(sqrt(2 gamma0) n |H|) over the H draws, corrected
-    by three control variates whose means are exactly zero at every n:
-    x_1 = Re H - mu, x_2 = x_1^2 - sigma_U^2 and x_3 = (Im H)^2 -
-    sigma_V^2, with the moments of ``equiv_channel.derive``.  The
-    estimate is p_bar - beta^T x_bar with beta fitted by least squares on
-    the same draws (Lavenberg and Welch), falling back to the plain mean
-    where the fit could make a weight negative (see ``_control_fit``).
+    by eight control variates whose means are exact at every n: the
+    monomials of degree 1 to 4 in the standardized parts of H, less the
+    means of ``equiv_channel.control_moments``.  The estimate is p_bar -
+    beta^T x_bar with beta fitted by least squares on the same draws
+    (Lavenberg and Welch), on the first 8, 5 or 3 controls, or on none
+    where every such fit could make a weight negative or leaves too few
+    residual degrees of freedom (see ``_control_fit``).
     The direct estimator transmits a random symbol per trial, adds
     receiver noise, rotates by the channel phase and counts sign errors.
     All sweep points share the same draws, and points with different
@@ -429,10 +463,7 @@ def simulate_ber(config: SimConfig) -> SimResult:
     owned = [[i for i, pe in enumerate(config.phase_errors) if pe == model] for model in models]
     jobs = []
     for model, idx in zip(models, owned):
-        moments = None
-        if semianalytic:
-            ch = derive(replace(scenario, phase_error=model))
-            moments = (ch.mu, ch.sigma_u2, ch.sigma_v2)
+        moments = control_moments(replace(scenario, phase_error=model)) if semianalytic else None
         pts = tuple(points[i] for i in idx)
         jobs.append((model, partial(_ber_block, scenario.n, pts, config.estimator, moments)))
     per_job = zip(*_map_blocks(jobs, scenario, config.master_seed, _STREAM_BER, config.trials))
@@ -452,14 +483,15 @@ def simulate_ber(config: SimConfig) -> SimResult:
                 estimates[i] = _semianalytic_estimate(n, row, fit)
         else:
             for i, (k,) in zip(idx, rows.tolist()):
-                estimates[i] = (*_direct_estimate(n, int(k)), int(k))
+                estimates[i] = (*_direct_estimate(n, int(k)), int(k), None)
 
-    ber, halfwidth, extra = zip(*estimates)
+    ber, halfwidth, extra, controls = zip(*estimates)
     return SimResult(
         ber=ber,
         ci_halfwidth=halfwidth,
         error_counts=None if semianalytic else extra,
         variance_ratio=extra if semianalytic else None,
+        controls=controls if semianalytic else None,
     )
 
 

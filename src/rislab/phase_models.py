@@ -26,6 +26,7 @@ Supported variants:
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
@@ -268,18 +269,19 @@ def _phasors(theta: np.ndarray) -> np.ndarray:
 _ROUND = 1 << 13
 
 
-def _proposal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _proposal(u: np.ndarray, plus=None, s=None) -> tuple[np.ndarray, np.ndarray]:
     """1 + z and 1 - z of the Best-Fisher proposal z = cos(pi u), u in
     [0, 1), without a cosine: with t = tan((u - 1/2) pi/2) in [-1, 1),
     1 + z = (1 - t)^2 / (1 + t^2) and 1 - z = (1 + t)^2 / (1 + t^2), which
-    have no cancellation at z = +-1.  Overwrites ``u``."""
+    have no cancellation at z = +-1.  Overwrites ``u`` with 1 - z, and
+    writes 1 + z and 1 + t^2 into ``plus`` and ``s`` where given."""
     t = u
     t -= 0.5
     t *= 0.5 * np.pi
     np.tan(t, out=t)
-    s = np.multiply(t, t)
+    s = np.multiply(t, t, out=s)
     s += 1.0
-    plus = np.subtract(1.0, t)
+    plus = np.subtract(1.0, t, out=plus)
     plus *= plus
     plus /= s
     t += 1.0
@@ -308,6 +310,15 @@ def _envelope(kappa: float) -> tuple[float, float]:
     return d, kd * (2.0 + d)
 
 
+@functools.cache
+def _round_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch arrays of a rejection round of up to ``size`` proposals,
+    made once per process and reused by every call: eight rows of
+    doubles and two of flags.  Arrays made and freed in every round let
+    glibc trim the heap top and fault the pages in again."""
+    return np.empty((8, size)), np.empty((2, size), dtype=bool)
+
+
 def _sample_von_mises(kappa: float, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Phasors exp(j Theta) of shape ``shape``, by Best-Fisher rejection
     (Best & Fisher 1979, wrapped-Cauchy envelope): a proposal is
@@ -325,12 +336,15 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, shape: tuple[int, 
     accepted phasors fill the output in order, and those past ``missing``
     are dropped.  As no kappa accepts fewer than 0.657 of the proposals,
     the margin over ``missing`` ends most calls for 8192 values in two
-    rounds; a round of ``missing`` alone would take seven to nine."""
+    rounds; a round of ``missing`` alone would take seven to nine.  The
+    round's draws, intermediates, flags and gathers live in the scratch
+    arrays of ``_round_scratch``; only the index arrays are made anew."""
     # below ~5.6e-309 1/kappa overflows, no proposal could be accepted,
     # and the law differs from uniform by less than kappa anyway
     if kappa == 0.0 or math.isinf(1.0 / kappa):
         return _phasors(rng.uniform(-math.pi, math.pi, shape))
     d, kc = _envelope(kappa)
+    (u_all, v_all, sign_all, plus_all, s_all, c_all, g_all, h_all), (accept_all, flag_all) = _round_scratch(_ROUND)
 
     out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)
@@ -338,35 +352,45 @@ def _sample_von_mises(kappa: float, rng: np.random.Generator, shape: tuple[int, 
     while filled < flat.size:
         missing = flat.size - filled
         size = min(_ROUND, missing * 3 // 2 + 16)
-        u = rng.random(size)
-        v = rng.random(size)
-        sign = rng.random(size)
+        u, v, sign = rng.random(out=u_all[:size]), rng.random(out=v_all[:size]), rng.random(out=sign_all[:size])
         # r + z as (1 + z) + (r - 1): r rounds to 1 from kappa ~ 5e15 on
-        den, one_minus_z = _proposal(u)
+        den, one_minus_z = _proposal(u, plus_all[:size], s_all[:size])
         den += d
         with np.errstate(over="ignore"):
-            c = np.divide(kc, den)
+            c = np.divide(kc, den, out=c_all[:size])
         # squeeze test c (2 - c) > u2 first; the log test only where it fails
-        squeeze = np.subtract(2.0, c)
+        squeeze = np.subtract(2.0, c, out=s_all[:size])
         squeeze *= c
-        accept = squeeze > v
-        rejected = np.flatnonzero(~accept)
-        c_rej = c[rejected]
+        accept = np.greater(squeeze, v, out=accept_all[:size])
+        rejected = np.flatnonzero(np.logical_not(accept, out=flag_all[:size]))
+        k = rejected.size
+        # gathers with mode="clip" (the indices are in range): numpy
+        # buffers ``out`` under the default "raise"
+        c_rej = np.take(c, rejected, out=g_all[:k], mode="clip")
+        test = np.take(v, rejected, out=h_all[:k], mode="clip")
         with np.errstate(divide="ignore", invalid="ignore"):
-            accept[rejected] = np.log(c_rej / v[rejected]) + 1.0 - c_rej >= 0.0
+            np.divide(c_rej, test, out=test)
+            np.log(test, out=test)
+        test += 1.0
+        test -= c_rej
+        accept[rejected] = np.greater_equal(test, 0.0, out=flag_all[:k])
         idx = np.flatnonzero(accept)[:missing]
+        k = idx.size
         # d <= r + z, so 1 - f lies in [0, 2] without clipping, and
         # dividing first keeps d (1 - z) from overflowing at tiny kappa
-        one_minus_f = np.divide(d, den[idx])
-        one_minus_f *= one_minus_z[idx]
-        im = np.subtract(2.0, one_minus_f)
+        one_minus_f = np.take(den, idx, out=g_all[:k], mode="clip")
+        np.divide(d, one_minus_f, out=one_minus_f)
+        one_minus_f *= np.take(one_minus_z, idx, out=h_all[:k], mode="clip")
+        im = np.subtract(2.0, one_minus_f, out=h_all[:k])
         im *= one_minus_f
         np.sqrt(im, out=im)
-        part = slice(filled, filled + idx.size)
+        part = slice(filled, filled + k)
         np.subtract(1.0, one_minus_f, out=flat.real[part])
         # copysign, not sign(): u3 == 0.5 still yields a unit phasor
-        np.copysign(im, sign[idx] - 0.5, out=flat.imag[part])
-        filled += idx.size
+        half = np.take(sign, idx, out=s_all[:k], mode="clip")
+        half -= 0.5
+        np.copysign(im, half, out=flat.imag[part])
+        filled += k
     return out
 
 

@@ -24,14 +24,14 @@ class FixedMoments(pm.PhaseErrorModel):
 
 class RecordingGenerator:
     """Passes ``random`` and ``uniform`` through to ``rng`` and records
-    each size asked for."""
+    each size asked for (that of ``out`` where ``random`` fills one)."""
 
     def __init__(self, rng):
         self.rng, self.sizes = rng, []
 
-    def random(self, size):
-        self.sizes.append(size)
-        return self.rng.random(size)
+    def random(self, size=None, out=None):
+        self.sizes.append(size if out is None else out.size)
+        return self.rng.random(size, out=out)
 
     def uniform(self, low, high, size):
         self.sizes.append(size)
@@ -46,6 +46,9 @@ class FixedMeanMagnitude(fd.FadingModel):
 
     def mean_magnitude(self):
         return self.a
+
+    def magnitude_moment(self, k):
+        raise NotImplementedError
 
     def sample_magnitude(self, rng, size=None):
         raise NotImplementedError

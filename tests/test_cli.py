@@ -135,9 +135,12 @@ def test_ber_command_simulation_and_manifest(tmp_path):
     assert manifest["seed"] == 9
     digest = hashlib.sha256((out / "ber.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["ber.csv"] == digest
-    # the control variates' variance cut, one ratio per sweep point
+    # the control variates' variance cut and how many controls the fit
+    # used, one entry of each per sweep point
     ratios = manifest["telemetry"]["variance_ratio"]
     assert len(ratios) == len(rows) and all(r >= 1.0 for r in ratios)
+    controls = manifest["telemetry"]["controls"]
+    assert len(controls) == len(rows) and set(controls) <= {0, 3, 5, 8}
 
 
 def test_direct_ber_manifest_has_no_variance_ratio(tmp_path):
@@ -149,7 +152,7 @@ def test_direct_ber_manifest_has_no_variance_ratio(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     manifest = json.loads((out / "ber.manifest.json").read_text())
-    assert manifest["telemetry"] == {"variance_ratio": None}
+    assert manifest["telemetry"] == {"variance_ratio": None, "controls": None}
 
 
 def test_ber_reruns_are_byte_identical(tmp_path):
@@ -456,6 +459,18 @@ def test_non_finite_sweep_point_exits_2(tmp_path, sweep):
     res = run_cli("ber", "--config", cfg, "--simulate", "--trials", "100", "--out", str(tmp_path))
     assert res.returncode == 2
     assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("command, trials", [("ber", "-5"), ("ber", "0"), ("snr-pdf", "99")])
+def test_trials_are_checked_without_simulate(tmp_path, command, trials):
+    # the manifest records --trials even where nothing is simulated, so a
+    # count no run could use is a configuration error there too
+    cfg = write_config(tmp_path, REFERENCE_CONFIG)
+    out = tmp_path / "out"
+    res = run_cli(command, "--config", cfg, "--trials", trials, "--out", str(out))
+    assert res.returncode == 2
+    assert "config error" in res.stderr and "--trials" in res.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("flags", [["--trials", "0"], ["--seed", "-1"]], ids=["trials-0", "seed-negative"])

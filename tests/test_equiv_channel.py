@@ -319,3 +319,145 @@ def test_cgf_error_shrinks_like_one_over_n():
         errs.append(abs(ec.cgf_exact(ch, t) - ec.cgf_gamma_approx(ch, t)))
     for a, b in zip(errs, errs[1:]):
         assert 1.6 <= a / b <= 2.4
+
+
+# ---------------------------------------------------------------------------
+# exact finite-n means of the simulator's control variates
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def mp_phi(model, p):
+    """phi_p of ``model`` in 60 digits, from its definition."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        if isinstance(model, pm.NoError) or p == 0:
+            return mp.mpf(1)
+        if isinstance(model, pm.UniformCircle):
+            return mp.mpf(0)
+        if isinstance(model, pm.VonMises):
+            return mp.besseli(p, model.kappa) / mp.besseli(0, model.kappa)
+        if isinstance(model, pm.Quantizer):
+            x = p * mp.pi / mp.mpf(2) ** model.bits
+            return mp.sin(x) / x
+        return functools.reduce(lambda acc, c: acc * mp_phi(c, p), model.components, mp.mpf(1))
+
+
+@functools.cache
+def mp_hop_moment(model, k):
+    """E|h|^k = Gamma(1 + k/2) 1F1(-k/2; 1; -K) / (K+1)^(k/2) in 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        big_k = mp.mpf(getattr(model, "k_factor", 0.0))
+        half = mp.mpf(k) / 2
+        return mp.gamma(1 + half) * mp.hyp1f1(-half, 1, -big_k) / (big_k + 1) ** half
+
+
+def mp_control_means(sc):
+    """The means of u, u^2, v^2, u^3, u v^2, u^4, u^2 v^2, v^4 in 60
+    digits, from the raw moments of (R cos Theta - mu, R sin Theta) as
+    E R^(p+q) E[cos^p sin^q], the trigonometric expectations expanded in
+    double angles, and the cumulants of a mean of n i.i.d. terms."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        phi = [mp_phi(sc.phase_error, p) for p in range(5)]
+        er = [mp_hop_moment(sc.fading_sr, k) * mp_hop_moment(sc.fading_rd, k) for k in range(5)]
+        c2, s2 = (1 + phi[2]) / 2, (1 - phi[2]) / 2
+        trig = {
+            (1, 0): phi[1], (2, 0): c2, (0, 2): s2,
+            (3, 0): (3 * phi[1] + phi[3]) / 4, (1, 2): (phi[1] - phi[3]) / 4,
+            (4, 0): (3 + 4 * phi[2] + phi[4]) / 8, (2, 2): (1 - phi[4]) / 8, (0, 4): (3 - 4 * phi[2] + phi[4]) / 8,
+        }
+        m = er[1] * phi[1]
+        # raw moments of A = R cos - m and B = R sin by binomial expansion in m
+        def raw(p, q):
+            return sum(mp.binomial(p, i) * (-m) ** (p - i) * er[i + q] * trig.get((i, q), 1) for i in range(p + 1))
+        a2, b2 = raw(2, 0), raw(0, 2)
+        k = {
+            (3, 0): raw(3, 0), (1, 2): raw(1, 2),
+            (4, 0): raw(4, 0) - 3 * a2 * a2, (2, 2): raw(2, 2) - a2 * b2, (0, 4): raw(0, 4) - 3 * b2 * b2,
+        }
+        n = mp.mpf(sc.n)
+        base = {(1, 0): 0, (2, 0): 1, (0, 2): 1, (3, 0): 0, (1, 2): 0, (4, 0): 3, (2, 2): 1, (0, 4): 3}
+        out = []
+        for p, q in ec.CONTROL_POWERS:
+            if q and b2 == 0:
+                out.append(0.0)  # v = 0 without phase errors
+                continue
+            excess = k[p, q] * n ** (1 - p - q) / ((a2 / n) ** (mp.mpf(p) / 2) * (b2 / n) ** (mp.mpf(q) / 2)) if (p, q) in k else 0
+            out.append(float(base[p, q] + excess))
+        return np.array(out)
+
+
+def json_id(cfg):
+    """A test id from a model's JSON form, e.g. "von_mises-8.0"."""
+    return "-".join(str(v) if not isinstance(v, list) else "x".join(json_id(c) for c in v) for v in cfg.values())
+
+
+MEAN_GRID_PHASES = (
+    pm.NoError(),
+    pm.UniformCircle(),
+    pm.VonMises(0.5),
+    pm.VonMises(8.0),
+    pm.VonMises(1e4),
+    pm.Quantizer(1),
+    pm.Quantizer(3),
+    pm.Quantizer(10),
+    pm.Product((pm.VonMises(8.0), pm.Quantizer(2))),
+)
+MEAN_GRID_HOPS = (
+    (fd.Rayleigh(), fd.Rayleigh()),
+    (fd.Rician(1.0), fd.Rayleigh()),
+    (fd.Rician(1e3), fd.Rician(1e6)),
+    (fd.Rician(1e6), fd.Rician(1e6)),
+)
+
+
+@pytest.mark.parametrize("hops", MEAN_GRID_HOPS, ids=lambda h: "-".join(str(m.to_config().get("k_factor", "rayleigh")) for m in h))
+@pytest.mark.parametrize("pe", MEAN_GRID_PHASES, ids=lambda pe: json_id(pe.to_config()))
+def test_control_means_match_a_60_digit_evaluation(pe, hops):
+    # every finite mean lies within its rounding bound, and so within
+    # CONTROL_MEAN_TOL, of the 60-digit value; the bound holds with a
+    # factor of 5 to spare everywhere on this grid
+    for n in (1, 2, 32):
+        sc = ec.LrsScenario(n, 1.0, *hops, pe)
+        ch, means, bound = ec._control_means(sc)
+        want = mp_control_means(sc)
+        assert np.all(np.abs(means - want) <= 0.2 * bound + 1e-15), (n, means - want, bound)
+        mu, sigma_u, sigma_v, public = ec.control_moments(sc)
+        assert (mu, sigma_u, sigma_v) == (ch.mu, math.sqrt(ch.sigma_u2), math.sqrt(ch.sigma_v2))
+        finite = np.isfinite(public)
+        np.testing.assert_array_equal(finite, bound <= ec.CONTROL_MEAN_TOL)
+        assert np.all(np.abs(public[finite] - want[finite]) <= ec.CONTROL_MEAN_TOL)
+
+
+def test_well_conditioned_control_means_keep_about_ten_digits():
+    # Rayleigh and Rician K = 1 hops, the paper's error models
+    for pe in (pm.VonMises(2.0), pm.VonMises(8.0), pm.Quantizer(2), pm.Quantizer(3)):
+        for n in (1, 32):
+            sc = ec.LrsScenario(n, 1.0, fd.Rician(1.0), fd.Rayleigh(), pe)
+            means = ec.control_moments(sc)[3]
+            assert np.all(np.isfinite(means))
+            np.testing.assert_allclose(means, mp_control_means(sc), rtol=0, atol=1e-10)
+
+
+def test_ill_conditioned_control_means_are_nan():
+    # near-deterministic hops without phase errors: E R^k = 1 - O(1/K),
+    # so the third and fourth cumulants of R cos Theta cancel to ~1e-12
+    # of the raw moments and lose ~5e-5 and ~2e-3 (n = 1) of their value
+    # to rounding; nearly exact phases (1 - phi_2 ~ 6e-6 at 10 bits) do
+    # the same to v^4, the 60-digit value being 3 + O(1/n)
+    sc = ec.LrsScenario(32, 1.0, fd.Rician(1e6), fd.Rician(1e6), pm.NoError())
+    means = ec.control_moments(sc)[3]
+    np.testing.assert_array_equal(np.isnan(means), [False, False, False, True, False, True, False, False])
+    assert means[[0, 1, 2, 4, 6, 7]].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    sc = ec.LrsScenario(1, 1.0, fd.Rician(1.0), fd.Rayleigh(), pm.Quantizer(10))
+    means = ec.control_moments(sc)[3]
+    np.testing.assert_array_equal(np.isnan(means), [False] * 7 + [True])
+
+
+def test_control_means_without_phase_errors_leave_v_at_zero():
+    sc = ec.LrsScenario(8, 1.0, fd.Rician(1.0), fd.Rayleigh(), pm.NoError())
+    mu, sigma_u, sigma_v, means = ec.control_moments(sc)
+    assert sigma_v == 0.0 and means[[2, 4, 6, 7]].tolist() == [0.0] * 4
+    assert means[1] == 1.0 and means[5] > 3.0

@@ -120,3 +120,39 @@ def test_config_round_trip():
     assert fd.from_config({"type": "rician", "k_factor": 1.0}) == fd.Rician(1.0)
     with pytest.raises(nx.DomainError):
         fd.from_config({"type": "nakagami"})
+
+
+@pytest.mark.parametrize("k_factor", [0.0, 1e-3, 1.0, 4.0, 25.0, 1e3, 1e6])
+def test_magnitude_moments_match_the_confluent_hypergeometric_form(k_factor):
+    # E|h|^k = Gamma(1 + k/2) 1F1(-k/2; 1; -K) / (K+1)^(k/2) in 40 digits
+    mp = pytest.importorskip("mpmath")
+    model = fd.Rician(k_factor)
+    with mp.workdps(40):
+        for k in range(5):
+            half = mp.mpf(k) / 2
+            want = mp.gamma(1 + half) * mp.hyp1f1(-half, 1, -k_factor) / (k_factor + 1) ** half
+            assert abs(model.magnitude_moment(k) - want) <= 4e-16 * want
+    assert model.magnitude_moment(1) == model.mean_magnitude()
+
+
+def test_rayleigh_magnitude_moments_are_gamma_values():
+    model = fd.Rayleigh()
+    assert model.magnitude_moment(1) == model.mean_magnitude()
+    for k in range(5):
+        assert model.magnitude_moment(k) == pytest.approx(math.gamma(1.0 + 0.5 * k), rel=1e-15)
+    assert model.magnitude_moment(2) == 1.0 == fd.Rician(3.0).magnitude_moment(2)
+
+
+@pytest.mark.parametrize("k_factor", [1e15, 1e200, 1e300, 1.7e308])
+def test_magnitude_moments_of_huge_factors_approach_one(k_factor):
+    # no factor of the grouped forms overflows or underflows
+    model = fd.Rician(k_factor)
+    for k in (3, 4):
+        assert abs(model.magnitude_moment(k) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [-1, 5, 1.5, True])
+def test_magnitude_moment_rejects_orders_outside_zero_to_four(k):
+    for model in (fd.Rayleigh(), fd.Rician(1.0)):
+        with pytest.raises(nx.DomainError):
+            model.magnitude_moment(k)

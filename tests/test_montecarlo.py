@@ -106,14 +106,14 @@ CONTROL_MODELS = (
 @pytest.mark.parametrize("pe", CONTROL_MODELS, ids=lambda pe: type(pe).__name__)
 @pytest.mark.parametrize("n", [1, 2, 8, 32])
 def test_controls_are_centred_at_every_reflector_count(n, pe):
-    # mu, sigma_U^2 and sigma_V^2 are exact moments of H at every n, not
-    # only in the large-n limit: the semianalytic estimator's control
-    # variates are centred by them
+    # the means of all eight monomials follow from the exact cumulants of
+    # H at every n, not only in the large-n limit: the semianalytic
+    # estimator's control variates are centred by them
     sc = ref_scenario(n=n, pe=pe)
-    ch = ec.derive(sc)
+    moments = ec.control_moments(sc)
+    assert np.all(np.isfinite(moments[3]))
     h = mc.draw_h_batch(sc, np.random.default_rng(100 + n), 1 << 20)
-    x1 = h.real - ch.mu
-    for x in (x1, x1 * x1 - ch.sigma_u2, h.imag * h.imag - ch.sigma_v2):
+    for x in mc._controls(h, *moments):
         assert abs(x.mean()) <= 5.0 * x.std() / math.sqrt(x.size)
 
 
@@ -293,19 +293,21 @@ def test_control_variate_estimates_stay_positive_and_never_rise(pe):
 
 
 @pytest.mark.parametrize(
-    "n, pe, rank",
-    [(32, pm.NoError(), 2), (32, pm.UniformCircle(), 3), (1, pm.VonMises(8.0), 3), (1, pm.NoError(), 2)],
+    "n, pe, rank, used",
+    [(32, pm.NoError(), 3, 5), (32, pm.UniformCircle(), 8, 8), (1, pm.VonMises(8.0), 5, 5), (1, pm.NoError(), 3, 5)],
     ids=["singular-no-error", "mean-zero-uniform", "one-reflector", "one-reflector-no-error"],
 )
-def test_control_variates_in_degenerate_cases(monkeypatch, n, pe, rank):
-    # without phase errors Im H = 0, so x_3 = 0 and C is singular; uniform
-    # phases give mu = 0; one reflector gives |H| = |H_1||H_2| whatever
-    # the phase
+def test_control_variates_in_degenerate_cases(monkeypatch, n, pe, rank, used):
+    # without phase errors Im H = 0, so every control with a power of v
+    # is 0 and C is singular; uniform phases give mu = 0; one reflector
+    # gives |H| = |H_1||H_2| whatever the phase.  Where the fourth powers'
+    # box would let a weight go negative, the fit stays on five controls
     fits = recorded_fits(monkeypatch)
     sc = ec.LrsScenario(n, 0.01, fd.Rician(1.0), fd.Rayleigh(), pe)
     points = (0.01 / n, 0.1 / n)
     plain, cv = plain_and_control_variate(mc.SimConfig(sc, 20000, 3, points), monkeypatch)
-    assert [f[3] for f in fits] == [rank]
+    assert [f[3:] for f in fits] == [(rank, used)]
+    assert cv.controls == (used, used) and plain.controls == (0, 0)
     for p, hw_p, b, hw, r in zip(plain.ber, plain.ci_halfwidth, cv.ber, cv.ci_halfwidth, cv.variance_ratio):
         assert 0.0 < b < 0.5 and abs(b - p) <= hw_p
         assert 0.0 < hw < hw_p and r > 1.0
@@ -338,35 +340,78 @@ def test_fit_on_few_residual_degrees_of_freedom_keeps_the_plain_mean(monkeypatch
     assert cv == plain and cv.variance_ratio == (1.0,)
 
 
-def test_control_fit_needs_thirty_residual_degrees_of_freedom():
-    # three controls of unit variance whose box of extremes keeps every
-    # weight positive: the fit stands from N - 1 - rank = 30 on
-    def fit(trials):
-        sums = np.hstack([np.zeros((3, 1)), trials * np.eye(3)])
-        return mc._control_fit(trials, sums, np.full(3, -1.0), np.full(3, 1.0))
+def unit_controls(trials, x_bar=0.0, hi=1.0):
+    """``_control_fit`` of eight uncorrelated controls of unit second
+    moment, means ``x_bar`` and extremes -1 and ``hi`` (either may vary
+    by control)."""
+    x_bar = np.broadcast_to(x_bar, (8,))
+    sums = np.hstack([trials * x_bar[:, None], trials * np.eye(8)])
+    return mc._control_fit(trials, sums, np.full(8, -1.0), np.broadcast_to(hi, (8,)))
 
-    assert fit(33) is None
-    assert fit(34)[3] == 3
+
+def test_control_fit_needs_thirty_residual_degrees_of_freedom():
+    # with every weight positive, each rung stands from N - 1 - rank = 30
+    # on: 3 controls from 34 trials, 5 from 36 and 8 from 39
+    used = {trials: (unit_controls(trials) or (None,) * 5)[3:] for trials in range(32, 41)}
+    assert used == {
+        32: (None, None), 33: (None, None),
+        34: (3, 3), 35: (3, 3),
+        36: (5, 5), 37: (5, 5), 38: (5, 5),
+        39: (8, 8), 40: (8, 8),
+    }
+
+
+@pytest.mark.parametrize("wide, used", [(None, 8), (5, 5), (3, 3), (0, None)], ids=["eight", "five", "three", "none"])
+def test_each_rung_stands_where_its_box_keeps_the_weights_positive(wide, used):
+    # means 0.01 give a = C+ x_bar of about 0.01 per control; an extreme of
+    # 1000 in control ``wide`` makes its weight bound about -9, so only the
+    # rungs below it stand
+    hi = np.ones(8)
+    if wide is not None:
+        hi[wide:] = 1000.0
+    fit = unit_controls(10**4, 0.01, hi)
+    if used is None:
+        assert fit is None
+        return
+    x_bar, c_pinv, a, rank, k = fit
+    assert (rank, k) == (used, used) and x_bar.shape == a.shape == (used,)
+    # the bound over the kept box is >= 0
+    assert 1.0 - np.sum(np.maximum((-1.0 - x_bar) * a, (hi[:k] - x_bar) * a)) >= 0.0
+
+
+def test_controls_are_the_standardized_monomials_less_their_means():
+    # u = (Re H - mu) / sigma_U and v = Im H / sigma_V; a nan mean leaves
+    # its control at 0, and so does sigma_V = 0 every power of v
+    rng = np.random.default_rng(12)
+    h = rng.normal(0.4, 0.2, 3000) + 1j * rng.normal(0.0, 0.1, 3000)
+    means = np.array([0.0, 1.0, 1.0, 0.1, 0.05, 3.2, math.nan, 3.3])
+    xs = mc._controls(h, 0.4, 0.2, 0.1, means)
+    u, v = (h.real - 0.4) / 0.2, h.imag / 0.1
+    want = np.array([u, u**2, v**2, u**3, u * v**2, u**4, 0 * u, v**4]) - np.nan_to_num(means)[:, None]
+    want[6] = 0.0
+    np.testing.assert_allclose(xs, want, rtol=1e-13, atol=1e-13)
+    flat = mc._controls(h.real + 0j, 0.4, 0.2, 0.0, np.array([0.0, 1.0, 0.0, 0.1, 0.0, 3.2, 0.0, 0.0]))
+    assert not np.any(flat[[2, 4, 6, 7]])
 
 
 def test_semianalytic_block_is_gauss_q_summed_in_trial_order():
     # magnitudes whose Q arguments n sqrt(2 g)|H| span all three of Cody's
     # ranges, with ties, in no order; the block sorts them once and must
     # give the bytes of a plain per-point gauss_q sum, and of its
-    # products with the three controls
+    # products with the eight controls
     rng = np.random.default_rng(11)
     mag = np.concatenate([rng.uniform(0.0, 1.6, 5000), np.full(7, 0.25), [0.0, 1e-9, 30.0]])
     rng.shuffle(mag)
     h = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, mag.size))
-    n, points, moments = 16, (0.001, 0.01, 0.1, 1.0, 4.0), (0.4, 0.05, 0.03)
+    means = np.array([0.0, 1.0, 1.0, 0.1, 0.05, 3.2, 1.1, 3.3])
+    n, points, moments = 16, (0.001, 0.01, 0.1, 1.0, 4.0), (0.4, 0.2, 0.15, means)
     got, (sums, lo, hi) = mc._ber_block(n, points, "semianalytic", moments, h, None, 0)
-    x1 = h.real - moments[0]
-    xs = np.array([x1, x1 * x1 - moments[1], h.imag * h.imag - moments[2]])
-    want = np.zeros((len(points), 5))
+    xs = mc._controls(h, *moments)
+    want = np.zeros((len(points), 10))
     for row, g in zip(want, points):
         p = nx.gauss_q(n * math.sqrt(g) * np.abs(h) * math.sqrt(2.0))
         row[:2] = np.sum(p), np.sum(p * p)
-        row[2:] = np.sum(xs * p, axis=1)
+        row[2:] = np.einsum("ki,i->k", xs, p)
     y = n * math.sqrt(points[-1]) * np.abs(h)
     assert y.min() <= 0.46875 and np.any((y > 0.46875) & (y <= 4.0)) and np.any((y > 4.0) & (y <= 32.0))
     assert y.max() > 32.0
@@ -420,8 +465,8 @@ def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimato
 # these models' phasors are formed from the tangent of half the drawn angle
 PINNED_BER = {
     ("quantizer", "semianalytic"): (
-        ("0x1.1eb3af6cec479p-2", "0x1.09e4df0352f96p-3"),
-        ("0x1.bbee72ad8fa5ep-16", "0x1.bbc69201f3718p-15"),
+        ("0x1.1eb3af6cec479p-2", "0x1.09e4df0352f95p-3"),
+        ("0x1.bbee72ad962b5p-16", "0x1.bbc69201f4bc7p-15"),
         None,
     ),
     ("quantizer", "direct"): (
@@ -430,8 +475,8 @@ PINNED_BER = {
         (4903, 2278),
     ),
     ("uniform", "semianalytic"): (
-        ("0x1.9cd87a296c034p-2", "0x1.448cac6e35e1dp-2"),
-        ("0x1.18917b14f9454p-12", "0x1.2b61017f671aep-11"),
+        ("0x1.9cd3f9b4f1891p-2", "0x1.44833bd121753p-2"),
+        ("0x1.16cd01dd78aaep-12", "0x1.2991827932b82p-11"),
         None,
     ),
     ("uniform", "direct"): (
@@ -440,8 +485,8 @@ PINNED_BER = {
         (6983, 5412),
     ),
     ("none", "semianalytic"): (
-        ("0x1.0d83b18ea2adcp-2", "0x1.c7e501b1f3505p-4"),
-        ("0x1.0d5b471d3de53p-18", "0x1.f226a5788bd2fp-16"),
+        ("0x1.0d83754ec3207p-2", "0x1.c7e2dae878c12p-4"),
+        ("0x1.34b650b733f97p-26", "0x1.6346d742a9ac7p-19"),
         None,
     ),
     ("none", "direct"): (
@@ -457,8 +502,8 @@ PINNED_BER = {
 # sides; rejection rounds are sized by the row tile of phasors asked for
 PINNED_KERNEL_BER = {
     ("von_mises_1e-7", "semianalytic"): (
-        ("0x1.9cdeb3169e3d7p-2", "0x1.4498855ed4bf8p-2"),
-        ("0x1.14d5f0e671d9dp-12", "0x1.27c90f59bb056p-11"),
+        ("0x1.9cee17f3d20d2p-2", "0x1.44b9a63b0d814p-2"),
+        ("0x1.3d86263e0eba8p-13", "0x1.50c04be44a512p-12"),
         None,
     ),
     ("von_mises_1e-7", "direct"): (
@@ -467,8 +512,8 @@ PINNED_KERNEL_BER = {
         (6926, 5400),
     ),
     ("von_mises_2", "semianalytic"): (
-        ("0x1.4597cf01c54d5p-2", "0x1.71ca38c60058ep-3"),
-        ("0x1.ac711434ca25bp-14", "0x1.c12ff3983f686p-13"),
+        ("0x1.459facd31ffc0p-2", "0x1.71e90948708d7p-3"),
+        ("0x1.02a1f007fe4cep-15", "0x1.183d41cb5f4c3p-14"),
         None,
     ),
     ("von_mises_2", "direct"): (
@@ -477,8 +522,8 @@ PINNED_KERNEL_BER = {
         (5549, 3164),
     ),
     ("von_mises_8", "semianalytic"): (
-        ("0x1.18a81a08fba8cp-2", "0x1.f84e4af8b9959p-4"),
-        ("0x1.3540e03e02a32p-16", "0x1.6d8de8d6e954bp-15"),
+        ("0x1.18ac4e69eded0p-2", "0x1.f875ee1de3efdp-4"),
+        ("0x1.8d28444db5c2ep-18", "0x1.041c00e309e64p-16"),
         None,
     ),
     ("von_mises_8", "direct"): (
@@ -487,8 +532,8 @@ PINNED_KERNEL_BER = {
         (4774, 2140),
     ),
     ("von_mises_1e5", "semianalytic"): (
-        ("0x1.0d83e8c9cf933p-2", "0x1.c7e5e82124fe8p-4"),
-        ("0x1.0d59f83df99cdp-18", "0x1.f22458fcf2d97p-16"),
+        ("0x1.0d83e2269523fp-2", "0x1.c7e778948a7e9p-4"),
+        ("0x1.37b0adbf7c32cp-20", "0x1.881dd2548fb71p-18"),
         None,
     ),
     ("von_mises_1e5", "direct"): (
@@ -497,8 +542,8 @@ PINNED_KERNEL_BER = {
         (4573, 1897),
     ),
     ("von_mises_2_x_quantizer_2", "semianalytic"): (
-        ("0x1.529c1e83351bdp-2", "0x1.9799ef0839e63p-3"),
-        ("0x1.24e99844bd1d7p-13", "0x1.35af7128d0a7ep-12"),
+        ("0x1.529b30156d5f7p-2", "0x1.97910c5351b9ep-3"),
+        ("0x1.34cc213ca7ffcp-14", "0x1.5d3c9e5ce5862p-13"),
         None,
     ),
     ("von_mises_2_x_quantizer_2", "direct"): (
@@ -507,8 +552,8 @@ PINNED_KERNEL_BER = {
         (5701, 3487),
     ),
     ("rician_hops", "semianalytic"): (
-        ("0x1.0901c979c5de1p-2", "0x1.a8b4b9ddacad2p-4"),
-        ("0x1.c2ab16b8cde3dp-17", "0x1.fcc73d404c6ecp-16"),
+        ("0x1.0906145c3b0b0p-2", "0x1.a8d3859ad92f8p-4"),
+        ("0x1.4d9b8526c7b38p-20", "0x1.a3c790ff80f7ap-19"),
         None,
     ),
     ("rician_hops", "direct"): (
@@ -626,8 +671,7 @@ def peak_bytes(run):
 def block_peak_bytes(n, pe):
     """``peak_bytes`` of one full semianalytic block at ``n`` reflectors."""
     sc = ref_scenario(n=n, gamma0=0.01, pe=pe)
-    ch = ec.derive(sc)
-    jobs = [(pe, partial(mc._ber_block, n, (0.01,), "semianalytic", (ch.mu, ch.sigma_u2, ch.sigma_v2)))]
+    jobs = [(pe, partial(mc._ber_block, n, (0.01,), "semianalytic", ec.control_moments(sc)))]
     return peak_bytes(lambda: mc._run_block(jobs, (sc, 1, mc._STREAM_BER, 0, mc.BLOCK_TRIALS)))
 
 

@@ -332,15 +332,20 @@ def test_von_mises_density_is_finite_and_silent_at_the_largest_concentrations():
 
 
 class StreamGenerator:
-    """Serves ``random`` from consecutive values of ``values`` and counts them."""
+    """Serves ``random`` from consecutive values of ``values`` and counts
+    them; ``random`` fills ``out`` where one is given, as numpy's does."""
 
     def __init__(self, values):
         self.values, self.used = values, 0
 
-    def random(self, size):
-        out = self.values[self.used : self.used + size].copy()
-        assert out.size == size
+    def random(self, size=None, out=None):
+        size = size if out is None else out.size
+        served = self.values[self.used : self.used + size]
+        assert served.size == size
         self.used += size
+        if out is None:
+            return served.copy()
+        out[...] = served
         return out
 
 

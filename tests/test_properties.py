@@ -256,6 +256,27 @@ def test_simulation_results_do_not_depend_on_the_worker_count(n, hops, model, bl
 
 @PROPERTY
 @given(
+    n=st.integers(min_value=1, max_value=64),
+    hops=st.tuples(fadings, fadings),
+    model=st.one_of(phase_errors, st.just(pm.NoError()), st.just(pm.UniformCircle())),
+    trials=st.integers(min_value=1, max_value=2 * mc.BLOCK_TRIALS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start_db=st.floats(min_value=-30.0, max_value=0.0),
+)
+def test_semianalytic_estimates_stay_positive_and_never_rise(n, hops, model, trials, seed, start_db):
+    # whatever rung of controls the fit keeps (8, 5, 3 or none), every
+    # weight is >= 0; the points n^2 gamma0 run from start_db in 0.5 dB
+    # steps, where no Q(sqrt(2 n^2 gamma0) |H|) underflows
+    points = tuple(10.0 ** ((start_db + 0.5 * i) / 10.0) / (n * n) for i in range(8))
+    scenario = ec.LrsScenario(n, points[0], *hops, model)
+    res = mc.simulate_ber(mc.SimConfig(scenario, trials, seed, points))
+    assert all(b > 0.0 for b in res.ber)
+    assert all(b <= a for a, b in zip(res.ber, res.ber[1:]))
+    assert set(res.controls) <= {0, 3, 5, 8} and len(set(res.controls)) == 1
+
+
+@PROPERTY
+@given(
     n=st.integers(min_value=1, max_value=10**6),
     gamma0=st.floats(min_value=1e-6, max_value=1e3),
     hops=st.tuples(fadings, fadings),
