@@ -7,13 +7,11 @@ The script sizes surfaces for several targets under different
 phase-error assumptions and shows the cost of sloppier phase control.
 """
 
-import math
-
 from rislab import NoError, Quantizer, Rayleigh, Rician, VonMises, gains
 from rislab.equiv_channel import LrsScenario
 from rislab.performance import reflectors_for_coding_gain, reflectors_for_diversity
 
-a = math.sqrt(Rician(1.0).mean_magnitude() * Rayleigh().mean_magnitude())
+a2 = Rician(1.0).mean_magnitude() * Rayleigh().mean_magnitude()  # a^2 = a_1 a_2
 models = {
     "ideal": NoError(),
     "von Mises kappa=8": VonMises(8.0),
@@ -24,18 +22,18 @@ models = {
 print("reflectors needed for a diversity order of 20:")
 for name, pe in models.items():
     phi1, phi2 = pe.trig_moment(1), pe.trig_moment(2)
-    n = reflectors_for_diversity(20.0, a, phi1, phi2)
+    n = reflectors_for_diversity(20.0, a2, phi1, phi2)
     g = gains(LrsScenario(n, 1.0, Rician(1.0), Rayleigh(), pe))
     print(f"  {name:20s} n={n:4d}  (achieved G_d={g.diversity_gain:.2f}, G_c={g.coding_gain:.1f})")
 
 print("\nreflectors needed for a coding gain of 2000 (33 dB):")
 for name, pe in models.items():
     phi1, phi2 = pe.trig_moment(1), pe.trig_moment(2)
-    plan = reflectors_for_coding_gain(2000.0, a, phi1, phi2)
+    plan = reflectors_for_coding_gain(2000.0, a2, phi1, phi2)
     print(f"  {name:20s} n={plan.n:4d}  (achieved G_c={plan.achieved:.1f})")
 
 print("\na target past the 10^7-reflector search bound reports the best value instead:")
-plan = reflectors_for_coding_gain(1e9, a, 0.9, 0.7)
+plan = reflectors_for_coding_gain(1e9, a2, 0.9, 0.7)
 print(
     f"  target 1e9: feasible={plan.feasible}, "
     f"best G_c={plan.achieved:.3e} at n={plan.searched_up_to}"

@@ -37,7 +37,7 @@ from .config import (
     scenario_to_config,
     sweep_from_config,
 )
-from .equiv_channel import LrsScenario, derive, finite_n_second_moment, snr_cdf, snr_pdf
+from .equiv_channel import LrsScenario, derive, snr_cdf, snr_pdf
 from .fading import from_config as fading_from_config
 from .montecarlo import SimConfig, sample_snr, simulate_ber
 from .phase_models import from_config as phase_from_config
@@ -134,8 +134,8 @@ def _cmd_equiv(args) -> int:
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
     ch = derive(scenario)
-    # relative surplus of the exact finite-n E|H|^2 over the model's omega
-    gap = None if ch.rayleigh_equivalent else finite_n_second_moment(scenario) / ch.omega - 1.0
+    # relative surplus of the exact finite-n E|H|^2 = omega + sigma_U^2 + sigma_V^2 over omega
+    gap = None if ch.rayleigh_equivalent else (ch.sigma_u2 + ch.sigma_v2) / ch.omega
     payload = {**ch.to_dict(), "finite_n_power_gap": gap}
     path = os.path.join(args.out, "equiv.json")
     _write_json(path, payload)
@@ -253,15 +253,15 @@ def _cmd_plan(args) -> int:
         }
     if not targets:
         raise ConfigError("plan config needs 'target_gd' and/or 'target_gc'")
-    a = math.sqrt(hops[0].mean_magnitude() * hops[1].mean_magnitude())
+    a2 = hops[0].mean_magnitude() * hops[1].mean_magnitude()
     phi1 = pe.trig_moment(1)
     phi2 = pe.trig_moment(2)
 
-    report: dict = {"phi1": phi1, "phi2": phi2, "a": a}
+    report: dict = {"phi1": phi1, "phi2": phi2, "a": math.sqrt(a2)}
     # the gains are ratios to the single-reflector SNR, so gamma0 cancels
     if "target_gd" in targets:
         target = targets["target_gd"]
-        n = performance.reflectors_for_diversity(target, a, phi1, phi2)
+        n = performance.reflectors_for_diversity(target, a2, phi1, phi2)
         g = performance.gains(LrsScenario(n, 1.0, *hops, pe))
         report["diversity"] = {
             "target_gd": target,
@@ -271,7 +271,7 @@ def _cmd_plan(args) -> int:
         }
     if "target_gc" in targets:
         target = targets["target_gc"]
-        plan = performance.reflectors_for_coding_gain(target, a, phi1, phi2)
+        plan = performance.reflectors_for_coding_gain(target, a2, phi1, phi2)
         entry = {
             "target_gc": target,
             "feasible": plan.feasible,

@@ -41,10 +41,9 @@ __all__ = [
     "LrsScenario",
     "cgf_exact",
     "cgf_gamma_approx",
+    "channel_from_moments",
     "control_moments",
     "derive",
-    "finite_n_second_moment",
-    "m_from_moments",
     "nakagami_pdf",
     "snr_cdf",
     "snr_pdf",
@@ -103,32 +102,16 @@ class EquivChannel:
         return {**asdict(self), "gamma_bar_db": 10.0 * math.log10(self.gamma_bar)}
 
 
-def m_from_moments(n: int, a_squared: float, phi1: float, phi2: float) -> float:
-    """Closed form of the shape parameter in terms of the circular moments:
-
-        m = (n/2) phi_1^2 a^4 / (1 + phi_2 - 2 phi_1^2 a^4)
-
-    Algebraically identical to mu^2 / (4 sigma_U2); kept as the second,
-    independent route for consistency checks and for the planners.
-    """
-    x = phi1 * phi1 * a_squared * a_squared
-    denom = 1.0 + phi2 - 2.0 * x
-    if not denom > 0.0:
-        raise numerics.DomainError("moment combination leaves no spread in Re(H)")
-    return 0.5 * n * x / denom
-
-
-def derive(scenario: LrsScenario) -> EquivChannel:
-    """Map a scenario to its equivalent-channel parameters."""
-    phi1 = scenario.phi(1)
-    phi2 = scenario.phi(2)
+def channel_from_moments(n: int, gamma0: float, a_squared: float, phi1: float, phi2: float) -> EquivChannel:
+    """The equivalent channel of n reflectors from the scalars it depends
+    on: the single-reflector SNR gamma0, a^2 = a_1 a_2 and phi_1, phi_2."""
+    n = numerics.check_count(n, "n", 1, 2**53)
+    gamma0 = numerics.check_real(gamma0, "gamma0", strict=True)
     if phi1 < 0.0:
         raise numerics.DomainError(
             "first trigonometric moment must be >= 0 for a symmetric zero-mean error"
         )
-    a2 = scenario.a_squared
-    a4 = a2 * a2
-    n = scenario.n
+    a4 = a_squared * a_squared
     sigma_u2 = (1.0 + phi2 - 2.0 * phi1 * phi1 * a4) / (2.0 * n)
     sigma_v2 = (1.0 - phi2) / (2.0 * n)
 
@@ -140,13 +123,13 @@ def derive(scenario: LrsScenario) -> EquivChannel:
             sigma_v2=sigma_v2,
             m=1.0,
             omega=1.0 / n,
-            gamma_bar=n * scenario.gamma0,
+            gamma_bar=n * gamma0,
             n=n,
-            gamma0=scenario.gamma0,
+            gamma0=gamma0,
             rayleigh_equivalent=True,
         )
 
-    mu = phi1 * a2
+    mu = phi1 * a_squared
     if not sigma_u2 > 0.0:
         raise numerics.DomainError("sigma_U^2 must be positive")
     m = mu * mu / (4.0 * sigma_u2)
@@ -156,10 +139,15 @@ def derive(scenario: LrsScenario) -> EquivChannel:
         sigma_v2=sigma_v2,
         m=m,
         omega=mu * mu,
-        gamma_bar=n * n * scenario.gamma0 * phi1 * phi1 * a4,
+        gamma_bar=n * n * gamma0 * phi1 * phi1 * a4,
         n=n,
-        gamma0=scenario.gamma0,
+        gamma0=gamma0,
     )
+
+
+def derive(scenario: LrsScenario) -> EquivChannel:
+    """Map a scenario to its equivalent-channel parameters."""
+    return channel_from_moments(scenario.n, scenario.gamma0, scenario.a_squared, scenario.phi(1), scenario.phi(2))
 
 
 # the powers (p, q) of the monomials u^p v^q of the standardized parts of
@@ -266,18 +254,6 @@ def control_moments(scenario: LrsScenario) -> tuple[float, float, float, np.ndar
     ch, means, bound = _control_means(scenario)
     means[bound > CONTROL_MEAN_TOL] = math.nan
     return ch.mu, math.sqrt(ch.sigma_u2), math.sqrt(ch.sigma_v2), means
-
-
-def finite_n_second_moment(scenario: LrsScenario) -> float:
-    """Exact E[|H|^2] at finite n: 1/n + (1 - 1/n) phi_1^2 a^4.
-
-    Follows from the pairwise independence of the reflector terms and the
-    unit hop powers; the large-n model keeps only phi_1^2 a^4, so the gap
-    to this exact value is (1 - phi_1^2 a^4)/n.
-    """
-    phi1 = scenario.phi(1)
-    x = phi1 * phi1 * scenario.a_squared**2
-    return 1.0 / scenario.n + (1.0 - 1.0 / scenario.n) * x
 
 
 # ---------------------------------------------------------------------------

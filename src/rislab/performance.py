@@ -18,12 +18,12 @@ relations for the smallest reflector count meeting a gain target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics
-from .equiv_channel import LrsScenario, derive, m_from_moments
+from .equiv_channel import LrsScenario, channel_from_moments, derive
 
 __all__ = [
     "CodingGainPlan",
@@ -100,33 +100,32 @@ def ber_high_snr(m: float, gamma_bar: float) -> float:
     """
     m = numerics.check_real(m, "m", strict=True)
     gamma_bar = numerics.check_real(gamma_bar, "gamma_bar", strict=True)
-    with np.errstate(under="ignore"):
-        return math.exp(_log_asymptote_bracket(m) - m * math.log(gamma_bar))
-
-
-def _coding_gain(n: int, a: float, phi1: float, phi2: float) -> float:
-    """G_c = n^2 phi_1^2 a^4 exp(-L(m)/m), L the log asymptote bracket."""
-    a2 = a * a
-    m = m_from_moments(n, a2, phi1, phi2)
     try:
-        gc = n * n * phi1 * phi1 * a2 * a2 * math.exp(-_log_asymptote_bracket(m) / m)
+        return math.exp(_log_asymptote_bracket(m) - m * math.log(gamma_bar))
+    except OverflowError:  # an upper bound past the double range
+        return math.inf
+
+
+def _coding_gain(m: float, gamma_bar: float) -> float:
+    """G_c = gamma_bar exp(-L(m)/m) of a channel at gamma0 = 1, L the log
+    asymptote bracket."""
+    try:
+        gc = gamma_bar * math.exp(-_log_asymptote_bracket(m) / m)
     except OverflowError:  # -L(m)/m ~ ln 2 / m passes 709.78 once m < ~1e-3
         gc = math.inf
     if gc == math.inf:
-        raise numerics.RangeError(f"coding gain at n={n} (m={m!r}) exceeds the double range")
+        raise numerics.RangeError(f"coding gain at m={m!r} exceeds the double range")
     return gc
 
 
 def gains(scenario: LrsScenario) -> GainDecomposition:
     """Diversity and coding gains relative to the single-reflector SNR."""
-    ch = derive(scenario)
+    ch = derive(replace(scenario, gamma0=1.0))
     if ch.rayleigh_equivalent:
         raise numerics.DomainError(
             "gains are undefined when the first trigonometric moment is zero"
         )
-    a = math.sqrt(scenario.a_squared)
-    coding = _coding_gain(scenario.n, a, scenario.phi(1), scenario.phi(2))
-    return GainDecomposition(diversity_gain=ch.m, coding_gain=coding)
+    return GainDecomposition(diversity_gain=ch.m, coding_gain=_coding_gain(ch.m, ch.gamma_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +156,31 @@ def _smallest_n(meets, n_max: int) -> int | None:
     return hi
 
 
-def reflectors_for_diversity(target_gd: float, a: float, phi1: float, phi2: float) -> int:
+def reflectors_for_diversity(target_gd: float, a_squared: float, phi1: float, phi2: float) -> int:
     """Smallest n whose shape parameter reaches ``target_gd``.
 
     The shape parameter is n times the per-reflector shape, so it grows
     with n in floating point too.  The target is relaxed by sixteen units
-    of roundoff, 16 * 2^-53, so that a target taken from an integer-n
-    evaluation round-trips exactly despite the few-ulp differences between
-    the routes to m (the closed form of the ideal 32-reflector example
-    lies 8.4 units above this one), while huge targets stop within a few
-    reflectors: on the README channel a target of 1e15 stops four
-    short of m >= 1e15, where a slack of 1e-12 would stop 2258 short.
+    of roundoff, 16 * 2^-53, so that a target taken from an exact integer-n
+    value is met despite the few ulps by which the computed m misses it
+    (7 ulps below the exact m of the ideal 32-reflector example), while
+    huge targets stop within a few reflectors: on the README channel a
+    target of 1e15 stops four short of m >= 1e15, where a slack of 1e-12
+    would stop 2258 short.
     Counts above 2^53 are not distinct doubles; a target beyond them
     raises :class:`numerics.RangeError`.
     """
     target_gd = numerics.check_real(target_gd, "target diversity gain", strict=True)
     phi1 = numerics.check_real(phi1, "planner phi_1", strict=True)
-    a2 = a * a
     floor = target_gd * (1.0 - _DIVERSITY_SLACK)
-    n = _smallest_n(lambda n: m_from_moments(n, a2, phi1, phi2) >= floor, 2**53)
+    n = _smallest_n(lambda n: channel_from_moments(n, 1.0, a_squared, phi1, phi2).m >= floor, 2**53)
     if n is None:
         raise numerics.RangeError(f"target diversity gain {target_gd!r} needs over 2^53 reflectors")
     return n
 
 
 def reflectors_for_coding_gain(
-    target_gc: float, a: float, phi1: float, phi2: float
+    target_gc: float, a_squared: float, phi1: float, phi2: float
 ) -> CodingGainPlan:
     """Smallest n whose coding gain reaches ``target_gc``, searched up to
     ``_PLANNER_N_MAX`` reflectors.
@@ -195,7 +193,10 @@ def reflectors_for_coding_gain(
     target_gc = numerics.check_real(target_gc, "target coding gain", strict=True)
     phi1 = numerics.check_real(phi1, "planner phi_1", strict=True)
 
-    gc = lambda n: _coding_gain(n, a, phi1, phi2)
+    def gc(n: int) -> float:
+        ch = channel_from_moments(n, 1.0, a_squared, phi1, phi2)
+        return _coding_gain(ch.m, ch.gamma_bar)
+
     n = _smallest_n(lambda n: gc(n) >= target_gc, _PLANNER_N_MAX)
     if n is None:
         return CodingGainPlan(

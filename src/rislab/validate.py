@@ -21,8 +21,8 @@ from .equiv_channel import (
     LrsScenario,
     cgf_exact,
     cgf_gamma_approx,
+    channel_from_moments,
     derive,
-    m_from_moments,
     snr_cdf,
 )
 from .fading import Rayleigh, Rician
@@ -76,8 +76,11 @@ def _db_at_level(ber_at, level: float, lo: float, hi: float) -> float:
 
 def _gamma0_db_at_level(pe: phase_models.PhaseErrorModel, level: float, n: int = 32) -> float:
     """Single-reflector SNR (dB) where the analytic BER crosses ``level``."""
+    sc = LrsScenario(n, 1.0, Rician(1.0), Rayleigh(), pe)
+    moments = sc.a_squared, sc.phi(1), sc.phi(2)
+
     def ber_at(gdb: float) -> float:
-        ch = derive(LrsScenario(n, 10.0 ** (gdb / 10.0), Rician(1.0), Rayleigh(), pe))
+        ch = channel_from_moments(n, 10.0 ** (gdb / 10.0), *moments)
         return performance.ber_bpsk(ch.m, ch.gamma_bar)
 
     return _db_at_level(ber_at, level, -45.0, 15.0)
@@ -249,32 +252,6 @@ def check_headline_gaps() -> CheckResult:
     )
 
 
-def check_shape_identity(seed: int = 606) -> CheckResult:
-    """Two algebraic routes to the shape parameter agree to 1e-12 relative:
-    mu^2/(4 sigma_U2) versus the closed form in the circular moments."""
-    count, tol = 1000, 1e-12
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        n = int(rng.integers(1, 1025))
-        a = float(rng.uniform(0.05, 0.999))
-        phi1 = float(rng.uniform(1e-3, 1.0))
-        a2 = a * a
-        x = phi1 * phi1 * a2 * a2
-        lo = max(-1.0, 2.0 * x - 1.0)
-        phi2 = float(rng.uniform(lo + 1e-9, 1.0))
-        mu = phi1 * a2
-        sigma_u2 = (1.0 + phi2 - 2.0 * x) / (2.0 * n)
-        m_gauss = mu * mu / (4.0 * sigma_u2)
-        m_closed = m_from_moments(n, a2, phi1, phi2)
-        worst = max(worst, abs(m_gauss - m_closed) / m_closed)
-    return CheckResult(
-        "shape-identity",
-        worst < tol,
-        {"count": count, "seed": seed, "max_rel_diff": worst, "tol": tol},
-    )
-
-
 def check_asymptote() -> CheckResult:
     """High-SNR power law against the exact integral.
 
@@ -406,7 +383,6 @@ SUITES = {
     "snr-fit": check_snr_fit,
     "ber-agreement": check_ber_agreement,
     "gaps": check_headline_gaps,
-    "shape-identity": check_shape_identity,
     "asymptote": check_asymptote,
     "cgf": check_cgf_error_scaling,
     "uniform-rayleigh": check_uniform_rayleigh,

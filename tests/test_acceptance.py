@@ -158,13 +158,6 @@ def test_headline_db_gaps_at_1e_minus_3():
     )
 
 
-def test_shape_parameter_two_route_identity():
-    # mu^2/(4 sigma_U^2) equals the closed form in (n, a, phi1, phi2) to
-    # 1e-12 relative over 1000 random parameter tuples
-    res = _run("shape-parameter route identity", 1.0, validate.check_shape_identity)
-    assert res.passed, f"max relative difference {res.details['max_rel_diff']:.3e}"
-
-
 def test_high_snr_asymptote():
     # from the 10^(-2m) crossing to 15 dB deeper, for shapes 1, 2 and
     # 12.88: the power-law asymptote never falls below the exact BER, its

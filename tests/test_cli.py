@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from rislab import cli
+from rislab.config import scenario_from_config
 
 REFERENCE_CONFIG = {
     "n": 32,
@@ -100,6 +101,23 @@ def test_equiv_command_flags_uniform_and_exact(tmp_path):
     assert payload["finite_n_power_gap"] == pytest.approx((1.0 - x) / (32 * x), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [10**6, 2**40, 2**52])
+def test_equiv_power_gap_keeps_its_digits_at_large_n(tmp_path, n):
+    # (sigma_U^2 + sigma_V^2) / omega against (1 - x)/(n x), x = phi_1^2 a^4,
+    # in 40 digits; E|H|^2 / omega - 1 would lose up to a third of it at 2^52
+    mp = pytest.importorskip("mpmath")
+    cfg = dict(REFERENCE_CONFIG, n=n)
+    out = tmp_path / "out"
+    res = run_cli("equiv", "--config", write_config(tmp_path, cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    sc = scenario_from_config(cfg)
+    with mp.workdps(40):
+        x = mp.mpf(sc.phi(1)) ** 2 * mp.mpf(sc.a_squared) ** 2
+        want = float((1 - x) / (n * x))
+    gap = json.loads((out / "equiv.json").read_text())["finite_n_power_gap"]
+    assert gap == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_ber_command_analytic_columns(tmp_path):
     cfg = write_config(tmp_path, REFERENCE_CONFIG)
     out = tmp_path / "out"
@@ -118,6 +136,18 @@ def test_ber_command_analytic_columns(tmp_path):
     assert all(r[4] == "" and r[5] == "" for r in rows)  # no --simulate
     bers = [float(r[2]) for r in rows]
     assert all(b < a for a, b in zip(bers, bers[1:]))  # decreasing in SNR
+
+
+def test_ber_asymptote_past_the_double_range_is_inf(tmp_path):
+    # m = 44285 at gamma_bar = 56.4: the power law, an upper bound, passes
+    # the double range while the exact BER is 1.18e-26
+    cfg = dict(REFERENCE_CONFIG, n=100000, gamma0_db=-80.0, sweep={"start_db": -80.0, "stop_db": -80.0, "step_db": 1.0})
+    out = tmp_path / "out"
+    res = run_cli("ber", "--config", write_config(tmp_path, cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    _, rows = read_csv(out / "ber.csv")
+    assert rows[0][3] == "inf"
+    assert float(rows[0][2]) == pytest.approx(1.18e-26, rel=1e-2)
 
 
 def test_ber_command_simulation_and_manifest(tmp_path):
@@ -340,11 +370,11 @@ def test_plan_ignores_gamma0_db(tmp_path):
 
 def test_validate_command(tmp_path):
     out = tmp_path / "out"
-    res = run_cli("validate", "shape-identity", "--out", str(out))
+    res = run_cli("validate", "moments", "--out", str(out))
     assert res.returncode == 0, res.stderr
-    payload = json.loads((out / "validate_shape_identity.json").read_text())
+    payload = json.loads((out / "validate_moments.json").read_text())
     assert payload["passed"] is True
-    assert payload["checks"][0]["name"] == "shape-identity"
+    assert payload["checks"][0]["name"] == "moment-formulas"
 
 
 def test_validate_snr_fit_honours_trials(tmp_path):
@@ -398,7 +428,6 @@ def test_validate_with_one_trial_writes_its_report(tmp_path, suite):
         ("asymptote", ["--seed", "5"]),
         ("cgf", ["--trials", "5"]),
         ("cgf", ["--seed", "5"]),
-        ("shape-identity", ["--trials", "5"]),
     ],
     ids=[
         "gaussian-limit-trials-1",
@@ -413,7 +442,6 @@ def test_validate_with_one_trial_writes_its_report(tmp_path, suite):
         "asymptote-seed",
         "cgf-trials",
         "cgf-seed",
-        "shape-identity-trials",
     ],
 )
 def test_validate_rejects_bad_sampling_input_before_drawing(tmp_path, capsys, suite, flags):

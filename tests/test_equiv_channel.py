@@ -82,6 +82,10 @@ def test_average_snr_attenuation():
 
 
 def test_shape_two_routes_identity():
+    # derive's m = mu^2 / (4 sigma_U^2) is the paper's closed form
+    # (n/2) phi_1^2 a^4 / (1 + phi_2 - 2 phi_1^2 a^4), here in 40 digits
+    # from the same double inputs
+    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(606)
     for _ in range(1000):
         n = int(rng.integers(1, 1025))
@@ -89,9 +93,11 @@ def test_shape_two_routes_identity():
         phi1 = float(rng.uniform(1e-3, 1.0))
         x = phi1**2 * a**4
         phi2 = float(rng.uniform(max(-1.0, 2.0 * x - 1.0) + 1e-9, 1.0))
-        ch = ec.derive(scenario_with(n=n, phi1=phi1, phi2=phi2, a=a))
-        closed = ec.m_from_moments(n, a * a, phi1, phi2)
-        assert ch.m == pytest.approx(closed, rel=1e-12)
+        sc = scenario_with(n=n, phi1=phi1, phi2=phi2, a=a)
+        with mp.workdps(40):
+            x = mp.mpf(phi1) ** 2 * mp.mpf(sc.a_squared) ** 2
+            closed = float(n * x / (2 * (1 + mp.mpf(phi2) - 2 * x)))
+        assert ec.derive(sc).m == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_shape_monotone_in_error_concentration():
@@ -105,11 +111,12 @@ def test_shape_monotone_in_error_concentration():
     assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
-def test_finite_n_second_moment_identity():
-    sc = REFERENCE
-    x = sc.phi(1) ** 2 * sc.a_squared**2
-    exact = ec.finite_n_second_moment(sc)
-    assert exact - x == pytest.approx((1.0 - x) / sc.n, rel=1e-12)
+def test_second_moment_of_h_is_exact_at_finite_n():
+    # E|H|^2 = omega + sigma_U^2 + sigma_V^2 = 1/n + (1 - 1/n) phi_1^2 a^4
+    ch = ec.derive(REFERENCE)
+    x = REFERENCE.phi(1) ** 2 * REFERENCE.a_squared**2
+    assert ch.sigma_u2 + ch.sigma_v2 == pytest.approx((1.0 - x) / REFERENCE.n, rel=1e-12)
+    assert ch.omega + ch.sigma_u2 + ch.sigma_v2 == pytest.approx(1.0 / 256 + (1.0 - 1.0 / 256) * x, rel=1e-14)
 
 
 def test_scenario_validation():

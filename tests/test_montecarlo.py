@@ -799,7 +799,8 @@ def test_sample_snr_deterministic_n1_los():
 def test_sample_snr_mean_matches_exact_finite_n_moment():
     sc = ref_scenario(n=32, gamma0=0.2)
     smp = mc.sample_snr(mc.SimConfig(sc, 2 * 10**5, 1717))
-    want = 32.0**2 * 0.2 * ec.finite_n_second_moment(sc)
+    ch = ec.derive(sc)
+    want = 32.0**2 * 0.2 * (ch.omega + ch.sigma_u2 + ch.sigma_v2)
     se = smp.values.std(ddof=1) / math.sqrt(smp.values.size)
     assert abs(smp.values.mean() - want) < 5.0 * se
 

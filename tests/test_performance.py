@@ -18,6 +18,12 @@ def ref_scenario(n=32, gamma0=1.0, pe=None):
     return ec.LrsScenario(n, gamma0, fd.Rician(1.0), fd.Rayleigh(), pe or pm.VonMises(8.0))
 
 
+def coding_gain(n, a_squared, phi1, phi2):
+    """G_c at n as the coding-gain planner reads it: of the channel at gamma0 = 1."""
+    ch = ec.channel_from_moments(n, 1.0, a_squared, phi1, phi2)
+    return pf._coding_gain(ch.m, ch.gamma_bar)
+
+
 # ---------------------------------------------------------------------------
 # exact BER
 # ---------------------------------------------------------------------------
@@ -108,6 +114,14 @@ def test_asymptote_converges_to_exact():
     assert ratios[-1] == pytest.approx(1.0, abs=5e-3)
 
 
+def test_asymptote_past_the_double_range_is_inf():
+    # the power law is an upper bound; here it passes 1.8e308 while the
+    # exact BER is 1.18e-26
+    assert pf.ber_high_snr(44285.0, 56.4) == math.inf
+    assert pf.ber_bpsk(44285.0, 56.4) == pytest.approx(1.18e-26, rel=1e-2)
+    assert pf.ber_high_snr(2.0, 1e300) == 0.0
+
+
 def test_asymptote_requires_positive_gamma_bar():
     with pytest.raises(nx.DomainError):
         pf.ber_high_snr(2.0, 0.0)
@@ -174,7 +188,7 @@ def test_gains_and_coding_planner_agree_exactly():
     phi1, phi2 = pe.trig_moment(1), pe.trig_moment(2)
     for n in (1, 7, 64):
         sc = ref_scenario(n=n, pe=pe)
-        want = pf._coding_gain(n, math.sqrt(sc.a_squared), phi1, phi2)
+        want = coding_gain(n, sc.a_squared, phi1, phi2)
         assert pf.gains(sc).coding_gain == want
 
 
@@ -190,75 +204,77 @@ def test_gains_undefined_without_alignment():
 
 
 def test_diversity_planner_round_trip():
-    a = math.sqrt(math.pi) / 2.0  # double Rayleigh, each hop mean sqrt(pi)/2
+    a2 = (math.sqrt(math.pi) / 2.0) ** 2  # double Rayleigh, each hop mean sqrt(pi)/2
     for n_star in (8, 32, 100, 515):
-        target = ec.m_from_moments(n_star, a * a, 1.0, 1.0)
-        assert pf.reflectors_for_diversity(target, a, 1.0, 1.0) == n_star
-        assert pf.reflectors_for_diversity(target * (1.0 + 1e-6), a, 1.0, 1.0) == n_star + 1
+        target = ec.channel_from_moments(n_star, 1.0, a2, 1.0, 1.0).m
+        assert pf.reflectors_for_diversity(target, a2, 1.0, 1.0) == n_star
+        assert pf.reflectors_for_diversity(target * (1.0 + 1e-6), a2, 1.0, 1.0) == n_star + 1
 
 
 def test_diversity_planner_ideal_example():
-    # inverse of the ideal 32-reflector derivation
-    a = math.sqrt(math.pi) / 2.0
+    # inverse of the ideal 32-reflector derivation: the target is the exact
+    # m, 7 ulps above the computed m(32), which the slack absorbs
+    a2 = (math.sqrt(math.pi) / 2.0) ** 2
     target = 12.879566079348178
-    assert pf.reflectors_for_diversity(target, a, 1.0, 1.0) == 32
+    assert pf.reflectors_for_diversity(target, a2, 1.0, 1.0) == 32
+    assert ec.channel_from_moments(32, 1.0, a2, 1.0, 1.0).m == target - 7 * 2.0**-49
 
 
 def test_diversity_planner_rejects_targets_past_2_53_reflectors():
-    a = math.sqrt(math.pi) / 2.0
-    shape = lambda n: ec.m_from_moments(n, a * a, 1.0, 1.0)
-    assert pf.reflectors_for_diversity(shape(2**53), a, 1.0, 1.0) <= 2**53
+    a2 = (math.sqrt(math.pi) / 2.0) ** 2
+    shape = lambda n: ec.channel_from_moments(n, 1.0, a2, 1.0, 1.0).m
+    assert pf.reflectors_for_diversity(shape(2**53), a2, 1.0, 1.0) <= 2**53
     for target in (shape(2**53) * 1.001, 1e300, 1.7e308):
         with pytest.raises(nx.RangeError):
-            pf.reflectors_for_diversity(target, a, 1.0, 1.0)
+            pf.reflectors_for_diversity(target, a2, 1.0, 1.0)
 
 
 def test_coding_gain_past_the_double_range_is_a_range_error():
-    a = math.sqrt(math.pi) / 2.0
+    a2 = (math.sqrt(math.pi) / 2.0) ** 2
     # m ~ 4e-6: exp(-L(m)/m) itself overflows
     with pytest.raises(nx.RangeError):
-        pf._coding_gain(1, a, 0.005, 1.0)
+        coding_gain(1, a2, 0.005, 1.0)
     # m ~ 9.9e-4: exp(-L(m)/m) ~ 2e306 is finite, the prefactor n^2 x ~ 1e3 is not
     with pytest.raises(nx.RangeError):
-        pf._coding_gain(10**6, a, 8.03e-5, 1.0)
-    assert math.isfinite(pf._coding_gain(10**6, a, 8.2e-5, 1.0))
+        coding_gain(10**6, a2, 8.03e-5, 1.0)
+    assert math.isfinite(coding_gain(10**6, a2, 8.2e-5, 1.0))
 
 
 def test_diversity_planner_guards():
     with pytest.raises(nx.DomainError):
-        pf.reflectors_for_diversity(5.0, 0.9, 0.0, 0.0)
+        pf.reflectors_for_diversity(5.0, 0.81, 0.0, 0.0)
     with pytest.raises(nx.DomainError):
-        pf.reflectors_for_diversity(0.0, 0.9, 0.5, 0.3)
+        pf.reflectors_for_diversity(0.0, 0.81, 0.5, 0.3)
 
 
 def test_coding_planner_round_trip_and_floor():
     sc_phi = pm.VonMises(8.0)
     phi1, phi2 = sc_phi.trig_moment(1), sc_phi.trig_moment(2)
-    a = math.sqrt(fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude())
+    a2 = fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude()
     for n_star in (3, 48, 270):
-        target = pf._coding_gain(n_star, a, phi1, phi2)
-        plan = pf.reflectors_for_coding_gain(target, a, phi1, phi2)
+        target = coding_gain(n_star, a2, phi1, phi2)
+        plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
         assert plan.feasible and plan.n <= n_star
         assert plan.achieved >= target
-    tiny = pf._coding_gain(1, a, phi1, phi2) * 0.5
-    assert pf.reflectors_for_coding_gain(tiny, a, phi1, phi2).n == 1
+    tiny = coding_gain(1, a2, phi1, phi2) * 0.5
+    assert pf.reflectors_for_coding_gain(tiny, a2, phi1, phi2).n == 1
 
 
 def test_coding_planner_matches_exhaustive_scan():
     phi1 = pm.VonMises(8.0).trig_moment(1)
     phi2 = pm.VonMises(8.0).trig_moment(2)
-    a = math.sqrt(fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude())
+    a2 = fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude()
     target = 300.0
-    plan = pf.reflectors_for_coding_gain(target, a, phi1, phi2)
+    plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
     brute = next(
-        n for n in range(1, 1025) if pf._coding_gain(n, a, phi1, phi2) >= target
+        n for n in range(1, 1025) if coding_gain(n, a2, phi1, phi2) >= target
     )
     assert plan.feasible and plan.n == brute
 
 
 def test_coding_planner_infeasible_reports_best():
     phi1, phi2 = 0.9, 0.7
-    plan = pf.reflectors_for_coding_gain(1e12, 0.8, phi1, phi2)
+    plan = pf.reflectors_for_coding_gain(1e12, 0.8 * 0.8, phi1, phi2)
     assert not plan.feasible
     assert plan.n is None
     assert plan.searched_up_to == pf._PLANNER_N_MAX
@@ -269,18 +285,18 @@ def test_coding_gain_grows_with_n_once_shape_exceeds_one():
     # below m ~ 1 the gain passes through a dip (the asymptote coefficient
     # blows up as the shape vanishes); from there on it grows steadily
     phi1, phi2 = 0.9, 0.7
-    vals = [pf._coding_gain(n, 0.85, phi1, phi2) for n in (5, 6, 8, 64, 512, 4096)]
+    vals = [coding_gain(n, 0.85 * 0.85, phi1, phi2) for n in (5, 6, 8, 64, 512, 4096)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_coding_planner_handles_small_shape_dip():
     # G_c here: 83.3 at n=1, dipping to 27.6 at n=4, then growing; a
     # target inside the dip is already met by a single reflector
-    phi1, phi2, a = 0.9, 0.7, 0.85
-    plan = pf.reflectors_for_coding_gain(30.0, a, phi1, phi2)
+    phi1, phi2, a2 = 0.9, 0.7, 0.85 * 0.85
+    plan = pf.reflectors_for_coding_gain(30.0, a2, phi1, phi2)
     assert plan.feasible and plan.n == 1
     # a target above G_c(1) must land past the dip, at the true minimum
     target = 100.0
-    plan = pf.reflectors_for_coding_gain(target, a, phi1, phi2)
-    brute = next(n for n in range(1, 4097) if pf._coding_gain(n, a, phi1, phi2) >= target)
+    plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
+    brute = next(n for n in range(1, 4097) if coding_gain(n, a2, phi1, phi2) >= target)
     assert plan.feasible and plan.n == brute

@@ -301,11 +301,17 @@ def test_asymptote_to_exact_ber_ratio_tends_to_one(m, per_shape):
 
 @st.composite
 def planner_channels(draw):
+    """(a^2, phi_1, phi_2) of a link whose Re H has spread."""
     # a >= 0.5 and phi_1 >= 0.3 keep m_1 >= 1.4e-3, where G_c(1) is a finite double
     a = draw(st.floats(min_value=0.5, max_value=0.999))
     phi1 = draw(st.floats(min_value=0.3, max_value=1.0))
     low = 2.0 * phi1 * phi1 - 1.0  # the variance bound on phi_2
-    return a, phi1, low + draw(st.floats(min_value=0.0, max_value=1.0)) * (1.0 - low)
+    return a * a, phi1, low + draw(st.floats(min_value=0.0, max_value=1.0)) * (1.0 - low)
+
+
+def _coding_gain(n, a_squared, phi1, phi2):
+    ch = ec.channel_from_moments(n, 1.0, a_squared, phi1, phi2)
+    return pf._coding_gain(ch.m, ch.gamma_bar)
 
 
 def _target(gain, kind, n_star, fraction, exponent):
@@ -330,7 +336,7 @@ TARGET_KINDS = st.sampled_from(["from_n", "below_one", "free"])
 def test_coding_planner_returns_the_smallest_count_that_meets_the_target(
     channel, kind, n_star, fraction, exponent
 ):
-    gc = lambda n: pf._coding_gain(n, *channel)
+    gc = lambda n: _coding_gain(n, *channel)
     target = _target(gc, kind, n_star, fraction, exponent)
     plan = pf.reflectors_for_coding_gain(target, *channel)
     if plan.feasible:
@@ -360,8 +366,7 @@ def test_coding_planner_returns_the_smallest_count_that_meets_the_target(
 def test_diversity_planner_returns_the_smallest_count_that_meets_the_target(
     channel, kind, n_star, fraction, exponent
 ):
-    a, phi1, phi2 = channel
-    shape = lambda n: ec.m_from_moments(n, a * a, phi1, phi2)
+    shape = lambda n: ec.channel_from_moments(n, 1.0, *channel).m
     target = _target(shape, kind, n_star, fraction, exponent)
     floor = target * (1.0 - 16.0 * 2.0**-53)
     if shape(2**53) < floor:
@@ -383,11 +388,24 @@ def test_diversity_planner_returns_the_smallest_count_that_meets_the_target(
 def test_diversity_planner_stops_within_sixteen_roundoffs_of_huge_targets(channel, exponent):
     # from a target of 1e12 on, a slack of 1e-12 is a whole unit of shape,
     # which can be thousands of reflectors
-    a, phi1, phi2 = channel
-    shape = lambda n: ec.m_from_moments(n, a * a, phi1, phi2)
+    shape = lambda n: ec.channel_from_moments(n, 1.0, *channel).m
     floor = 10.0**exponent * (1.0 - 16.0 * 2.0**-53)
     n = pf.reflectors_for_diversity(10.0**exponent, *channel)
     assert shape(n) >= floor > shape(n - 1)
+
+
+@PROPERTY
+@given(
+    channel=planner_channels(),
+    n=st.integers(min_value=1, max_value=2**53),
+    step=st.one_of(st.just(1), st.integers(min_value=1, max_value=2**53)),
+)
+def test_shape_never_falls_as_n_grows(channel, n, step):
+    # _smallest_n needs the counts that meet a diversity target to form a
+    # tail: m = mu^2 / (4 sigma_U^2) with sigma_U^2 = c / (2n), and each
+    # rounded division is monotone in its divisor
+    shape = lambda k: ec.channel_from_moments(k, 1.0, *channel).m
+    assert shape(n) <= shape(min(n + step, 2**53))
 
 
 @PROPERTY
@@ -395,7 +413,7 @@ def test_diversity_planner_stops_within_sixteen_roundoffs_of_huge_targets(channe
 def test_coding_gain_never_falls_after_it_has_risen(channel, start):
     # G_c falls while m = n m_1 < 1 and rises after: the planner bisects on this
     for counts in (range(1, 1025), range(start, start + 512)):
-        vals = [pf._coding_gain(n, *channel) for n in counts]
+        vals = [_coding_gain(n, *channel) for n in counts]
         rise = next((i for i in range(1, len(vals)) if vals[i] > vals[i - 1]), len(vals))
         assert all(b >= a for a, b in zip(vals[rise:], vals[rise + 1 :]))
 
@@ -473,6 +491,8 @@ ROUTED = {
     "Rician k_factor": (fd.Rician, NON_NEGATIVE, nx.DomainError),
     "LrsScenario n": (lambda v: _scenario(n=v), count(1, 2**53), nx.DomainError),
     "LrsScenario gamma0": (lambda v: _scenario(gamma0=v), POSITIVE, nx.DomainError),
+    "channel_from_moments n": (lambda v: ec.channel_from_moments(v, 1.0, 0.7, 0.8, 0.5), count(1, 2**53), nx.DomainError),
+    "channel_from_moments gamma0": (lambda v: ec.channel_from_moments(4, v, 0.7, 0.8, 0.5), POSITIVE, nx.DomainError),
     "snr_pdf m": (lambda v: ec.snr_pdf(v, 1.0, 1.0), POSITIVE, nx.DomainError),
     "snr_pdf gamma_bar": (lambda v: ec.snr_pdf(2.0, v, 1.0), POSITIVE, nx.DomainError),
     "snr_cdf m": (lambda v: ec.snr_cdf(v, 1.0, 1.0), POSITIVE, nx.DomainError),
@@ -485,10 +505,10 @@ ROUTED = {
     "ber_bpsk gamma_bar": (lambda v: pf.ber_bpsk(2.0, v), NON_NEGATIVE, nx.DomainError),
     "ber_high_snr m": (lambda v: pf.ber_high_snr(v, 1.0), POSITIVE, nx.DomainError),
     "ber_high_snr gamma_bar": (lambda v: pf.ber_high_snr(2.0, v), POSITIVE, nx.DomainError),
-    "diversity target": (lambda v: pf.reflectors_for_diversity(v, 0.9, 0.8, 0.5), POSITIVE, nx.DomainError),
-    "coding-gain target": (lambda v: pf.reflectors_for_coding_gain(v, 0.9, 0.8, 0.5), POSITIVE, nx.DomainError),
-    "diversity planner phi_1": (lambda v: pf.reflectors_for_diversity(10.0, 0.9, v, 0.5), POSITIVE, nx.DomainError),
-    "coding-gain planner phi_1": (lambda v: pf.reflectors_for_coding_gain(10.0, 0.9, v, 0.5), POSITIVE, nx.DomainError),
+    "diversity target": (lambda v: pf.reflectors_for_diversity(v, 0.81, 0.8, 0.5), POSITIVE, nx.DomainError),
+    "coding-gain target": (lambda v: pf.reflectors_for_coding_gain(v, 0.81, 0.8, 0.5), POSITIVE, nx.DomainError),
+    "diversity planner phi_1": (lambda v: pf.reflectors_for_diversity(10.0, 0.81, v, 0.5), POSITIVE, nx.DomainError),
+    "coding-gain planner phi_1": (lambda v: pf.reflectors_for_coding_gain(10.0, 0.81, v, 0.5), POSITIVE, nx.DomainError),
     "SimConfig trials": (lambda v: mc.SimConfig(_scenario(), v, 1), count(1), mc.SimConfigError),
     "SimConfig master_seed": (lambda v: mc.SimConfig(_scenario(), 10, v), count(), mc.SimConfigError),
     "SimConfig snr point": (lambda v: mc.SimConfig(_scenario(), 10, 1, (1.0, v)), POSITIVE, mc.SimConfigError),

@@ -5,6 +5,8 @@ import pytest
 from rislab import performance
 from rislab import validate
 from rislab.config import ConfigError
+from rislab.equiv_channel import LrsScenario, derive
+from rislab.fading import Rayleigh, Rician
 
 LEVELS = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -41,6 +43,22 @@ def test_bisection_stops_early_with_the_bits_of_80_steps(monkeypatch):
     got = crossings()
     assert len(got) == 20 and len(calls) <= 1100
     monkeypatch.setattr(validate, "_db_at_level", bisect_80_steps)
+    assert crossings() == got
+
+
+def test_crossings_read_the_moments_once_with_the_bits_of_derive(monkeypatch):
+    # the bisection takes a^2, phi_1 and phi_2 once per model; which of the
+    # 20 points ber-agreement checks depends on the last bits of each
+    # crossing, so every step must give what deriving the scenario gives
+    def via_derive(pe, level, n):
+        def ber_at(gdb):
+            ch = derive(LrsScenario(n, 10.0 ** (gdb / 10.0), Rician(1.0), Rayleigh(), pe))
+            return performance.ber_bpsk(ch.m, ch.gamma_bar)
+
+        return validate._db_at_level(ber_at, level, -45.0, 15.0)
+
+    got = crossings()
+    monkeypatch.setattr(validate, "_gamma0_db_at_level", via_derive)
     assert crossings() == got
 
 
