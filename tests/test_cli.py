@@ -147,7 +147,7 @@ def test_ber_asymptote_past_the_double_range_is_inf(tmp_path):
     assert res.returncode == 0, res.stderr
     _, rows = read_csv(out / "ber.csv")
     assert rows[0][3] == "inf"
-    assert float(rows[0][2]) == pytest.approx(1.18e-26, rel=1e-2)
+    assert float(rows[0][2]) == pytest.approx(1.18e-26, rel=1e-2, abs=0.0)
 
 
 def test_ber_command_simulation_and_manifest(tmp_path):

@@ -113,10 +113,10 @@ def test_shape_monotone_in_error_concentration():
 
 def test_second_moment_of_h_is_exact_at_finite_n():
     # E|H|^2 = omega + sigma_U^2 + sigma_V^2 = 1/n + (1 - 1/n) phi_1^2 a^4
-    ch = ec.derive(REFERENCE)
+    ch, n = ec.derive(REFERENCE), REFERENCE.n
     x = REFERENCE.phi(1) ** 2 * REFERENCE.a_squared**2
-    assert ch.sigma_u2 + ch.sigma_v2 == pytest.approx((1.0 - x) / REFERENCE.n, rel=1e-12)
-    assert ch.omega + ch.sigma_u2 + ch.sigma_v2 == pytest.approx(1.0 / 256 + (1.0 - 1.0 / 256) * x, rel=1e-14)
+    assert ch.sigma_u2 + ch.sigma_v2 == pytest.approx((1.0 - x) / n, rel=1e-12, abs=0.0)
+    assert ch.omega + ch.sigma_u2 + ch.sigma_v2 == pytest.approx(1.0 / n + (1.0 - 1.0 / n) * x, rel=1e-14)
 
 
 def test_scenario_validation():

@@ -115,10 +115,12 @@ def test_asymptote_converges_to_exact():
 
 
 def test_asymptote_past_the_double_range_is_inf():
-    # the power law is an upper bound; here it passes 1.8e308 while the
-    # exact BER is 1.18e-26
-    assert pf.ber_high_snr(44285.0, 56.4) == math.inf
-    assert pf.ber_bpsk(44285.0, 56.4) == pytest.approx(1.18e-26, rel=1e-2)
+    # the power law is an upper bound; at n = 1e5 and gamma0 = -80 dB
+    # (m = 44285, gamma_bar = 56.4) it passes 1.8e308 while the exact BER
+    # is 1.18e-26
+    ch = ec.derive(ref_scenario(n=100000, gamma0=1e-8))
+    assert pf.ber_high_snr(ch.m, ch.gamma_bar) == math.inf
+    assert pf.ber_bpsk(ch.m, ch.gamma_bar) == pytest.approx(1.18e-26, rel=1e-2, abs=0.0)
     assert pf.ber_high_snr(2.0, 1e300) == 0.0
 
 
