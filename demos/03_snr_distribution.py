@@ -23,8 +23,9 @@ for n in (16, 256):
     ch = derive(scenario)
     upper = ch.gamma_bar * (1.0 + 12.0 / np.sqrt(ch.m))
     edges = np.linspace(0.0, upper, 61)
-    smp = sample_snr(SimConfig(scenario, trials=10**5, master_seed=33), bin_edges=edges)
-    density = smp.histogram / (smp.total_trials * (edges[1] - edges[0]))
+    trials = 10**5
+    smp = sample_snr(SimConfig(scenario, trials=trials, master_seed=33), bin_edges=edges)
+    density = smp.histogram / (trials * (edges[1] - edges[0]))
     centers = 0.5 * (edges[:-1] + edges[1:])
     fit = ks_test(
         smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g), threshold=0.05 if n == 16 else 0.03

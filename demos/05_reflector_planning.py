@@ -11,7 +11,7 @@ from rislab import NoError, Quantizer, Rayleigh, Rician, VonMises, gains
 from rislab.equiv_channel import LrsScenario
 from rislab.performance import reflectors_for_coding_gain, reflectors_for_diversity
 
-a2 = Rician(1.0).mean_magnitude() * Rayleigh().mean_magnitude()  # a^2 = a_1 a_2
+a2 = Rician(1.0).magnitude_moment(1) * Rayleigh().magnitude_moment(1)  # a^2 = a_1 a_2
 models = {
     "ideal": NoError(),
     "von Mises kappa=8": VonMises(8.0),

@@ -214,7 +214,7 @@ def _cmd_snr_pdf(args) -> int:
         smp = sample_snr(
             SimConfig(scenario, trials=args.trials, master_seed=args.seed), bin_edges=edges
         )
-        density = smp.histogram / (smp.total_trials * width)
+        density = smp.histogram / (args.trials * width)
         smp.values.sort()  # in place, so the fit reads the draws without a copy
         fit = ks_test(smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g))
         fit_path = os.path.join(args.out, "snr_fit.json")
@@ -253,7 +253,7 @@ def _cmd_plan(args) -> int:
         }
     if not targets:
         raise ConfigError("plan config needs 'target_gd' and/or 'target_gc'")
-    a2 = hops[0].mean_magnitude() * hops[1].mean_magnitude()
+    a2 = hops[0].magnitude_moment(1) * hops[1].magnitude_moment(1)
     phi1 = pe.trig_moment(1)
     phi2 = pe.trig_moment(2)
 

@@ -11,6 +11,7 @@ Schema::
       "sweep": {"start_db": -24.0, "stop_db": -10.0, "step_db": 1.0}
     }
 
+``gamma0_db`` is the single-reflector SNR in dB and its one spelling;
 ``sweep`` is only needed by curve commands; planners read ``target_gd``
 or ``target_gc`` instead of (or next to) ``n``.
 """
@@ -73,19 +74,13 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _gamma0_from(cfg: dict) -> float:
-    if "gamma0_db" in cfg:
-        return db_to_linear(numerics.check_real(cfg["gamma0_db"], "gamma0_db", -math.inf))
-    if "gamma0" in cfg:
-        return cfg["gamma0"]
-    raise ConfigError("config needs 'gamma0_db' (or linear 'gamma0')")
-
-
 def scenario_from_config(cfg: dict) -> LrsScenario:
+    if "gamma0_db" not in cfg:
+        raise ConfigError("config needs 'gamma0_db'")
     with config_errors():
         return LrsScenario(
             n=cfg["n"],
-            gamma0=_gamma0_from(cfg),
+            gamma0=db_to_linear(numerics.check_real(cfg["gamma0_db"], "gamma0_db", -math.inf)),
             fading_sr=fading.from_config(cfg["fading_sr"]),
             fading_rd=fading.from_config(cfg["fading_rd"]),
             phase_error=phase_models.from_config(cfg["phase_error"]),

@@ -72,10 +72,7 @@ class LrsScenario:
     @property
     def a_squared(self) -> float:
         """a^2 = a_1 a_2, the product of the hop mean magnitudes."""
-        return self.fading_sr.mean_magnitude() * self.fading_rd.mean_magnitude()
-
-    def phi(self, p: int) -> float:
-        return self.phase_error.trig_moment(p)
+        return self.fading_sr.magnitude_moment(1) * self.fading_rd.magnitude_moment(1)
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,8 @@ def channel_from_moments(n: int, gamma0: float, a_squared: float, phi1: float, p
 
 def derive(scenario: LrsScenario) -> EquivChannel:
     """Map a scenario to its equivalent-channel parameters."""
-    return channel_from_moments(scenario.n, scenario.gamma0, scenario.a_squared, scenario.phi(1), scenario.phi(2))
+    phi = scenario.phase_error.trig_moment
+    return channel_from_moments(scenario.n, scenario.gamma0, scenario.a_squared, phi(1), phi(2))
 
 
 # the powers (p, q) of the monomials u^p v^q of the standardized parts of
@@ -206,7 +204,7 @@ def _control_means(scenario: LrsScenario) -> tuple[EquivChannel, np.ndarray, np.
     """``derive(scenario)``, the exact means of the monomials of
     ``CONTROL_POWERS`` and a bound on the rounding of each."""
     ch = derive(scenario)
-    phi = np.array([scenario.phi(p) for p in range(5)])
+    phi = np.array([scenario.phase_error.trig_moment(p) for p in range(5)])
     hops = [scenario.fading_sr.magnitude_moment(k) * scenario.fading_rd.magnitude_moment(k) for k in range(5)]
     raw, size = {}, {}
     for pq, t, t_abs in zip(CONTROL_POWERS, _TRIG @ phi, np.abs(_TRIG) @ np.abs(phi)):
@@ -261,66 +259,61 @@ def control_moments(scenario: LrsScenario) -> tuple[float, float, float, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def nakagami_pdf(m: float, omega: float, x):
-    """Density of |H|: 2 m^m x^(2m-1) exp(-m x^2 / omega) / (Gamma(m) omega^m).
-
-    |H|^2 is gamma distributed with shape m and mean omega, so this is the
-    change of variables 2x snr_pdf(m, omega, x^2), which checks m and omega.
-    """
-    arr = np.asarray(x, dtype=float)
+def _shape_mean_points(m: float, mean: float, mean_name: str, points, point_name: str):
+    """Checked shape m > 0, mean > 0 and points >= 0 of a gamma or
+    Nakagami law, the points as a float array."""
+    m = numerics.check_real(m, "m", strict=True)
+    mean = numerics.check_real(mean, mean_name, strict=True)
+    arr = np.asarray(points, dtype=float)
     if not np.all(arr >= 0.0):
-        raise numerics.DomainError("magnitude must be >= 0")
-    # the density is 0 at infinity, where 2x snr_pdf(x^2) would read inf * 0
-    finite = arr < math.inf
-    safe = np.where(finite, arr, 0.0)
-    # x^2 overflows above ~1.3e154 to the infinity where the density is 0
-    with np.errstate(over="ignore"):
-        sq = safe * safe
-    out = np.where(finite, 2.0 * safe * snr_pdf(m, omega, sq), 0.0)
-    return float(out) if arr.ndim == 0 else out
+        raise numerics.DomainError(f"{point_name} must be >= 0")
+    return m, mean, arr
+
+
+def _gamma_kernel(m: float, mean: float, x: np.ndarray, power: float, square: bool):
+    """exp(m ln m + power ln x - m g / mean - ln Gamma(m) - m ln mean) with
+    g = x^2 if ``square`` else x, elementwise and without warnings.
+
+    In the log domain m^m and mean^m, which overflow long before the
+    density does, are never formed.  x^power comes from ln x, not from
+    g: x^2 underflows below x ~ 1e-162.  A zero ``power`` drops that
+    term, so x = 0 gives the finite limit instead of 0 * (-inf); a
+    positive one gives 0 there and a negative one inf.  At x = inf the
+    result is 0.
+    """
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        g = x * x if square else x
+        log_pdf = (
+            m * math.log(m)
+            + (power * np.log(x) if power else 0.0)
+            - m * g / mean
+            - numerics.ln_gamma(m)
+            - m * math.log(mean)
+        )
+        out = np.where(x < math.inf, np.exp(log_pdf), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def nakagami_pdf(m: float, omega: float, x):
+    """Density of |H|: 2 m^m x^(2m-1) exp(-m x^2 / omega) / (Gamma(m) omega^m),
+    the law of the root of a gamma variable with shape m and mean omega.
+    At x = 0 it is inf for m < 1/2, sqrt(2 / (pi omega)) at m = 1/2 and 0
+    above."""
+    m, omega, arr = _shape_mean_points(m, omega, "omega", x, "magnitude")
+    return 2.0 * _gamma_kernel(m, omega, arr, 2.0 * m - 1.0, square=True)
 
 
 def snr_pdf(m: float, gamma_bar: float, gamma):
     """Gamma density with shape m and mean gamma_bar: the law of the
-    instantaneous SNR.
-
-    Evaluated in the log domain; m grows linearly with n so m^m and
-    gamma_bar^m overflow long before the density does.
-    """
-    m = numerics.check_real(m, "m", strict=True)
-    gamma_bar = numerics.check_real(gamma_bar, "gamma_bar", strict=True)
-    arr = np.asarray(gamma, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise numerics.DomainError("snr must be >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    pos = (arr > 0.0) & (arr < math.inf)  # the density is 0 at infinity
-    if np.any(pos):
-        g = arr[pos]
-        # m g overflows to inf for g near the float maximum, and the
-        # density underflows to its limit 0
-        with np.errstate(over="ignore", under="ignore"):
-            log_pdf = (
-                m * math.log(m)
-                + (m - 1.0) * np.log(g)
-                - m * g / gamma_bar
-                - numerics.ln_gamma(m)
-                - m * math.log(gamma_bar)
-            )
-            out[pos] = np.exp(log_pdf)
-    if m == 1.0:
-        out[arr == 0.0] = 1.0 / gamma_bar  # exponential density is finite at the origin
-    return float(out[0]) if scalar else out
+    instantaneous SNR.  At gamma = 0 it is inf for m < 1, 1/gamma_bar at
+    m = 1 and 0 above."""
+    m, gamma_bar, arr = _shape_mean_points(m, gamma_bar, "gamma_bar", gamma, "snr")
+    return _gamma_kernel(m, gamma_bar, arr, m - 1.0, square=False)
 
 
 def snr_cdf(m: float, gamma_bar: float, gamma):
     """Distribution function of the gamma law with shape m and mean gamma_bar."""
-    m = numerics.check_real(m, "m", strict=True)
-    gamma_bar = numerics.check_real(gamma_bar, "gamma_bar", strict=True)
-    arr = np.asarray(gamma, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise numerics.DomainError("snr must be >= 0")
+    m, gamma_bar, arr = _shape_mean_points(m, gamma_bar, "gamma_bar", gamma, "snr")
     return numerics.regularized_gamma_p(m, arr * (m / gamma_bar))
 
 

@@ -1,12 +1,12 @@
 """Unit-power fading models for the two constituent hops of each reflector.
 
 Only two statistics of a hop matter to the large-surface analytics: the
-power is normalized to E[|H|^2] = 1 and the mean magnitude E[|H|] < 1
-enters the equivalent-channel parameters.  The simulator's control
-variates also read the third and fourth magnitude moments.  The
-built-in families are Rayleigh and Rician (any finite K factor);
-anything satisfying the same unit-power and moment contract could be
-added behind :class:`FadingModel`.
+power is normalized to E[|H|^2] = 1 and the mean magnitude E[|H|] < 1,
+``magnitude_moment(1)``, enters the equivalent-channel parameters.  The
+simulator's control variates also read the third and fourth magnitude
+moments.  The built-in families are Rayleigh and Rician (any finite K
+factor); anything satisfying the same unit-power and moment contract
+could be added behind :class:`FadingModel`.
 
 A model reads its stream one magnitude after the other, so the
 simulator can draw a hop's magnitudes row tile by row tile from that
@@ -35,13 +35,9 @@ class FadingModel(abc.ABC):
     """Immutable description of one hop's fading law."""
 
     @abc.abstractmethod
-    def mean_magnitude(self) -> float:
-        """E[|H|], strictly inside (0, 1) for unit-power fading."""
-
-    @abc.abstractmethod
     def magnitude_moment(self, k: int) -> float:
-        """E[|H|^k] for k = 0..4: 1 at k = 0 and 2, ``mean_magnitude()``
-        at k = 1."""
+        """E[|H|^k] for k = 0..4: 1 at k = 0 and 2, and at k = 1 the mean
+        magnitude a, strictly inside (0, 1) for unit-power fading."""
 
     @abc.abstractmethod
     def sample_magnitude(self, rng: np.random.Generator, size=None):
@@ -57,9 +53,6 @@ class FadingModel(abc.ABC):
 @dataclass(frozen=True)
 class Rayleigh(FadingModel):
     """Circularly symmetric complex normal with unit power."""
-
-    def mean_magnitude(self) -> float:
-        return _SQRT_PI_HALF
 
     def magnitude_moment(self, k: int) -> float:
         return _RAYLEIGH_MOMENTS[numerics.check_count(k, "moment order", 0, 4)]
@@ -86,23 +79,20 @@ class Rician(FadingModel):
     def __post_init__(self):
         object.__setattr__(self, "k_factor", numerics.check_real(self.k_factor, "k_factor"))
 
-    def mean_magnitude(self) -> float:
-        # sqrt(pi / (4(K+1))) * L_{1/2}(-K); the Laguerre form is the
-        # stable evaluation of the confluent-hypergeometric mean of a
-        # Rice magnitude (see numerics.laguerre_half).  From K ~ 4e15 on
-        # it may round to 1.0 or above, and is then kept just below 1
-        k = self.k_factor
-        return min(math.sqrt(math.pi / (4.0 * (k + 1.0))) * numerics.laguerre_half(k), _BELOW_ONE)
-
     def magnitude_moment(self, k: int) -> float:
-        """E|H|^k = Gamma(1 + k/2) (K+1)^(-k/2) L_{k/2}(-K).  With x =
-        1/(K+1), L_2(-K) = (K^2 + 4K + 2)/2 gives 1 + x (2 - x) at k = 4;
-        at k = 3 the recurrence 1.5 L_{3/2}(-K) = (2 + K) L_{1/2}(-K) -
-        L_{-1/2}(-K)/2, with L_{-1/2}(-K) = exp(-K/2) I_0(K/2), is grouped
-        so that no factor overflows or underflows at any finite K."""
+        """E|H|^k = Gamma(1 + k/2) (K+1)^(-k/2) L_{k/2}(-K).  At k = 1 the
+        Laguerre form is the stable evaluation of the confluent-
+        hypergeometric mean of a Rice magnitude (see
+        numerics.laguerre_half); from K ~ 4e15 on it may round to 1.0 or
+        above, and is then kept just below 1.  With x = 1/(K+1), L_2(-K)
+        = (K^2 + 4K + 2)/2 gives 1 + x (2 - x) at k = 4; at k = 3 the
+        recurrence 1.5 L_{3/2}(-K) = (2 + K) L_{1/2}(-K) - L_{-1/2}(-K)/2,
+        with L_{-1/2}(-K) = exp(-K/2) I_0(K/2), is grouped so that no
+        factor overflows or underflows at any finite K."""
         k = numerics.check_count(k, "moment order", 0, 4)
         if k == 1:
-            return self.mean_magnitude()
+            a = math.sqrt(math.pi / (4.0 * (self.k_factor + 1.0))) * numerics.laguerre_half(self.k_factor)
+            return min(a, _BELOW_ONE)
         x = 1.0 / (self.k_factor + 1.0)
         if k == 4:
             return 1.0 + x * (2.0 - x)

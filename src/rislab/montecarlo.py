@@ -193,7 +193,6 @@ class SnrSample:
     edges were supplied, streaming histogram counts over all trials."""
 
     values: np.ndarray
-    total_trials: int
     histogram: np.ndarray | None = None
 
 
@@ -520,4 +519,4 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
         values[b * BLOCK_TRIALS : b * BLOCK_TRIALS + kept.size] = kept
         if hist is not None:
             histogram = hist if histogram is None else histogram + hist
-    return SnrSample(values=values, total_trials=config.trials, histogram=histogram)
+    return SnrSample(values=values, histogram=histogram)

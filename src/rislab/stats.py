@@ -1,8 +1,7 @@
 """Goodness-of-fit and curve-comparison utilities.
 
 These turn qualitative agreement claims into numbers: a one-sample
-Kolmogorov-Smirnov test against an analytic CDF, the horizontal dB gap
-between two BER curves at a target error level, and a log-log slope fit
+Kolmogorov-Smirnov test against an analytic CDF and a log-log slope fit
 that extracts the empirical diversity order of a curve.
 """
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import numerics
 
-__all__ = ["FitReport", "KS_MIN_SAMPLES", "db_gap", "ks_test", "slope_fit"]
+__all__ = ["FitReport", "KS_MIN_SAMPLES", "ks_test", "slope_fit"]
 
 KS_MIN_SAMPLES = 100
 # sorted samples per tile: the cdf and the two maxima run on pieces of
@@ -97,35 +96,6 @@ def ks_test(samples, cdf: Callable, threshold: float | None = None) -> FitReport
     return FitReport(
         statistic=d, sample_count=n, p_value=p, threshold=threshold, passed=d < threshold
     )
-
-
-def _crossing_db(x_db: np.ndarray, ber: np.ndarray, level: float) -> float:
-    """Abscissa (dB) where a decreasing BER curve crosses ``level``,
-    interpolating linearly in (dB, log10 BER) space."""
-    if x_db.size != ber.size or x_db.size < 2:
-        raise numerics.DomainError("curve needs matching x/y arrays with >= 2 points")
-    if np.any(ber <= 0.0):
-        raise numerics.DomainError("BER values must be positive for log interpolation")
-    if np.any(np.diff(ber) >= 0.0):
-        raise numerics.DomainError("curve must be strictly decreasing in BER")
-    log_level = math.log10(level)
-    ly = np.log10(ber)
-    for i in range(ly.size - 1):
-        if ly[i] >= log_level >= ly[i + 1]:
-            t = (log_level - ly[i]) / (ly[i + 1] - ly[i])
-            return float(x_db[i] + t * (x_db[i + 1] - x_db[i]))
-    raise numerics.RangeError(f"level {level!r} not bracketed by the curve")
-
-
-def db_gap(curve_a, curve_b, level: float) -> float:
-    """Horizontal distance in dB between two BER curves at ``level``.
-
-    A curve is a pair (x_db, ber) of equally long arrays with strictly
-    decreasing BER.  Positive means curve_a needs more SNR than curve_b.
-    """
-    xa, ya = (np.asarray(v, dtype=float) for v in curve_a)
-    xb, yb = (np.asarray(v, dtype=float) for v in curve_b)
-    return _crossing_db(xa, ya, level) - _crossing_db(xb, yb, level)
 
 
 def slope_fit(gamma_bar, ber) -> float:

@@ -75,9 +75,9 @@ def _db_at_level(ber_at, level: float, lo: float, hi: float) -> float:
 
 
 def _gamma0_db_at_level(pe: phase_models.PhaseErrorModel, level: float, n: int = 32) -> float:
-    """Single-reflector SNR (dB) where the analytic BER crosses ``level``."""
-    sc = LrsScenario(n, 1.0, Rician(1.0), Rayleigh(), pe)
-    moments = sc.a_squared, sc.phi(1), sc.phi(2)
+    """Single-reflector SNR (dB) where the analytic BER of the reference
+    link with phase error ``pe`` crosses ``level``."""
+    moments = reference_scenario(n).a_squared, pe.trig_moment(1), pe.trig_moment(2)
 
     def ber_at(gdb: float) -> float:
         ch = channel_from_moments(n, 10.0 ** (gdb / 10.0), *moments)
@@ -192,7 +192,7 @@ def check_ber_agreement(trials: int = 10**6, seed: int = 1234) -> CheckResult:
         *[(name, pe, _gamma0_db_at_level(pe, lv, n)) for name, pe in _error_models().items() for lv in levels]
     )
     points = tuple(10.0 ** (g / 10.0) for g in gdbs)
-    sc = LrsScenario(n, points[0], Rician(1.0), Rayleigh(), models[0])
+    sc = replace(reference_scenario(n), gamma0=points[0], phase_error=models[0])
     res = simulate_ber(
         SimConfig(sc, trials=trials, master_seed=seed, snr_points=points, phase_errors=models)
     )
@@ -359,7 +359,7 @@ def check_uniform_rayleigh(trials: int = 2 * 10**5, seed: int = 99) -> CheckResu
     within 3 confidence half-widths."""
     gamma0_db, n = (-19.0, -16.0, -13.0), 256
     points = tuple(10.0 ** (gdb / 10.0) for gdb in gamma0_db)
-    sc = LrsScenario(n, points[0], Rician(1.0), Rayleigh(), phase_models.UniformCircle())
+    sc = replace(reference_scenario(n), gamma0=points[0], phase_error=phase_models.UniformCircle())
     res = simulate_ber(SimConfig(sc, trials=trials, master_seed=seed, snr_points=points))
     rows = []
     passed = True

@@ -44,11 +44,10 @@ class FixedMeanMagnitude(fd.FadingModel):
     def __init__(self, a):
         self.a = a
 
-    def mean_magnitude(self):
-        return self.a
-
     def magnitude_moment(self, k):
-        raise NotImplementedError
+        if k != 1:
+            raise NotImplementedError
+        return self.a
 
     def sample_magnitude(self, rng, size=None):
         raise NotImplementedError

@@ -112,7 +112,7 @@ def test_equiv_power_gap_keeps_its_digits_at_large_n(tmp_path, n):
     assert res.returncode == 0, res.stderr
     sc = scenario_from_config(cfg)
     with mp.workdps(40):
-        x = mp.mpf(sc.phi(1)) ** 2 * mp.mpf(sc.a_squared) ** 2
+        x = mp.mpf(sc.phase_error.trig_moment(1)) ** 2 * mp.mpf(sc.a_squared) ** 2
         want = float((1 - x) / (n * x))
     gap = json.loads((out / "equiv.json").read_text())["finite_n_power_gap"]
     assert gap == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -461,6 +461,14 @@ def test_missing_config_exits_2(tmp_path):
     res = run_cli("equiv", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
     assert res.returncode == 2
     assert "config error" in res.stderr
+
+
+def test_linear_gamma0_key_exits_2(tmp_path):
+    # gamma0_db is the one spelling of the single-reflector SNR
+    cfg = {key: val for key, val in REFERENCE_CONFIG.items() if key != "gamma0_db"}
+    res = run_cli("equiv", "--config", write_config(tmp_path, {**cfg, "gamma0": 0.025}), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config error: config needs 'gamma0_db'" in res.stderr
 
 
 def test_malformed_config_exits_2(tmp_path):

@@ -114,7 +114,7 @@ def test_shape_monotone_in_error_concentration():
 def test_second_moment_of_h_is_exact_at_finite_n():
     # E|H|^2 = omega + sigma_U^2 + sigma_V^2 = 1/n + (1 - 1/n) phi_1^2 a^4
     ch, n = ec.derive(REFERENCE), REFERENCE.n
-    x = REFERENCE.phi(1) ** 2 * REFERENCE.a_squared**2
+    x = REFERENCE.phase_error.trig_moment(1) ** 2 * REFERENCE.a_squared**2
     assert ch.sigma_u2 + ch.sigma_v2 == pytest.approx((1.0 - x) / n, rel=1e-12, abs=0.0)
     assert ch.omega + ch.sigma_u2 + ch.sigma_v2 == pytest.approx(1.0 / n + (1.0 - 1.0 / n) * x, rel=1e-14)
 
@@ -133,15 +133,15 @@ def test_scenario_validation():
     [
         {"n": 32.7},
         {"phase_error": {"type": "quantizer", "bits": 2.9}},
-        {"gamma0": math.inf},
+        {"gamma0_db": math.inf},
         {"gamma0_db": 4000.0},
     ],
-    ids=["fractional-n", "fractional-bits", "inf-gamma0", "overflowing-gamma0-db"],
+    ids=["fractional-n", "fractional-bits", "inf-gamma0-db", "overflowing-gamma0-db"],
 )
 def test_config_rejects_fractional_counts_and_infinite_gamma0(field):
     cfg = {
         "n": 32,
-        "gamma0": 1.0,
+        "gamma0_db": 0.0,
         "fading_sr": {"type": "rician", "k_factor": 1.0},
         "fading_rd": {"type": "rayleigh"},
         "phase_error": {"type": "von_mises", "kappa": 8.0},
@@ -233,6 +233,23 @@ def test_densities_vanish_at_infinity(kernel, m):
         warnings.simplefilter("error")
         assert kernel(m, 1.0, math.inf) == 0.0
         np.testing.assert_array_equal(kernel(m, 1.0, np.array([0.0, math.inf]))[1:], [0.0])
+
+
+@pytest.mark.parametrize("m", [0.3, 0.5, 1.0, 2.0])
+def test_densities_match_scipy_at_the_origin_and_on_a_grid(m):
+    # the ideal single reflector over two Rayleigh hops has m ~ 0.40; for
+    # m < 1 the gamma density diverges at 0, and the Nakagami one for
+    # m < 1/2.  x^2 underflows below x ~ 1e-162, so the Nakagami density
+    # must not go through it
+    stats = pytest.importorskip("scipy.stats")
+    points = np.concatenate([[0.0, 1e-300, 1e-200, 1e-160, 3e-162], np.linspace(0.01, 6.0, 40)])
+    for ours, law in (
+        (ec.snr_pdf(m, 2.5, points), stats.gamma(m, scale=2.5 / m)),
+        (ec.nakagami_pdf(m, 2.5, points), stats.nakagami(m, scale=math.sqrt(2.5))),
+    ):
+        want = law.pdf(points)
+        np.testing.assert_array_equal(ours[np.isinf(want)], want[np.isinf(want)])
+        np.testing.assert_allclose(ours[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-12, atol=0.0)
 
 
 def test_nakagami_pdf_is_silent_where_x_squared_overflows():

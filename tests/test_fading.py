@@ -1,4 +1,5 @@
-"""Fading models: mean magnitudes, unit power, sampling laws."""
+"""Fading models: mean magnitudes E|h| = magnitude_moment(1), unit power,
+sampling laws."""
 
 import math
 
@@ -13,13 +14,11 @@ from rislab import phase_models as pm
 
 
 def test_rayleigh_mean_magnitude():
-    assert fd.Rayleigh().mean_magnitude() == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
+    assert fd.Rayleigh().magnitude_moment(1) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
 
 
 def test_rician_zero_k_reduces_to_rayleigh():
-    assert fd.Rician(0.0).mean_magnitude() == pytest.approx(
-        fd.Rayleigh().mean_magnitude(), rel=1e-14
-    )
+    assert fd.Rician(0.0).magnitude_moment(1) == pytest.approx(fd.Rayleigh().magnitude_moment(1), rel=1e-14)
 
 
 def test_rician_mean_magnitude_vs_sampling_oracle():
@@ -29,19 +28,19 @@ def test_rician_mean_magnitude_vs_sampling_oracle():
         rng = np.random.default_rng(808)
         mags = model.sample_magnitude(rng, 10**6)
         se = mags.std(ddof=1) / 1000.0
-        assert abs(mags.mean() - model.mean_magnitude()) < 5.0 * se
+        assert abs(mags.mean() - model.magnitude_moment(1)) < 5.0 * se
 
 
 def test_mean_magnitude_strictly_subunit():
     for model in (fd.Rayleigh(), fd.Rician(0.0), fd.Rician(1.0), fd.Rician(25.0), fd.Rician(1e4)):
-        a = model.mean_magnitude()
+        a = model.magnitude_moment(1)
         assert 0.0 < a < 1.0
         assert a * a < 1.0
 
 
 def test_rician_mean_magnitude_increases_with_k():
     ks = [0.0, 0.5, 1.0, 2.0, 8.0, 100.0]
-    vals = [fd.Rician(k).mean_magnitude() for k in ks]
+    vals = [fd.Rician(k).magnitude_moment(1) for k in ks]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -92,9 +91,9 @@ def test_rician_rejects_a_factor_that_is_not_finite(k):
 def test_rician_mean_magnitude_stays_below_one_for_huge_factors():
     # from K ~ 4e15 on the Laguerre form rounds to 1.0 or above; then a^4
     # = 1 left no spread in Re(H) and derive, and simulate_ber with it, raised
-    assert fd.Rician(1.0).mean_magnitude().hex() == "0x1.d01abdf5e3897p-1"
+    assert fd.Rician(1.0).magnitude_moment(1).hex() == "0x1.d01abdf5e3897p-1"
     for k in (4060094842987756.0, 1e100, 1e300):
-        assert 0.0 < fd.Rician(k).mean_magnitude() < 1.0
+        assert 0.0 < fd.Rician(k).magnitude_moment(1) < 1.0
     sc = ec.LrsScenario(1, 1.0, fd.Rician(1e300), fd.Rician(1e300), pm.NoError())
     assert ec.derive(sc).sigma_u2 > 0.0
     (ber,) = mc.simulate_ber(mc.SimConfig(sc, 100, 1)).ber
@@ -132,12 +131,10 @@ def test_magnitude_moments_match_the_confluent_hypergeometric_form(k_factor):
             half = mp.mpf(k) / 2
             want = mp.gamma(1 + half) * mp.hyp1f1(-half, 1, -k_factor) / (k_factor + 1) ** half
             assert abs(model.magnitude_moment(k) - want) <= 4e-16 * want
-    assert model.magnitude_moment(1) == model.mean_magnitude()
 
 
 def test_rayleigh_magnitude_moments_are_gamma_values():
     model = fd.Rayleigh()
-    assert model.magnitude_moment(1) == model.mean_magnitude()
     for k in range(5):
         assert model.magnitude_moment(k) == pytest.approx(math.gamma(1.0 + 0.5 * k), rel=1e-15)
     assert model.magnitude_moment(2) == 1.0 == fd.Rician(3.0).magnitude_moment(2)

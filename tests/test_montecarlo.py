@@ -203,9 +203,13 @@ def test_doubling_reflectors_shifts_curve_six_db():
         res = mc.simulate_ber(mc.SimConfig(sc, 5 * 10**4, seed, snr_points=pts))
         return np.array(gdbs), np.array(res.ber)
 
+    def crossing_db(gdbs, ber):
+        # linear in (dB, log10 BER) between the sweep points around 1e-3
+        return np.interp(-3.0, np.log10(ber)[::-1], gdbs[::-1])
+
     c128 = sim_curve(128, 901, np.arange(-36.0, -29.9, 1.0))
     c256 = sim_curve(256, 902, np.arange(-42.0, -35.9, 1.0))
-    shift = st.db_gap(c128, c256, 1e-3)
+    shift = crossing_db(*c128) - crossing_db(*c256)
     assert shift == pytest.approx(6.02, abs=0.5)
 
 
@@ -854,5 +858,5 @@ def test_sample_snr_keeps_the_first_draws_under_the_cap(monkeypatch, workers):
     monkeypatch.setattr(mc, "SNR_RETAIN_CAP", 20000)
     capped = mc.sample_snr(cfg, bin_edges=edges)
     assert capped.values.tobytes() == full.values[:20000].tobytes()
-    np.testing.assert_array_equal(capped.histogram, full.histogram)
-    assert capped.total_trials == 40000
+    assert full.values.size == cfg.trials
+    np.testing.assert_array_equal(capped.histogram, np.histogram(full.values, edges)[0])

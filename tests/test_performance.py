@@ -252,7 +252,7 @@ def test_diversity_planner_guards():
 def test_coding_planner_round_trip_and_floor():
     sc_phi = pm.VonMises(8.0)
     phi1, phi2 = sc_phi.trig_moment(1), sc_phi.trig_moment(2)
-    a2 = fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude()
+    a2 = fd.Rician(1.0).magnitude_moment(1) * fd.Rayleigh().magnitude_moment(1)
     for n_star in (3, 48, 270):
         target = coding_gain(n_star, a2, phi1, phi2)
         plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
@@ -265,7 +265,7 @@ def test_coding_planner_round_trip_and_floor():
 def test_coding_planner_matches_exhaustive_scan():
     phi1 = pm.VonMises(8.0).trig_moment(1)
     phi2 = pm.VonMises(8.0).trig_moment(2)
-    a2 = fd.Rician(1.0).mean_magnitude() * fd.Rayleigh().mean_magnitude()
+    a2 = fd.Rician(1.0).magnitude_moment(1) * fd.Rayleigh().magnitude_moment(1)
     target = 300.0
     plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
     brute = next(

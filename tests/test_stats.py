@@ -1,4 +1,4 @@
-"""Fit statistics and curve utilities."""
+"""Fit statistics: the KS test and the diversity-order slope fit."""
 
 import math
 
@@ -86,45 +86,6 @@ def test_ks_threshold_gate():
     samples = rng.random(2000)
     assert st.ks_test(samples, lambda x: np.clip(x, 0.0, 1.0), threshold=0.5).passed
     assert not st.ks_test(samples, lambda x: np.clip(x, 0.0, 1.0), threshold=1e-6).passed
-
-
-# ---------------------------------------------------------------------------
-# dB gap
-# ---------------------------------------------------------------------------
-
-
-def make_curve(offset_db=0.0):
-    x = np.arange(-20.0, -4.9, 1.0)
-    ber = 10.0 ** (-0.4 * (x + 20.0) - 1.0)  # exact log-linear decay
-    return x + offset_db, ber
-
-
-def test_gap_identical_curves_is_zero():
-    assert st.db_gap(make_curve(), make_curve(), 1e-3) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_gap_recovers_constructed_shift():
-    a = make_curve(3.0)
-    b = make_curve(0.0)
-    for level in (1e-2, 1e-3, 1e-4):
-        assert st.db_gap(a, b, level) == pytest.approx(3.0, abs=1e-9)
-
-
-def test_gap_antisymmetric():
-    a = make_curve(2.2)
-    b = make_curve(0.0)
-    assert st.db_gap(a, b, 1e-3) == pytest.approx(-st.db_gap(b, a, 1e-3), abs=1e-12)
-
-
-def test_gap_requires_bracketing():
-    with pytest.raises(nx.RangeError):
-        st.db_gap(make_curve(), make_curve(), 1e-12)
-
-
-def test_gap_requires_decreasing_curves():
-    x = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(nx.DomainError):
-        st.db_gap((x, np.array([1e-2, 1e-2, 1e-3])), make_curve(), 1e-3)
 
 
 # ---------------------------------------------------------------------------
