@@ -19,22 +19,17 @@ models = {
     "von Mises kappa=2": VonMises(2.0),
 }
 
-print("reflectors needed for a diversity order of 20:")
-for name, pe in models.items():
-    phi1, phi2 = pe.trig_moment(1), pe.trig_moment(2)
-    n = reflectors_for_diversity(20.0, a2, phi1, phi2)
-    g = gains(LrsScenario(n, 1.0, Rician(1.0), Rayleigh(), pe))
-    print(f"  {name:20s} n={n:4d}  (achieved G_d={g.diversity_gain:.2f}, G_c={g.coding_gain:.1f})")
+for target, planner, what in (
+    (20.0, reflectors_for_diversity, "a diversity order of 20"),
+    (2000.0, reflectors_for_coding_gain, "a coding gain of 2000 (33 dB)"),
+):
+    print(f"reflectors needed for {what}:")
+    for name, pe in models.items():
+        n = planner(target, a2, pe.trig_moment(1), pe.trig_moment(2))
+        g = gains(LrsScenario(n, 1.0, Rician(1.0), Rayleigh(), pe))
+        print(f"  {name:20s} n={n:4d}  (achieved G_d={g.diversity_gain:.2f}, G_c={g.coding_gain:.1f})")
+    print()
 
-print("\nreflectors needed for a coding gain of 2000 (33 dB):")
-for name, pe in models.items():
-    phi1, phi2 = pe.trig_moment(1), pe.trig_moment(2)
-    plan = reflectors_for_coding_gain(2000.0, a2, phi1, phi2)
-    print(f"  {name:20s} n={plan.n:4d}  (achieved G_c={plan.achieved:.1f})")
-
-print("\na target past the 10^7-reflector search bound reports the best value instead:")
-plan = reflectors_for_coding_gain(1e9, a2, 0.9, 0.7)
-print(
-    f"  target 1e9: feasible={plan.feasible}, "
-    f"best G_c={plan.achieved:.3e} at n={plan.searched_up_to}"
-)
+print("both planners search every count up to 2^53; a coding gain of 1e12 (120 dB):")
+n = reflectors_for_coding_gain(1e12, 0.8 * 0.8, 0.9, 0.7)
+print(f"  a^2=0.64, phi_1=0.9, phi_2=0.7: n={n}")

@@ -251,38 +251,22 @@ def _cmd_plan(args) -> int:
         targets = {
             key: numerics.check_real(cfg[key], key, strict=True) for key in ("target_gd", "target_gc") if key in cfg
         }
+        phi1 = numerics.check_real(pe.trig_moment(1), "phase error phi_1", strict=True)
     if not targets:
         raise ConfigError("plan config needs 'target_gd' and/or 'target_gc'")
     a2 = hops[0].magnitude_moment(1) * hops[1].magnitude_moment(1)
-    phi1 = pe.trig_moment(1)
     phi2 = pe.trig_moment(2)
 
     report: dict = {"phi1": phi1, "phi2": phi2, "a": math.sqrt(a2)}
     # the gains are ratios to the single-reflector SNR, so gamma0 cancels
-    if "target_gd" in targets:
-        target = targets["target_gd"]
-        n = performance.reflectors_for_diversity(target, a2, phi1, phi2)
-        g = performance.gains(LrsScenario(n, 1.0, *hops, pe))
-        report["diversity"] = {
-            "target_gd": target,
-            "n": n,
-            "achieved_gd": g.diversity_gain,
-            "achieved_gc": g.coding_gain,
-        }
-    if "target_gc" in targets:
-        target = targets["target_gc"]
-        plan = performance.reflectors_for_coding_gain(target, a2, phi1, phi2)
-        entry = {
-            "target_gc": target,
-            "feasible": plan.feasible,
-            "n": plan.n,
-            "achieved_gc": plan.achieved,
-            "searched_up_to": plan.searched_up_to,
-        }
-        if plan.feasible:
-            g = performance.gains(LrsScenario(plan.n, 1.0, *hops, pe))
-            entry["achieved_gd"] = g.diversity_gain
-        report["coding"] = entry
+    for key, name, planner in (
+        ("target_gd", "diversity", performance.reflectors_for_diversity),
+        ("target_gc", "coding", performance.reflectors_for_coding_gain),
+    ):
+        if key in targets:
+            n = planner(targets[key], a2, phi1, phi2)
+            g = performance.gains(LrsScenario(n, 1.0, *hops, pe))
+            report[name] = {key: targets[key], "n": n, "achieved_gd": g.diversity_gain, "achieved_gc": g.coding_gain}
 
     path = os.path.join(args.out, "plan.json")
     _write_json(path, report)

@@ -36,9 +36,13 @@ from . import numerics
 from .fading import FadingModel
 from .phase_models import PhaseErrorModel
 
+# counts above 2^53 are not distinct doubles
+MAX_REFLECTORS = 2**53
+
 __all__ = [
     "EquivChannel",
     "LrsScenario",
+    "MAX_REFLECTORS",
     "cgf_exact",
     "cgf_gamma_approx",
     "channel_from_moments",
@@ -56,7 +60,7 @@ class LrsScenario:
 
     ``gamma0`` is the average SNR that a single reflector alone would
     deliver, in linear scale; dB conversions belong to the CLI boundary.
-    ``n`` stops at 2^53, beyond which counts are not distinct doubles.
+    ``n`` stops at ``MAX_REFLECTORS``.
     """
 
     n: int
@@ -66,7 +70,7 @@ class LrsScenario:
     phase_error: PhaseErrorModel
 
     def __post_init__(self):
-        object.__setattr__(self, "n", numerics.check_count(self.n, "n", 1, 2**53))
+        object.__setattr__(self, "n", numerics.check_count(self.n, "n", 1, MAX_REFLECTORS))
         object.__setattr__(self, "gamma0", numerics.check_real(self.gamma0, "gamma0", strict=True))
 
     @property
@@ -101,13 +105,15 @@ class EquivChannel:
 
 def channel_from_moments(n: int, gamma0: float, a_squared: float, phi1: float, phi2: float) -> EquivChannel:
     """The equivalent channel of n reflectors from the scalars it depends
-    on: the single-reflector SNR gamma0, a^2 = a_1 a_2 and phi_1, phi_2."""
-    n = numerics.check_count(n, "n", 1, 2**53)
+    on: the single-reflector SNR gamma0, a^2 = a_1 a_2 in (0, 1] and the
+    moments phi_1 in [0, 1] (a symmetric zero-mean error), phi_2 in [-1, 1]."""
+    n = numerics.check_count(n, "n", 1, MAX_REFLECTORS)
     gamma0 = numerics.check_real(gamma0, "gamma0", strict=True)
-    if phi1 < 0.0:
-        raise numerics.DomainError(
-            "first trigonometric moment must be >= 0 for a symmetric zero-mean error"
-        )
+    a_squared = numerics.check_real(a_squared, "a^2", strict=True)
+    phi1 = numerics.check_real(phi1, "phi_1")
+    phi2 = numerics.check_real(phi2, "phi_2", -1.0)
+    if max(a_squared, phi1, phi2) > 1.0:
+        raise numerics.DomainError(f"a^2, phi_1 and phi_2 must be <= 1, got {a_squared!r}, {phi1!r}, {phi2!r}")
     a4 = a_squared * a_squared
     sigma_u2 = (1.0 + phi2 - 2.0 * phi1 * phi1 * a4) / (2.0 * n)
     sigma_v2 = (1.0 - phi2) / (2.0 * n)
@@ -270,26 +276,51 @@ def _shape_mean_points(m: float, mean: float, mean_name: str, points, point_name
     return m, mean, arr
 
 
-def _gamma_kernel(m: float, mean: float, x: np.ndarray, power: float, square: bool):
-    """exp(m ln m + power ln x - m g / mean - ln Gamma(m) - m ln mean) with
-    g = x^2 if ``square`` else x, elementwise and without warnings.
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of ln Gamma(m) in 1/m
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
 
-    In the log domain m^m and mean^m, which overflow long before the
-    density does, are never formed.  x^power comes from ln x, not from
-    g: x^2 underflows below x ~ 1e-162.  A zero ``power`` drops that
-    term, so x = 0 gives the finite limit instead of 0 * (-inf); a
-    positive one gives 0 there and a negative one inf.  At x = inf the
-    result is 0.
+
+def _log_mode_factor(m: float) -> float:
+    """ln(m^m e^-m / Gamma(m)) = (1/2) ln(m / 2 pi) - R(m), R the remainder of
+    Stirling's formula, from its series from m = 10 on (the eighth term is
+    below 3e-17 there) so that terms of size m ln m never meet."""
+    if m < 10.0:
+        return m * math.log(m) - m - numerics.ln_gamma(m)
+    w = 1.0 / (m * m)
+    return 0.5 * math.log(m / (2.0 * math.pi)) - sum(c * w**k for k, c in enumerate(_STIRLING)) / m
+
+
+def _gamma_kernel(m: float, mean: float, x: np.ndarray, square: bool):
+    """(m t)^m exp(-m t) / (Gamma(m) x), t = g / mean, g = x^2 if ``square``
+    else x, elementwise and without warnings: the gamma density of g, or
+    half the Nakagami density of x.  Its log, -m (t - 1 - ln t) - ln x +
+    ln(m^m e^-m / Gamma(m)), forms no term of size m.  Where |t - 1| < 1/4
+    the series u (d - 2 sum_{j>=1} u^(2j) / (2j + 1)), d = t - 1 (exact
+    through Veltkamp's split of x), u = d / (2 + d), gives t - 1 - ln t
+    to 2^-53 in ten terms; elsewhere ln t comes from x / sqrt(mean) or
+    x / mean, as g underflows below x ~ 1e-162.  At x = 0 the result is
+    the limit of x^power, power = 2m - 1 or m - 1, and at x = inf it is 0.
     """
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        g = x * x if square else x
-        log_pdf = (
-            m * math.log(m)
-            + (power * np.log(x) if power else 0.0)
-            - m * g / mean
-            - numerics.ln_gamma(m)
-            - m * math.log(mean)
-        )
+        if square:
+            g = x * x
+            c = 134217729.0 * x  # 2^27 + 1: x = hi + lo, each with an exact square
+            hi = c - (c - x)
+            lo = x - hi
+            d = ((g - mean) + (((hi * hi - g) + 2.0 * hi * lo) + lo * lo)) / mean
+            ln_t = 2.0 * np.log(x / math.sqrt(mean))
+        else:
+            g = x
+            d = (x - mean) / mean
+            ln_t = np.log(x / mean)
+        u = d / (2.0 + d)
+        s = np.zeros_like(u)
+        for j in range(10, 0, -1):
+            s = (s + 1.0 / (2 * j + 1)) * (u * u)
+        spread = np.where(np.abs(d) < 0.25, u * (d - 2.0 * s), (g / mean - 1.0) - ln_t)
+        power = (2.0 * m if square else m) - 1.0
+        at_zero = m * (1.0 - math.log(mean)) if power == 0.0 else math.copysign(math.inf, -power)
+        log_pdf = np.where(x > 0.0, -m * spread - np.log(x), at_zero) + _log_mode_factor(m)
         out = np.where(x < math.inf, np.exp(log_pdf), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -300,7 +331,7 @@ def nakagami_pdf(m: float, omega: float, x):
     At x = 0 it is inf for m < 1/2, sqrt(2 / (pi omega)) at m = 1/2 and 0
     above."""
     m, omega, arr = _shape_mean_points(m, omega, "omega", x, "magnitude")
-    return 2.0 * _gamma_kernel(m, omega, arr, 2.0 * m - 1.0, square=True)
+    return 2.0 * _gamma_kernel(m, omega, arr, square=True)
 
 
 def snr_pdf(m: float, gamma_bar: float, gamma):
@@ -308,7 +339,7 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
     instantaneous SNR.  At gamma = 0 it is inf for m < 1, 1/gamma_bar at
     m = 1 and 0 above."""
     m, gamma_bar, arr = _shape_mean_points(m, gamma_bar, "gamma_bar", gamma, "snr")
-    return _gamma_kernel(m, gamma_bar, arr, m - 1.0, square=False)
+    return _gamma_kernel(m, gamma_bar, arr, square=False)
 
 
 def snr_cdf(m: float, gamma_bar: float, gamma):

@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .equiv_channel import LrsScenario, channel_from_moments, derive
+from .equiv_channel import MAX_REFLECTORS, LrsScenario, channel_from_moments, derive
 
 __all__ = [
-    "CodingGainPlan",
     "GainDecomposition",
     "ber_bpsk",
     "ber_high_snr",
@@ -35,7 +34,6 @@ __all__ = [
     "reflectors_for_diversity",
 ]
 
-_PLANNER_N_MAX = 10**7
 # relative slack of a diversity target: sixteen units of roundoff
 _DIVERSITY_SLACK = 16.0 * 2.0**-53
 
@@ -46,21 +44,6 @@ class GainDecomposition:
 
     diversity_gain: float
     coding_gain: float
-
-
-@dataclass(frozen=True)
-class CodingGainPlan:
-    """Result of the coding-gain planner.
-
-    When the target is unreachable within the search bound, ``feasible``
-    is False, ``n`` is None and ``achieved`` holds the best coding gain
-    found at ``searched_up_to`` reflectors.
-    """
-
-    feasible: bool
-    n: int | None
-    achieved: float
-    searched_up_to: int
 
 
 def ber_bpsk(m: float, gamma_bar: float) -> float:
@@ -133,20 +116,19 @@ def gains(scenario: LrsScenario) -> GainDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _smallest_n(meets, n_max: int) -> int | None:
-    """Smallest n in [1, n_max] with ``meets(n)``, or None if there is none.
+def _smallest_n(meets) -> int | None:
+    """Smallest n <= ``MAX_REFLECTORS`` with ``meets(n)``, or None.
 
     The counts that meet the target must form a tail: once ``meets(n)``
     holds it holds for every larger n.  ``hi`` doubles from 1 until it
-    meets or reaches ``n_max``, then the last step (lo, hi] is bisected.
+    meets or reaches ``MAX_REFLECTORS``, then the last step (lo, hi] is
+    bisected: at most 106 evaluations.
     """
-    if meets(1):
-        return 1
-    lo, hi = 1, 2
+    lo, hi = 0, 1
     while not meets(hi):
-        if hi == n_max:
+        if hi == MAX_REFLECTORS:
             return None
-        lo, hi = hi, min(2 * hi, n_max)
+        lo, hi = hi, min(2 * hi, MAX_REFLECTORS)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if meets(mid):
@@ -157,7 +139,7 @@ def _smallest_n(meets, n_max: int) -> int | None:
 
 
 def reflectors_for_diversity(target_gd: float, a_squared: float, phi1: float, phi2: float) -> int:
-    """Smallest n whose shape parameter reaches ``target_gd``.
+    """Smallest n <= 2^53 whose shape parameter reaches ``target_gd``.
 
     The shape parameter is n times the per-reflector shape, so it grows
     with n in floating point too.  The target is relaxed by sixteen units
@@ -166,29 +148,29 @@ def reflectors_for_diversity(target_gd: float, a_squared: float, phi1: float, ph
     (7 ulps below the exact m of the ideal 32-reflector example), while
     huge targets stop within a few reflectors: on the README channel a
     target of 1e15 stops four short of m >= 1e15, where a slack of 1e-12
-    would stop 2258 short.
-    Counts above 2^53 are not distinct doubles; a target beyond them
+    would stop 2258 short.  A target that no count up to 2^53 meets
     raises :class:`numerics.RangeError`.
     """
     target_gd = numerics.check_real(target_gd, "target diversity gain", strict=True)
     phi1 = numerics.check_real(phi1, "planner phi_1", strict=True)
     floor = target_gd * (1.0 - _DIVERSITY_SLACK)
-    n = _smallest_n(lambda n: channel_from_moments(n, 1.0, a_squared, phi1, phi2).m >= floor, 2**53)
+    n = _smallest_n(lambda n: channel_from_moments(n, 1.0, a_squared, phi1, phi2).m >= floor)
     if n is None:
         raise numerics.RangeError(f"target diversity gain {target_gd!r} needs over 2^53 reflectors")
     return n
 
 
-def reflectors_for_coding_gain(
-    target_gc: float, a_squared: float, phi1: float, phi2: float
-) -> CodingGainPlan:
-    """Smallest n whose coding gain reaches ``target_gc``, searched up to
-    ``_PLANNER_N_MAX`` reflectors.
+def reflectors_for_coding_gain(target_gc: float, a_squared: float, phi1: float, phi2: float) -> int:
+    """Smallest n <= 2^53 whose coding gain reaches ``target_gc``.
 
     G_c depends on n only through m = n m_1, as (x / m_1^2) exp(2 ln m -
     L(m)/m): it falls until m = 1 and rises from there.  A target above
     G_c(1) is therefore met by a tail of counts, and one at or below it
-    by n = 1, so bisection finds the smallest n.
+    by n = 1, so bisection finds the smallest n.  G_c was seen to rise
+    steadily up to n = 2^45; from about 2^46 on the rounding of L(m), a
+    difference of log-gammas of size m ln m, makes it jitter, so a huge
+    target may stop a few counts from the smallest one.  A target that no
+    count up to 2^53 meets raises :class:`numerics.RangeError`.
     """
     target_gc = numerics.check_real(target_gc, "target coding gain", strict=True)
     phi1 = numerics.check_real(phi1, "planner phi_1", strict=True)
@@ -197,9 +179,9 @@ def reflectors_for_coding_gain(
         ch = channel_from_moments(n, 1.0, a_squared, phi1, phi2)
         return _coding_gain(ch.m, ch.gamma_bar)
 
-    n = _smallest_n(lambda n: gc(n) >= target_gc, _PLANNER_N_MAX)
+    n = _smallest_n(lambda n: gc(n) >= target_gc)
     if n is None:
-        return CodingGainPlan(
-            feasible=False, n=None, achieved=gc(_PLANNER_N_MAX), searched_up_to=_PLANNER_N_MAX
+        raise numerics.RangeError(
+            f"target coding gain {target_gc!r} needs over 2^53 reflectors: G_c(2^53) = {gc(MAX_REFLECTORS)!r}"
         )
-    return CodingGainPlan(feasible=True, n=n, achieved=gc(n), searched_up_to=n)
+    return n

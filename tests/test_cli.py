@@ -313,8 +313,19 @@ def test_plan_command_round_trip(tmp_path):
     assert res.returncode == 0, res.stderr
     report = json.loads((out / "plan.json").read_text())
     assert report["diversity"]["n"] == 32
-    assert report["coding"]["feasible"] is True
     assert report["coding"]["achieved_gc"] >= 40.0
+    # one contract for both planners: the same keys but the target's
+    assert {k for k in report["diversity"] if k != "target_gd"} == {k for k in report["coding"] if k != "target_gc"}
+    assert set(report["coding"]) == {"target_gc", "n", "achieved_gd", "achieved_gc"}
+
+
+def test_plan_rejects_a_phase_error_without_alignment(tmp_path):
+    # phi_1 = 0 leaves no gain to plan for: a bad config value, not a
+    # numerical failure
+    payload = {**REFERENCE_CONFIG, "phase_error": {"type": "uniform"}, "target_gc": 40.0}
+    res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "phi_1" in res.stderr
 
 
 def test_plan_sizes_a_diversity_target_of_1e15(tmp_path):
@@ -340,10 +351,11 @@ RAYLEIGH_NEAR_UNIFORM = {
     [
         {**REFERENCE_CONFIG, "target_gd": 1e20},
         {**REFERENCE_CONFIG, "target_gd": 1e300},
+        {**REFERENCE_CONFIG, "target_gc": 1e20},
         {**RAYLEIGH_NEAR_UNIFORM, "target_gc": 10.0},
         {**RAYLEIGH_NEAR_UNIFORM, "target_gd": 1e-4},
     ],
-    ids=["gd-past-2^53", "gd-1e300", "gc-overflow-in-planner", "gc-overflow-in-gains"],
+    ids=["gd-past-2^53", "gd-1e300", "gc-past-2^53", "gc-overflow-in-planner", "gc-overflow-in-gains"],
 )
 def test_plan_out_of_range_is_a_numerical_failure(tmp_path, payload):
     res = run_cli("plan", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))

@@ -252,6 +252,26 @@ def test_densities_match_scipy_at_the_origin_and_on_a_grid(m):
         np.testing.assert_allclose(ours[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("m", [1e3, 1e5, 1e7])
+def test_densities_keep_their_digits_at_large_shape(m):
+    # a log-domain sum with terms of size m loses digits in proportion to
+    # m: 3.3e-10 off at m = 1e5 and 4.1e-8 at 1e7 near the mode
+    mpmath = pytest.importorskip("mpmath")
+    z = np.linspace(-4.0, 4.0, 17)
+    gammas = 2.5 * (1.0 + z / math.sqrt(m))
+    xs = math.sqrt(2.5) * (1.0 + z / (2.0 * math.sqrt(m)))
+    with mpmath.workdps(40):
+
+        def gamma_pdf(g):
+            mm, mean = mpmath.mpf(m), mpmath.mpf(2.5)
+            return mpmath.exp(mm * mpmath.log(mm * g / mean) - mm * g / mean - mpmath.loggamma(mm)) / g
+
+        want = [float(gamma_pdf(mpmath.mpf(g))) for g in gammas]
+        want_nakagami = [float(2 * x * gamma_pdf(mpmath.mpf(x) ** 2)) for x in xs]
+    np.testing.assert_allclose(ec.snr_pdf(m, 2.5, gammas), want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(ec.nakagami_pdf(m, 2.5, xs), want_nakagami, rtol=1e-13, atol=0.0)
+
+
 def test_nakagami_pdf_is_silent_where_x_squared_overflows():
     # x^2 overflows from ~1.3e154 on; m x^2 inside snr_pdf from ~1e154
     x = np.array([0.0, 0.5, math.inf, 1e200, 1.2e154])

@@ -1,6 +1,7 @@
 """BER analytics, high-SNR gains and the reflector planners."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,11 +256,11 @@ def test_coding_planner_round_trip_and_floor():
     a2 = fd.Rician(1.0).magnitude_moment(1) * fd.Rayleigh().magnitude_moment(1)
     for n_star in (3, 48, 270):
         target = coding_gain(n_star, a2, phi1, phi2)
-        plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
-        assert plan.feasible and plan.n <= n_star
-        assert plan.achieved >= target
+        n = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
+        assert n <= n_star
+        assert coding_gain(n, a2, phi1, phi2) >= target
     tiny = coding_gain(1, a2, phi1, phi2) * 0.5
-    assert pf.reflectors_for_coding_gain(tiny, a2, phi1, phi2).n == 1
+    assert pf.reflectors_for_coding_gain(tiny, a2, phi1, phi2) == 1
 
 
 def test_coding_planner_matches_exhaustive_scan():
@@ -267,20 +268,28 @@ def test_coding_planner_matches_exhaustive_scan():
     phi2 = pm.VonMises(8.0).trig_moment(2)
     a2 = fd.Rician(1.0).magnitude_moment(1) * fd.Rayleigh().magnitude_moment(1)
     target = 300.0
-    plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
     brute = next(
         n for n in range(1, 1025) if coding_gain(n, a2, phi1, phi2) >= target
     )
-    assert plan.feasible and plan.n == brute
+    assert pf.reflectors_for_coding_gain(target, a2, phi1, phi2) == brute
 
 
-def test_coding_planner_infeasible_reports_best():
-    phi1, phi2 = 0.9, 0.7
-    plan = pf.reflectors_for_coding_gain(1e12, 0.8 * 0.8, phi1, phi2)
-    assert not plan.feasible
-    assert plan.n is None
-    assert plan.searched_up_to == pf._PLANNER_N_MAX
-    assert 0.0 < plan.achieved < 1e12
+def test_coding_planner_answers_a_target_past_ten_million_reflectors():
+    # G_c(10^7) = 2.07e7 here; the smallest count that meets 1e12 is near 4.8e11
+    channel = 0.8 * 0.8, 0.9, 0.7
+    assert coding_gain(10**7, *channel) < 1e12
+    n = pf.reflectors_for_coding_gain(1e12, *channel)
+    assert n == 482416869839
+    assert coding_gain(n, *channel) >= 1e12 > coding_gain(n - 1, *channel)
+
+
+def test_coding_planner_rejects_targets_past_2_53_reflectors():
+    channel = 0.8 * 0.8, 0.9, 0.7
+    best = coding_gain(ec.MAX_REFLECTORS, *channel)
+    assert pf.reflectors_for_coding_gain(best, *channel) <= ec.MAX_REFLECTORS
+    for target in (best * 1.001, 1e300, 1.7e308):
+        with pytest.raises(nx.RangeError, match=re.escape(f"G_c(2^53) = {best!r}")):
+            pf.reflectors_for_coding_gain(target, *channel)
 
 
 def test_coding_gain_grows_with_n_once_shape_exceeds_one():
@@ -295,10 +304,8 @@ def test_coding_planner_handles_small_shape_dip():
     # G_c here: 83.3 at n=1, dipping to 27.6 at n=4, then growing; a
     # target inside the dip is already met by a single reflector
     phi1, phi2, a2 = 0.9, 0.7, 0.85 * 0.85
-    plan = pf.reflectors_for_coding_gain(30.0, a2, phi1, phi2)
-    assert plan.feasible and plan.n == 1
+    assert pf.reflectors_for_coding_gain(30.0, a2, phi1, phi2) == 1
     # a target above G_c(1) must land past the dip, at the true minimum
     target = 100.0
-    plan = pf.reflectors_for_coding_gain(target, a2, phi1, phi2)
     brute = next(n for n in range(1, 4097) if coding_gain(n, a2, phi1, phi2) >= target)
-    assert plan.feasible and plan.n == brute
+    assert pf.reflectors_for_coding_gain(target, a2, phi1, phi2) == brute

@@ -329,30 +329,32 @@ TARGET_KINDS = st.sampled_from(["from_n", "below_one", "free"])
 @given(
     channel=planner_channels(),
     kind=TARGET_KINDS,
-    n_star=st.one_of(st.integers(min_value=1, max_value=4096), st.integers(min_value=1, max_value=10**6)),
+    n_star=st.one_of(st.integers(min_value=1, max_value=4096), st.integers(min_value=10**7, max_value=2**45)),
     fraction=st.floats(min_value=1e-3, max_value=1.0),
-    exponent=st.floats(min_value=-2.0, max_value=9.0),
+    exponent=st.floats(min_value=-2.0, max_value=14.0),
 )
 def test_coding_planner_returns_the_smallest_count_that_meets_the_target(
     channel, kind, n_star, fraction, exponent
 ):
+    # counts past 10^7 included: up to 2^45, where G_c was seen to rise
+    # steadily, the answer is the smallest count
     gc = lambda n: _coding_gain(n, *channel)
     target = _target(gc, kind, n_star, fraction, exponent)
-    plan = pf.reflectors_for_coding_gain(target, *channel)
-    if plan.feasible:
-        assert plan.achieved == gc(plan.n) >= target
-        assert plan.n == 1 or gc(plan.n - 1) < target
-        assert plan.searched_up_to == plan.n
-    else:
-        assert plan.n is None and plan.searched_up_to == pf._PLANNER_N_MAX
-        assert plan.achieved == gc(pf._PLANNER_N_MAX) < target
+    if max(gc(1), gc(ec.MAX_REFLECTORS)) < target:
+        with pytest.raises(nx.RangeError):
+            pf.reflectors_for_coding_gain(target, *channel)
+        return
+    n = pf.reflectors_for_coding_gain(target, *channel)
+    assert gc(n) >= target
+    if n <= 2**45:
+        assert n == 1 or gc(n - 1) < target
     if kind == "from_n":
-        assert plan.n <= n_star
-    brute = next((n for n in range(1, 4096) if gc(n) >= target), None)
+        assert n <= n_star
+    brute = next((k for k in range(1, 4096) if gc(k) >= target), None)
     if brute is not None:
-        assert plan.n == brute
+        assert n == brute
     else:
-        assert plan.n is None or plan.n >= 4096
+        assert n >= 4096
 
 
 @PROPERTY
@@ -409,7 +411,7 @@ def test_shape_never_falls_as_n_grows(channel, n, step):
 
 
 @PROPERTY
-@given(channel=planner_channels(), start=st.integers(min_value=1, max_value=pf._PLANNER_N_MAX - 512))
+@given(channel=planner_channels(), start=st.integers(min_value=1, max_value=2**45 - 512))
 def test_coding_gain_never_falls_after_it_has_risen(channel, start):
     # G_c falls while m = n m_1 < 1 and rises after: the planner bisects on this
     for counts in (range(1, 1025), range(start, start + 512)):
@@ -470,6 +472,9 @@ def count(low=0, high=None):
 NON_NEGATIVE = ("real", 0.0, None, False)
 POSITIVE = ("real", 0.0, None, True)
 FINITE = ("real", -math.inf, None, False)
+UNIT = ("real", 0.0, 1.0, False)
+UNIT_POSITIVE = ("real", 0.0, 1.0, True)
+SYMMETRIC_UNIT = ("real", -1.0, 1.0, False)
 
 # name: (call with the value, valid range, what a bad value gives: an
 # exception class or, at the command line, an exit code)
@@ -493,6 +498,9 @@ ROUTED = {
     "LrsScenario gamma0": (lambda v: _scenario(gamma0=v), POSITIVE, nx.DomainError),
     "channel_from_moments n": (lambda v: ec.channel_from_moments(v, 1.0, 0.7, 0.8, 0.5), count(1, 2**53), nx.DomainError),
     "channel_from_moments gamma0": (lambda v: ec.channel_from_moments(4, v, 0.7, 0.8, 0.5), POSITIVE, nx.DomainError),
+    "channel_from_moments a^2": (lambda v: ec.channel_from_moments(4, 1.0, v, 0.8, 0.5), UNIT_POSITIVE, nx.DomainError),
+    "channel_from_moments phi_1": (lambda v: ec.channel_from_moments(4, 1.0, 0.7, v, 0.5), UNIT, nx.DomainError),
+    "channel_from_moments phi_2": (lambda v: ec.channel_from_moments(4, 1.0, 0.7, 0.8, v), SYMMETRIC_UNIT, nx.DomainError),
     "snr_pdf m": (lambda v: ec.snr_pdf(v, 1.0, 1.0), POSITIVE, nx.DomainError),
     "snr_pdf gamma_bar": (lambda v: ec.snr_pdf(2.0, v, 1.0), POSITIVE, nx.DomainError),
     "snr_cdf m": (lambda v: ec.snr_cdf(v, 1.0, 1.0), POSITIVE, nx.DomainError),
@@ -507,8 +515,10 @@ ROUTED = {
     "ber_high_snr gamma_bar": (lambda v: pf.ber_high_snr(2.0, v), POSITIVE, nx.DomainError),
     "diversity target": (lambda v: pf.reflectors_for_diversity(v, 0.81, 0.8, 0.5), POSITIVE, nx.DomainError),
     "coding-gain target": (lambda v: pf.reflectors_for_coding_gain(v, 0.81, 0.8, 0.5), POSITIVE, nx.DomainError),
-    "diversity planner phi_1": (lambda v: pf.reflectors_for_diversity(10.0, 0.81, v, 0.5), POSITIVE, nx.DomainError),
-    "coding-gain planner phi_1": (lambda v: pf.reflectors_for_coding_gain(10.0, 0.81, v, 0.5), POSITIVE, nx.DomainError),
+    "diversity planner phi_1": (lambda v: pf.reflectors_for_diversity(10.0, 0.81, v, 0.5), UNIT_POSITIVE, nx.DomainError),
+    "coding-gain planner phi_1": (lambda v: pf.reflectors_for_coding_gain(10.0, 0.81, v, 0.5), UNIT_POSITIVE, nx.DomainError),
+    "diversity planner a^2": (lambda v: pf.reflectors_for_diversity(10.0, v, 0.8, 0.5), UNIT_POSITIVE, nx.DomainError),
+    "coding-gain planner a^2": (lambda v: pf.reflectors_for_coding_gain(10.0, v, 0.8, 0.5), UNIT_POSITIVE, nx.DomainError),
     "SimConfig trials": (lambda v: mc.SimConfig(_scenario(), v, 1), count(1), mc.SimConfigError),
     "SimConfig master_seed": (lambda v: mc.SimConfig(_scenario(), 10, v), count(), mc.SimConfigError),
     "SimConfig snr point": (lambda v: mc.SimConfig(_scenario(), 10, 1, (1.0, v)), POSITIVE, mc.SimConfigError),
@@ -536,12 +546,15 @@ def _out_of_range(kind, low, high, strict):
         fractions = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: not x.is_integer())
         above = st.integers(min_value=high + 1) if high is not None else st.nothing()
         return st.one_of(st.integers(max_value=low - 1), above, fractions)
-    beyond_doubles = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+    above = st.integers(min_value=2**1024)  # beyond the doubles
+    if high is not None:
+        above |= st.floats(min_value=math.nextafter(high, math.inf)) | st.integers(min_value=math.floor(high) + 1)
+    below = st.integers(max_value=-(2**1024))
     if low == -math.inf:
-        return beyond_doubles
+        return above | below
     if strict:
-        return st.floats(max_value=0.0) | st.integers(max_value=0) | beyond_doubles
-    return st.floats(max_value=-5e-324) | st.integers(max_value=-1) | beyond_doubles
+        return st.floats(max_value=low) | st.integers(max_value=math.floor(low)) | below | above
+    return st.floats(max_value=math.nextafter(low, -math.inf)) | st.integers(max_value=math.ceil(low) - 1) | below | above
 
 
 def _assert_rejected(call, expected, value):
