@@ -276,18 +276,13 @@ def _shape_mean_points(m: float, mean: float, mean_name: str, points, point_name
     return m, mean, arr
 
 
-# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of ln Gamma(m) in 1/m
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
-
-
 def _log_mode_factor(m: float) -> float:
     """ln(m^m e^-m / Gamma(m)) = (1/2) ln(m / 2 pi) - R(m), R the remainder of
-    Stirling's formula, from its series from m = 10 on (the eighth term is
-    below 3e-17 there) so that terms of size m ln m never meet."""
+    Stirling's formula, from its series from m = 10 on so that terms of
+    size m ln m never meet."""
     if m < 10.0:
         return m * math.log(m) - m - numerics.ln_gamma(m)
-    w = 1.0 / (m * m)
-    return 0.5 * math.log(m / (2.0 * math.pi)) - sum(c * w**k for k, c in enumerate(_STIRLING)) / m
+    return 0.5 * math.log(m / (2.0 * math.pi)) - numerics.stirling_remainder(m)
 
 
 def _gamma_kernel(m: float, mean: float, x: np.ndarray, square: bool):

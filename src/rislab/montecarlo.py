@@ -63,13 +63,13 @@ sampler sizes its rejection rounds by the values asked of it.
 The semi-analytic reduction sorts a block's |H| once.  At every sweep
 point it evaluates Q on the ascending arguments, one contiguous slice
 per range of the rational approximation, in buffers allocated once per
-block (``numerics.gauss_q_ascending``), and puts the probabilities back
-in trial order before summing: the sums are those of an elementwise
-``numerics.gauss_q``, bit for bit.  The controls are built in place in
-one (8, N) array, and the block's sums are formed with ``np.sum`` and
-``np.einsum``, never through BLAS, which could start threads inside the
-worker processes.  SNR draws are written block by
-block into one array of at most ``SNR_RETAIN_CAP`` values.
+block (``numerics.gauss_q``), and puts the probabilities back in trial
+order before summing, so each sum runs over the trials in the order
+they were drawn.  The controls are built in place in one (8, N) array,
+and the block's sums are formed with ``np.sum`` and ``np.einsum``, never
+through BLAS, which could start threads inside the worker processes.
+SNR draws are written block by block into one array of at most
+``SNR_RETAIN_CAP`` values.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ def _ber_block(n: int, points: tuple[float, ...], estimator: str, moments, h, rn
         for row, g in zip(rows, points):
             np.multiply(n * math.sqrt(g), ascending, out=x)
             x *= math.sqrt(2.0)
-            numerics.gauss_q_ascending(x, q, work)
+            numerics.gauss_q(x, q, work)
             p[order] = q
             row[0] = np.sum(p)
             row[1] = np.sum(np.multiply(p, p, out=q))

@@ -63,15 +63,17 @@ def ber_bpsk(m: float, gamma_bar: float) -> float:
     return numerics.integrate(integrand, 0.0, 0.5 * math.pi) / math.pi
 
 
-def _log_asymptote_bracket(m: float) -> float:
-    """log of m^(m-1) Gamma(m+1/2) / (2 sqrt(pi) Gamma(m))."""
-    return (
-        (m - 1.0) * math.log(m)
-        + numerics.ln_gamma(m + 0.5)
-        - numerics.ln_gamma(m)
-        - math.log(2.0)
-        - 0.5 * math.log(math.pi)
-    )
+_LOG_TWO_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
+
+
+def _log_scaled_bracket(m: float) -> float:
+    """K(m) = ln(Gamma(m + 1/2) / (2 sqrt(pi) m Gamma(m))), the log of the
+    asymptote's bracket less m ln m; from m = 10 on through the Stirling
+    remainder R, so that no terms of size m ln m meet."""
+    if m < 10.0:
+        return numerics.ln_gamma(m + 0.5) - numerics.ln_gamma(m) - math.log(m) - _LOG_TWO_SQRT_PI
+    dr = numerics.stirling_remainder(m + 0.5) - numerics.stirling_remainder(m)
+    return -0.5 * math.log(m) + (m * math.log1p(0.5 / m) - 0.5) + dr - _LOG_TWO_SQRT_PI
 
 
 def ber_high_snr(m: float, gamma_bar: float) -> float:
@@ -80,21 +82,25 @@ def ber_high_snr(m: float, gamma_bar: float) -> float:
     It is an upper bound on the exact BER, with relative error
     ``≈ m^2 (2m+1) / ((2m+2) gamma_bar)``: the first-order term of
     ``(1 + gamma_bar/(m sin^2 theta))^(-m)`` averaged over the integrand.
+    Its log is K(m) - m ln(gamma_bar / m), through a log1p of the exact
+    gamma_bar - m near m, so its error stays near roundoff at any m.
     """
     m = numerics.check_real(m, "m", strict=True)
     gamma_bar = numerics.check_real(gamma_bar, "gamma_bar", strict=True)
+    near = 0.5 * m <= gamma_bar <= 2.0 * m  # then gamma_bar - m is exact
+    log_ratio = math.log1p((gamma_bar - m) / m) if near else math.log(gamma_bar) - math.log(m)
     try:
-        return math.exp(_log_asymptote_bracket(m) - m * math.log(gamma_bar))
+        return math.exp(_log_scaled_bracket(m) - m * log_ratio)
     except OverflowError:  # an upper bound past the double range
         return math.inf
 
 
 def _coding_gain(m: float, gamma_bar: float) -> float:
-    """G_c = gamma_bar exp(-L(m)/m) of a channel at gamma0 = 1, L the log
-    asymptote bracket."""
+    """G_c = (gamma_bar / m) exp(-K(m)/m) of a channel at gamma0 = 1, K
+    the scaled log bracket."""
     try:
-        gc = gamma_bar * math.exp(-_log_asymptote_bracket(m) / m)
-    except OverflowError:  # -L(m)/m ~ ln 2 / m passes 709.78 once m < ~1e-3
+        gc = gamma_bar / m * math.exp(-_log_scaled_bracket(m) / m)
+    except OverflowError:  # -K(m)/m ~ ln 2 / m passes 709.78 once m < ~1e-3
         gc = math.inf
     if gc == math.inf:
         raise numerics.RangeError(f"coding gain at m={m!r} exceeds the double range")
@@ -163,14 +169,15 @@ def reflectors_for_diversity(target_gd: float, a_squared: float, phi1: float, ph
 def reflectors_for_coding_gain(target_gc: float, a_squared: float, phi1: float, phi2: float) -> int:
     """Smallest n <= 2^53 whose coding gain reaches ``target_gc``.
 
-    G_c depends on n only through m = n m_1, as (x / m_1^2) exp(2 ln m -
-    L(m)/m): it falls until m = 1 and rises from there.  A target above
-    G_c(1) is therefore met by a tail of counts, and one at or below it
-    by n = 1, so bisection finds the smallest n.  G_c was seen to rise
-    steadily up to n = 2^45; from about 2^46 on the rounding of L(m), a
-    difference of log-gammas of size m ln m, makes it jitter, so a huge
-    target may stop a few counts from the smallest one.  A target that no
-    count up to 2^53 meets raises :class:`numerics.RangeError`.
+    G_c depends on n only through m = n m_1, as (x / m_1^2) m exp(-K(m)/m),
+    K the scaled log bracket: it falls until m = 1 and rises from there.
+    A target above G_c(1) is therefore met by a tail of counts, and one at
+    or below it by n = 1, so bisection finds the smallest n.  G_c was seen
+    to rise steadily up to n = 2^50; beyond, its relative rise per count,
+    1/n, drops below the few roundings in gamma_bar / m and makes it
+    jitter, so a huge target may stop a few counts from the smallest one.
+    A target that no count up to 2^53 meets raises
+    :class:`numerics.RangeError`.
     """
     target_gc = numerics.check_real(target_gc, "target coding gain", strict=True)
     phi1 = numerics.check_real(phi1, "planner phi_1", strict=True)

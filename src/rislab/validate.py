@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics, performance, phase_models, stats
-from .config import ConfigError
+from .config import ConfigError, db_to_linear
 from .equiv_channel import (
     LrsScenario,
     cgf_exact,
@@ -80,7 +80,7 @@ def _gamma0_db_at_level(pe: phase_models.PhaseErrorModel, level: float, n: int =
     moments = reference_scenario(n).a_squared, pe.trig_moment(1), pe.trig_moment(2)
 
     def ber_at(gdb: float) -> float:
-        ch = channel_from_moments(n, 10.0 ** (gdb / 10.0), *moments)
+        ch = channel_from_moments(n, db_to_linear(gdb), *moments)
         return performance.ber_bpsk(ch.m, ch.gamma_bar)
 
     return _db_at_level(ber_at, level, -45.0, 15.0)
@@ -191,7 +191,7 @@ def check_ber_agreement(trials: int = 10**6, seed: int = 1234) -> CheckResult:
     names, models, gdbs = zip(
         *[(name, pe, _gamma0_db_at_level(pe, lv, n)) for name, pe in _error_models().items() for lv in levels]
     )
-    points = tuple(10.0 ** (g / 10.0) for g in gdbs)
+    points = tuple(db_to_linear(g) for g in gdbs)
     sc = replace(reference_scenario(n), gamma0=points[0], phase_error=models[0])
     res = simulate_ber(
         SimConfig(sc, trials=trials, master_seed=seed, snr_points=points, phase_errors=models)
@@ -280,11 +280,11 @@ def check_asymptote() -> CheckResult:
         c1 = m * m * (2.0 * m + 1.0) / (2.0 * m + 2.0)
 
         cross_db = _db_at_level(
-            lambda gdb: performance.ber_bpsk(m, 10.0 ** (gdb / 10.0)), target, 0.0, 60.0 + 6.0 * m
+            lambda gdb: performance.ber_bpsk(m, db_to_linear(gdb)), target, 0.0, 60.0 + 6.0 * m
         )
 
         grid = [cross_db + d for d in np.arange(0.0, 15.1, 0.5)]
-        gbar = np.array([10.0 ** (g / 10.0) for g in grid])
+        gbar = np.array([db_to_linear(g) for g in grid])
         table = np.array([performance.ber_high_snr(m, g) for g in gbar])
         ratios = table / np.array([performance.ber_bpsk(m, g) for g in gbar])
 
@@ -358,7 +358,7 @@ def check_uniform_rayleigh(trials: int = 2 * 10**5, seed: int = 99) -> CheckResu
     average SNR n * gamma0; simulated BER must match the closed form
     within 3 confidence half-widths."""
     gamma0_db, n = (-19.0, -16.0, -13.0), 256
-    points = tuple(10.0 ** (gdb / 10.0) for gdb in gamma0_db)
+    points = tuple(db_to_linear(gdb) for gdb in gamma0_db)
     sc = replace(reference_scenario(n), gamma0=points[0], phase_error=phase_models.UniformCircle())
     res = simulate_ber(SimConfig(sc, trials=trials, master_seed=seed, snr_points=points))
     rows = []

@@ -8,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.special
+from _stubs import masked_gauss_q
 
 from rislab import equiv_channel as ec
 from rislab import fading as fd
@@ -125,7 +127,7 @@ def test_standardized_re_part_converges_to_normal():
         ch = ec.derive(sc)
         h = mc.draw_h_batch(sc, np.random.default_rng(21), 10**5)
         z = (h.real - ch.mu) / math.sqrt(ch.sigma_u2)
-        rep = st.ks_test(z, lambda x: 1.0 - nx.gauss_q(x))
+        rep = st.ks_test(z, scipy.special.ndtr)
         distances.append(rep.statistic)
     assert all(b < a for a, b in zip(distances, distances[1:]))
 
@@ -401,8 +403,8 @@ def test_controls_are_the_standardized_monomials_less_their_means():
 def test_semianalytic_block_is_gauss_q_summed_in_trial_order():
     # magnitudes whose Q arguments n sqrt(2 g)|H| span all three of Cody's
     # ranges, with ties, in no order; the block sorts them once and must
-    # give the bytes of a plain per-point gauss_q sum, and of its
-    # products with the eight controls
+    # give the bytes of a plain per-point sum of the elementwise Q, and of
+    # its products with the eight controls
     rng = np.random.default_rng(11)
     mag = np.concatenate([rng.uniform(0.0, 1.6, 5000), np.full(7, 0.25), [0.0, 1e-9, 30.0]])
     rng.shuffle(mag)
@@ -413,7 +415,7 @@ def test_semianalytic_block_is_gauss_q_summed_in_trial_order():
     xs = mc._controls(h, *moments)
     want = np.zeros((len(points), 10))
     for row, g in zip(want, points):
-        p = nx.gauss_q(n * math.sqrt(g) * np.abs(h) * math.sqrt(2.0))
+        p = masked_gauss_q(n * math.sqrt(g) * np.abs(h) * math.sqrt(2.0))
         row[:2] = np.sum(p), np.sum(p * p)
         row[2:] = np.einsum("ki,i->k", xs, p)
     y = n * math.sqrt(points[-1]) * np.abs(h)
@@ -423,6 +425,23 @@ def test_semianalytic_block_is_gauss_q_summed_in_trial_order():
     np.testing.assert_allclose(sums, np.column_stack([xs.sum(axis=1), xs @ xs.T]), rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(lo, xs.min(axis=1))
     np.testing.assert_array_equal(hi, xs.max(axis=1))
+
+
+def test_semianalytic_sweep_evaluates_q_once_per_block_and_point(monkeypatch):
+    # the engine's one route to Q is the module attribute numerics.gauss_q,
+    # called with every sorted block at every sweep point
+    calls = []
+    kernel = nx.gauss_q
+
+    def counted(x, out, work):
+        calls.append(x.size)
+        return kernel(x, out, work)
+
+    monkeypatch.setenv("RIS_LAB_WORKERS", "1")
+    monkeypatch.setattr(nx, "gauss_q", counted)
+    cfg = mc.SimConfig(ref_scenario(n=4), 3 * mc.BLOCK_TRIALS, 5, snr_points=(0.01, 0.1, 1.0, 10.0))
+    mc.simulate_ber(cfg)
+    assert calls == [mc.BLOCK_TRIALS] * 12
 
 
 def test_direct_error_counts_never_rise_along_a_sweep():

@@ -3,9 +3,11 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from _stubs import FixedMeanMagnitude, FixedMoments
 
 from rislab import equiv_channel as ec
@@ -48,7 +50,7 @@ def test_ber_matches_conditional_average_oracle():
     for m, gbar in ((1.7, 8.0), (5.0, 30.0), (14.171, 60.0)):
         hi = gbar * (1.0 + 20.0 / math.sqrt(m))
         oracle = scipy.integrate.quad(
-            lambda g: nx.gauss_q(np.sqrt(2.0 * g)) * ec.snr_pdf(m, gbar, g),
+            lambda g: 0.5 * scipy.special.erfc(math.sqrt(g)) * ec.snr_pdf(m, gbar, g),
             1e-13, hi, epsabs=1e-12, epsrel=1e-10, limit=500,
         )[0] + 0.5 * ec.snr_cdf(m, gbar, 1e-13)
         assert pf.ber_bpsk(m, gbar) == pytest.approx(oracle, abs=1e-8)
@@ -113,6 +115,19 @@ def test_asymptote_converges_to_exact():
     ]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=5e-3)
+
+
+@pytest.mark.parametrize("m", [12.879566079348178, 1e3, 1e5, 1e7])
+def test_asymptote_and_coding_gain_keep_their_digits_at_large_m(m):
+    # against 60-digit mpmath at gamma_bar = m + 20; the log-gammas of
+    # size m ln m once lost digits in proportion to m (3.2e-8 at m = 1e7)
+    mp = mpmath.MPContext()
+    mp.dps = 60
+    mm, g = mp.mpf(m), mp.mpf(m + 20.0)
+    log_bracket = (mm - 1) * mp.log(mm) + mp.loggamma(mm + 0.5) - mp.loggamma(mm) - mp.log(2 * mp.sqrt(mp.pi))
+    want = mp.exp(log_bracket - mm * mp.log(g))
+    assert abs(pf.ber_high_snr(m, m + 20.0) / want - 1) < 1e-14
+    assert abs(pf._coding_gain(m, m + 20.0) / (g * mp.exp(-log_bracket / mm)) - 1) < 1e-15
 
 
 def test_asymptote_past_the_double_range_is_inf():
