@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from rislab import LrsScenario, Rayleigh, Rician, SimConfig, VonMises, derive, sample_snr
+from rislab import LrsScenario, Rayleigh, Rician, VonMises, derive, sample_snr
 from rislab.equiv_channel import snr_cdf, snr_pdf
 from rislab.stats import ks_test
 
@@ -24,7 +24,7 @@ for n in (16, 256):
     upper = ch.gamma_bar * (1.0 + 12.0 / np.sqrt(ch.m))
     edges = np.linspace(0.0, upper, 61)
     trials = 10**5
-    smp = sample_snr(SimConfig(scenario, trials=trials, master_seed=33), bin_edges=edges)
+    smp = sample_snr(scenario, trials, master_seed=33, bin_edges=edges)
     density = smp.histogram / (trials * (edges[1] - edges[0]))
     centers = 0.5 * (edges[:-1] + edges[1:])
     fit = ks_test(

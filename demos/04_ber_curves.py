@@ -22,7 +22,6 @@ from rislab import (
     Quantizer,
     Rayleigh,
     Rician,
-    SimConfig,
     VonMises,
     ber_bpsk,
     derive,
@@ -54,17 +53,8 @@ sim_points = {}
 if "--simulate" in sys.argv:
     # one run for every model: the hop magnitudes are drawn once and shared
     sim_db = sweep_db[::3]
-    points = tuple(10 ** (g / 10) for g in sim_db) * len(models)
-    errors = tuple(pe for pe in models.values() for _ in sim_db)
-    res = simulate_ber(
-        SimConfig(
-            scenario(errors[0], points[0]),
-            trials=10**5,
-            master_seed=4,
-            snr_points=points,
-            phase_errors=errors,
-        )
-    )
+    points = [scenario(pe, 10 ** (g / 10)) for pe in models.values() for g in sim_db]
+    res = simulate_ber(points, trials=10**5, master_seed=4)
     for i, name in enumerate(models):
         sim_points[name] = (sim_db, np.array(res.ber[i * len(sim_db) : (i + 1) * len(sim_db)]))
 

@@ -13,7 +13,7 @@ physical system.
 
 from .equiv_channel import EquivChannel, LrsScenario, derive
 from .fading import Rayleigh, Rician
-from .montecarlo import SimConfig, SimResult, sample_snr, simulate_ber
+from .montecarlo import SimResult, sample_snr, simulate_ber
 from .performance import ber_bpsk, ber_high_snr, gains
 from .phase_models import NoError, Product, Quantizer, UniformCircle, VonMises
 
@@ -27,7 +27,6 @@ __all__ = [
     "Quantizer",
     "Rayleigh",
     "Rician",
-    "SimConfig",
     "SimResult",
     "UniformCircle",
     "VonMises",

@@ -39,7 +39,7 @@ from .config import (
 )
 from .equiv_channel import LrsScenario, derive, snr_cdf, snr_pdf
 from .fading import from_config as fading_from_config
-from .montecarlo import SimConfig, sample_snr, simulate_ber
+from .montecarlo import sample_snr, simulate_ber
 from .phase_models import from_config as phase_from_config
 from .phase_models import MAX_INTEGRATION_ORDER, moment_by_integration
 from .stats import KS_MIN_SAMPLES, ks_test
@@ -151,25 +151,17 @@ def _cmd_ber(args) -> int:
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
     sweep_db = sweep_from_config(cfg)
-    points = tuple(db_to_linear(g) for g in sweep_db)
+    links = [replace(scenario, gamma0=db_to_linear(g)) for g in sweep_db]
 
-    channels = [derive(replace(scenario, gamma0=g0)) for g0 in points]
+    channels = [derive(sc) for sc in links]
     analytic = [performance.ber_bpsk(ch.m, ch.gamma_bar) for ch in channels]
     asymptote = [performance.ber_high_snr(ch.m, ch.gamma_bar) for ch in channels]
 
-    sim = [None] * len(points)
-    halfwidth = [None] * len(points)
+    sim = [None] * len(links)
+    halfwidth = [None] * len(links)
     telemetry = None
     if args.simulate:
-        res = simulate_ber(
-            SimConfig(
-                scenario,
-                trials=args.trials,
-                master_seed=args.seed,
-                snr_points=points,
-                estimator=args.estimator,
-            )
-        )
+        res = simulate_ber(links, args.trials, args.seed, args.estimator)
         sim = list(res.ber)
         halfwidth = list(res.ci_halfwidth)
         telemetry = {"variance_ratio": res.variance_ratio, "controls": res.controls}
@@ -211,9 +203,7 @@ def _cmd_snr_pdf(args) -> int:
     outputs = []
     fit = None
     if args.simulate:
-        smp = sample_snr(
-            SimConfig(scenario, trials=args.trials, master_seed=args.seed), bin_edges=edges
-        )
+        smp = sample_snr(scenario, args.trials, args.seed, bin_edges=edges)
         density = smp.histogram / (args.trials * width)
         smp.values.sort()  # in place, so the fit reads the draws without a copy
         fit = ks_test(smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g))

@@ -33,10 +33,9 @@ order.  Each random input of block b has its own SFC64 stream, seeded by
 numpy's SeedSequence from the key (master_seed, stream tag, b, role):
 role 0 holds the source-hop magnitudes, role 1 the destination-hop
 magnitudes, role 2 the phase errors and role 3 the direct estimator's
-symbols and noise.  Results
-therefore depend only on (config, master_seed), never on how many
-workers executed the blocks.  The RIS_LAB_WORKERS environment variable
-sets the worker count.
+symbols and noise.  Results therefore depend only on the points, the
+trial count and master_seed, never on how many workers executed the
+blocks.  The RIS_LAB_WORKERS environment variable sets the worker count.
 
 The law of H does not depend on gamma0, so a BER sweep draws each block
 once and evaluates every sweep point on the same draws (common random
@@ -77,8 +76,9 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -86,11 +86,9 @@ import numpy as np
 from . import numerics
 from .config import ConfigError
 from .equiv_channel import LrsScenario, control_moments
-from .phase_models import PhaseErrorModel
 
 __all__ = [
     "BLOCK_TRIALS",
-    "SimConfig",
     "SimConfigError",
     "SimResult",
     "SnrSample",
@@ -124,56 +122,15 @@ _RUNGS = (8, 5, 3)
 
 
 class SimConfigError(ConfigError, numerics.DomainError):
-    """A simulation run was asked for with a bad trial count, seed, sweep
-    point or estimator.  It is a configuration error to the command line
-    (exit 2) and a ``DomainError`` to library callers."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """One simulation run: scenario, trial budget, seed and sweep points.
-
-    ``snr_points`` are single-reflector SNR values (linear scale) that
-    override ``scenario.gamma0`` for BER sweeps; the default is the
-    scenario's own value.  ``phase_errors`` holds one phase-error model
-    per sweep point and overrides ``scenario.phase_error`` for BER
-    sweeps; the default is the scenario's own model at every point.
-    ``estimator`` is "semianalytic" or "direct".
-    """
-
-    scenario: LrsScenario
-    trials: int
-    master_seed: int
-    snr_points: tuple[float, ...] = ()
-    estimator: str = "semianalytic"
-    phase_errors: tuple[PhaseErrorModel, ...] = ()
-
-    def __post_init__(self):
-        try:
-            trials = numerics.check_count(self.trials, "trials", 1)
-            seed = numerics.check_count(self.master_seed, "master_seed")
-            points = tuple(
-                numerics.check_real(g, "snr point", strict=True)
-                for g in tuple(self.snr_points) or (self.scenario.gamma0,)
-            )
-        except numerics.DomainError as exc:
-            raise SimConfigError(*exc.args) from None
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "master_seed", seed)
-        object.__setattr__(self, "snr_points", points)
-        models = tuple(self.phase_errors) or (self.scenario.phase_error,) * len(points)
-        if len(models) != len(points):
-            raise SimConfigError(
-                f"phase_errors needs one model per snr point: {len(models)} for {len(points)}"
-            )
-        object.__setattr__(self, "phase_errors", models)
-        if self.estimator not in ("semianalytic", "direct"):
-            raise SimConfigError(f"unknown estimator {self.estimator!r}")
+    """A simulation run was asked for with a bad trial count, seed or
+    estimator, with no points, or with points that differ in ``n`` or in
+    a hop model.  It is a configuration error to the command line (exit
+    2) and a ``DomainError`` to library callers."""
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per sweep point of the config: BER estimate, 95% confidence
+    """Per point of the run, in order: BER estimate, 95% confidence
     half-width and, for the direct estimator only, the error count.
     ``variance_ratio`` (semianalytic only) is the plain mean's variance
     over the control-variate estimate's, and ``controls`` the number of
@@ -433,8 +390,23 @@ def _direct_estimate(trials: int, errors: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def simulate_ber(config: SimConfig) -> SimResult:
-    """Estimate the BER at every sweep point of ``config``.
+def _check_run(trials: int, seed: int, min_trials: int = 1) -> tuple[int, int]:
+    """``(trials, seed)`` as ints, at least ``min_trials`` trials (the
+    sample statistics of ``validate`` need more than one) and a seed >= 0;
+    ``SimConfigError`` otherwise, before any draw."""
+    try:
+        return numerics.check_count(trials, "trials", min_trials), numerics.check_count(seed, "seed")
+    except numerics.DomainError as exc:
+        raise SimConfigError(*exc.args) from None
+
+
+def simulate_ber(
+    points: Sequence[LrsScenario], trials: int, master_seed: int, estimator: str = "semianalytic"
+) -> SimResult:
+    """Estimate the BER at every scenario of ``points``, a non-empty
+    sequence of ``LrsScenario`` that share ``n``, ``fading_sr`` and
+    ``fading_rd``; each point has its own ``gamma0`` and ``phase_error``.
+    ``estimator`` is "semianalytic" or "direct".
 
     The semi-analytic estimator averages the exact conditional error
     probability p = Q(sqrt(2 gamma0) n |H|) over the H draws, corrected
@@ -447,7 +419,7 @@ def simulate_ber(config: SimConfig) -> SimResult:
     residual degrees of freedom (see ``_control_fit``).
     The direct estimator transmits a random symbol per trial, adds
     receiver noise, rotates by the channel phase and counts sign errors.
-    All sweep points share the same draws, and points with different
+    All points share the same draws, and points with different
     phase-error models share the hop magnitudes: each point is evaluated
     on the draws a run of its model alone would make, so grouping models
     into one call changes no result.  95% confidence half-widths use the
@@ -456,18 +428,23 @@ def simulate_ber(config: SimConfig) -> SimResult:
     the RIS_LAB_WORKERS environment variable says; the result does not
     depend on their number.
     """
-    scenario, points = config.scenario, config.snr_points
-    semianalytic = config.estimator == "semianalytic"
-    models = list(dict.fromkeys(config.phase_errors))
-    owned = [[i for i, pe in enumerate(config.phase_errors) if pe == model] for model in models]
+    trials, master_seed = _check_run(trials, master_seed)
+    if estimator not in ("semianalytic", "direct"):
+        raise SimConfigError(f"unknown estimator {estimator!r}")
+    hops = [(sc.n, sc.fading_sr, sc.fading_rd) for sc in points]
+    if not hops or hops.count(hops[0]) < len(hops):
+        raise SimConfigError("simulate_ber needs one or more points that share n, fading_sr and fading_rd")
+    semianalytic = estimator == "semianalytic"
+    models = list(dict.fromkeys(sc.phase_error for sc in points))
+    owned = [[i for i, sc in enumerate(points) if sc.phase_error == model] for model in models]
     jobs = []
     for model, idx in zip(models, owned):
-        moments = control_moments(replace(scenario, phase_error=model)) if semianalytic else None
-        pts = tuple(points[i] for i in idx)
-        jobs.append((model, partial(_ber_block, scenario.n, pts, config.estimator, moments)))
-    per_job = zip(*_map_blocks(jobs, scenario, config.master_seed, _STREAM_BER, config.trials))
+        # mu, sigma_U and sigma_V do not depend on gamma0
+        moments = control_moments(points[idx[0]]) if semianalytic else None
+        gammas = tuple(points[i].gamma0 for i in idx)
+        jobs.append((model, partial(_ber_block, points[0].n, gammas, estimator, moments)))
+    per_job = zip(*_map_blocks(jobs, points[0], master_seed, _STREAM_BER, trials))
 
-    n = config.trials
     estimates = [None] * len(points)
     for idx, parts in zip(owned, per_job):
         # blocks reduce in block order; extremes combine elementwise
@@ -477,12 +454,12 @@ def simulate_ber(config: SimConfig) -> SimResult:
             sums = sum(c[0] for c in controls)
             lo = np.min([c[1] for c in controls], axis=0)
             hi = np.max([c[2] for c in controls], axis=0)
-            fit = _control_fit(n, sums, lo, hi)
+            fit = _control_fit(trials, sums, lo, hi)
             for i, row in zip(idx, rows.tolist()):
-                estimates[i] = _semianalytic_estimate(n, row, fit)
+                estimates[i] = _semianalytic_estimate(trials, row, fit)
         else:
             for i, (k,) in zip(idx, rows.tolist()):
-                estimates[i] = (*_direct_estimate(n, int(k)), int(k), None)
+                estimates[i] = (*_direct_estimate(trials, int(k)), int(k), None)
 
     ber, halfwidth, extra, controls = zip(*estimates)
     return SimResult(
@@ -494,10 +471,10 @@ def simulate_ber(config: SimConfig) -> SimResult:
     )
 
 
-def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSample:
-    """Instantaneous-SNR draws n^2 gamma0 |H|^2 at the scenario's gamma0
-    and phase-error model (``snr_points`` and ``phase_errors`` are not
-    read).
+def sample_snr(
+    scenario: LrsScenario, trials: int, master_seed: int, bin_edges: np.ndarray | None = None
+) -> SnrSample:
+    """Instantaneous-SNR draws n^2 gamma0 |H|^2 of ``scenario``.
 
     At most ``SNR_RETAIN_CAP`` values are kept in memory, in one array
     that each block writes its draws into as it arrives; when
@@ -507,15 +484,15 @@ def sample_snr(config: SimConfig, bin_edges: np.ndarray | None = None) -> SnrSam
     the RIS_LAB_WORKERS environment variable says; the result does not
     depend on their number.
     """
+    trials, master_seed = _check_run(trials, master_seed)
     if bin_edges is not None:
         bin_edges = np.asarray(bin_edges, dtype=float)
         if bin_edges.ndim != 1 or bin_edges.size < 2 or not np.all(bin_edges[1:] > bin_edges[:-1]):
             raise SimConfigError("bin_edges must be a 1-D array of at least two increasing edges")
-    scenario = config.scenario
     jobs = [(scenario.phase_error, partial(_snr_block, scenario.n**2 * scenario.gamma0, bin_edges))]
-    values = np.empty(min(config.trials, SNR_RETAIN_CAP))
+    values = np.empty(min(trials, SNR_RETAIN_CAP))
     histogram = None
-    for b, [(kept, hist)] in enumerate(_map_blocks(jobs, scenario, config.master_seed, _STREAM_SNR, config.trials)):
+    for b, [(kept, hist)] in enumerate(_map_blocks(jobs, scenario, master_seed, _STREAM_SNR, trials)):
         values[b * BLOCK_TRIALS : b * BLOCK_TRIALS + kept.size] = kept
         if hist is not None:
             histogram = hist if histogram is None else histogram + hist

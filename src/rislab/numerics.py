@@ -19,7 +19,7 @@ Accuracy targets (relative unless stated otherwise):
 * ``bessel_i_scaled``     1e-12 on 0 <= x <= 700; finite for any x once p*p < x
 * ``ln_gamma``            1e-13 on x > 0
 * ``gauss_q``             1e-12 on 0 <= x <= 37, where Q >= 6e-300; exact 1/2 at 0, 0 at inf
-* ``regularized_gamma_p`` 1e-12 absolute on 0.3 <= m <= 250, exact at x = 0 and inf
+* ``regularized_gamma_p`` 1e-12 absolute on 0.3 <= m <= 1e9, exact at x = 0 and inf
 * ``laguerre_half``       1e-11 on 0 <= k <= 20, 1e-3 asymptote for large k
 """
 
@@ -370,19 +370,25 @@ def gauss_q(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_p_series(m: float, x: np.ndarray) -> np.ndarray:
+def _gamma_p_series(m: float, x: np.ndarray, prefactor) -> np.ndarray:
     """Series of P(m, x) / prefactor for x < m + 1; each element stops at
-    its own last term, when it leaves the shrinking index set ``live``."""
+    its own last term, when it leaves the shrinking index set ``live``.
+    Near x = m that takes about 9 sqrt(m) terms; an element still live
+    after 1000 + 12 sqrt(m) raises AccuracyError with its partial P."""
     out = np.empty_like(x)
     live = np.arange(x.size)
     term = np.full_like(x, 1.0 / m)
     total = term.copy()
+    cap = 1000 + int(12.0 * math.sqrt(m))
     k = 0
     while live.size:
         k += 1
+        if k > cap:
+            estimate = float(total[0] * prefactor(x[:1])[0])
+            raise AccuracyError(f"P({m}, x): series unconverged after {cap} terms", estimate)
         term *= x / (m + k)
         total += term
-        done = (term < total * 1e-17) | (k > 10000)
+        done = term < total * 1e-17
         if done.any():
             out[live[done]] = total[done]
             keep = ~done
@@ -390,9 +396,9 @@ def _gamma_p_series(m: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_q_cf(m: float, x: np.ndarray) -> np.ndarray:
+def _gamma_q_cf(m: float, x: np.ndarray, prefactor) -> np.ndarray:
     """Continued fraction (modified Lentz) of Q(m, x) / prefactor for
-    x >= m + 1, where b starts at 2 or more; stops per element likewise."""
+    x >= m + 1, where b starts at 2 or more; stops and caps likewise."""
     tiny = 1e-300
     out = np.empty_like(x)
     live = np.arange(x.size)
@@ -400,9 +406,13 @@ def _gamma_q_cf(m: float, x: np.ndarray) -> np.ndarray:
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / b
     h = d.copy()
+    cap = 1000 + int(12.0 * math.sqrt(m))
     i = 0
     while live.size:
         i += 1
+        if i > cap:
+            estimate = float(1.0 - prefactor(x[live[:1]])[0] * h[0])
+            raise AccuracyError(f"P({m}, x): fraction unconverged after {cap} terms", estimate)
         an = -i * (i - m)
         b += 2.0
         d = an * d + b
@@ -412,7 +422,7 @@ def _gamma_q_cf(m: float, x: np.ndarray) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        done = (np.abs(delta - 1.0) < 1e-16) | (i >= 999)
+        done = np.abs(delta - 1.0) < 1e-16
         if done.any():
             out[live[done]] = h[done]
             keep = ~done
@@ -425,20 +435,29 @@ def regularized_gamma_p(m: float, x):
 
     One numpy path; a scalar comes back as a float.  The series gives P
     below m + 1, the continued fraction 1 - P from there on, both times
-    exp(-x + m log x - ln Gamma(m)).  P(m, inf) = 1; nan raises.
+    exp(-x) x^m / Gamma(m), in Stirling's form from m = 1000 on.  P(m,
+    inf) = 1; nan raises, and so, as AccuracyError, does an element that
+    has not converged after 1000 + 12 sqrt(m) terms.
     """
     m = check_real(m, "shape", strict=True)
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
         raise DomainError("x must be >= 0")
-    prefactor = lambda v: np.exp(-v + m * np.log(v) - ln_gamma(m))
+    if m < 1e3:
+        prefactor = lambda v: np.exp(-v + m * np.log(v) - ln_gamma(m))
+    else:  # by Stirling's formula, so that no terms of size m ln m meet
+        lead = 0.5 * math.log(m / (2.0 * math.pi)) - stirling_remainder(m)
+        prefactor = lambda v: np.exp(lead - (v - m) + m * np.log1p(np.maximum((v - m) / m, 1e-16 - 1.0)))
     flat = arr.ravel()
     out = np.where(flat == np.inf, 1.0, 0.0)
     low = (flat > 0.0) & (flat < m + 1.0)
     high = (flat >= m + 1.0) & (flat < np.inf)
     x_low, x_high = flat[low], flat[high]
-    out[low] = np.minimum(1.0, _gamma_p_series(m, x_low) * prefactor(x_low))
-    out[high] = np.maximum(0.0, 1.0 - prefactor(x_high) * _gamma_q_cf(m, x_high))
+    out[low] = np.minimum(1.0, _gamma_p_series(m, x_low, prefactor) * prefactor(x_low))
+    # where the prefactor underflows, so does 1 - P; from x ~ 2e16 the fraction would stall
+    q = prefactor(x_high)
+    q[q > 0.0] *= _gamma_q_cf(m, x_high[q > 0.0], prefactor)
+    out[high] = np.maximum(0.0, 1.0 - q)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import numerics, performance, phase_models, stats
+from . import performance, phase_models, stats
 from .config import ConfigError, db_to_linear
 from .equiv_channel import (
     LrsScenario,
@@ -26,7 +26,7 @@ from .equiv_channel import (
     snr_cdf,
 )
 from .fading import Rayleigh, Rician
-from .montecarlo import SimConfig, SimConfigError, draw_h_batch, sample_snr, simulate_ber
+from .montecarlo import _check_run, draw_h_batch, sample_snr, simulate_ber
 
 __all__ = ["CheckResult", "SUITES", "reference_scenario", "run_suite"]
 
@@ -112,19 +112,9 @@ def check_moment_formulas() -> CheckResult:
     )
 
 
-def _check_draws(trials: int, seed: int) -> None:
-    """Reject, before any draw, fewer trials than the sample statistics
-    need or a seed that is no non-negative integer."""
-    try:
-        numerics.check_count(trials, "trials", stats.KS_MIN_SAMPLES)
-        numerics.check_count(seed, "seed")
-    except numerics.DomainError as exc:
-        raise SimConfigError(*exc.args) from None
-
-
 def check_gaussian_limit(trials: int = 10**5, seed: int = 4242) -> CheckResult:
     """Sample moments of H against the limit-Gaussian parameters (5 SE)."""
-    _check_draws(trials, seed)
+    _check_run(trials, seed, stats.KS_MIN_SAMPLES)
     n = 256
     sc = reference_scenario(n)
     ch = derive(sc)
@@ -157,14 +147,14 @@ def check_snr_fit(trials: int = 10**5, seed: int = 777) -> CheckResult:
     Thresholds 0.05 (n=16) and 0.03 (n=256) are calibrated values; the
     fit must also improve with n.
     """
-    _check_draws(trials, seed)
+    _check_run(trials, seed, stats.KS_MIN_SAMPLES)
     thresholds = {16: 0.05, 256: 0.03}
     distances = {}
     reports = {}
     for n, thr in thresholds.items():
         sc = reference_scenario(n)
         ch = derive(sc)
-        smp = sample_snr(SimConfig(sc, trials=trials, master_seed=seed))
+        smp = sample_snr(sc, trials, seed)
         smp.values.sort()
         rep = stats.ks_test(smp.values, lambda g: snr_cdf(ch.m, ch.gamma_bar, g), threshold=thr)
         distances[n] = rep.statistic
@@ -191,15 +181,13 @@ def check_ber_agreement(trials: int = 10**6, seed: int = 1234) -> CheckResult:
     names, models, gdbs = zip(
         *[(name, pe, _gamma0_db_at_level(pe, lv, n)) for name, pe in _error_models().items() for lv in levels]
     )
-    points = tuple(db_to_linear(g) for g in gdbs)
-    sc = replace(reference_scenario(n), gamma0=points[0], phase_error=models[0])
-    res = simulate_ber(
-        SimConfig(sc, trials=trials, master_seed=seed, snr_points=points, phase_errors=models)
-    )
+    base = reference_scenario(n)
+    links = [replace(base, gamma0=db_to_linear(g), phase_error=pe) for pe, g in zip(models, gdbs)]
+    res = simulate_ber(links, trials, seed)
     rows = []
     passed = True
-    for name, pe, gdb, g0, sim, hw in zip(names, models, gdbs, points, res.ber, res.ci_halfwidth):
-        ch = derive(replace(sc, gamma0=g0, phase_error=pe))
+    for name, gdb, sc, sim, hw in zip(names, gdbs, links, res.ber, res.ci_halfwidth):
+        ch = derive(sc)
         ana = performance.ber_bpsk(ch.m, ch.gamma_bar)
         if ana < 1e-5:
             continue
@@ -358,13 +346,13 @@ def check_uniform_rayleigh(trials: int = 2 * 10**5, seed: int = 99) -> CheckResu
     average SNR n * gamma0; simulated BER must match the closed form
     within 3 confidence half-widths."""
     gamma0_db, n = (-19.0, -16.0, -13.0), 256
-    points = tuple(db_to_linear(gdb) for gdb in gamma0_db)
-    sc = replace(reference_scenario(n), gamma0=points[0], phase_error=phase_models.UniformCircle())
-    res = simulate_ber(SimConfig(sc, trials=trials, master_seed=seed, snr_points=points))
+    base = replace(reference_scenario(n), phase_error=phase_models.UniformCircle())
+    links = [replace(base, gamma0=db_to_linear(gdb)) for gdb in gamma0_db]
+    res = simulate_ber(links, trials, seed)
     rows = []
     passed = True
-    for gdb, g0, sim, hw in zip(gamma0_db, points, res.ber, res.ci_halfwidth):
-        gbar = n * g0
+    for gdb, sc, sim, hw in zip(gamma0_db, links, res.ber, res.ci_halfwidth):
+        gbar = n * sc.gamma0
         closed = 0.5 * (1.0 - math.sqrt(gbar / (1.0 + gbar)))
         z = abs(sim - closed) / hw
         ok = z <= 3.0

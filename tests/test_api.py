@@ -1,6 +1,7 @@
-"""Public surface: every exported name and every traced benchmark layer
-resolves, so a removal cannot leave a stale export or trace target; and
-scalar arguments are checked only by the two ``numerics`` validators."""
+"""Public surface: every exported name, every traced benchmark layer and
+every name the README imports resolves, so a removal cannot leave a
+stale export, trace target or quick start; and scalar arguments are
+checked only by the two ``numerics`` validators."""
 
 import ast
 import importlib
@@ -19,6 +20,9 @@ MODULES = ["rislab"] + [
     if info.name != "__main__"
 ]
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
+# ``from rislab import a, b`` or ``from rislab.mod import a as b``, one line each
+README_IMPORT = re.compile(r"^\s*from (rislab(?:\.\w+)*) import (.+)$", re.MULTILINE)
 SOURCES = Path(rislab.__file__).resolve().parent
 # integer tests that each module used to roll by hand, with their own answers
 HAND_ROLLED = re.compile(r"!= int\(|operator\.index\b|isinstance\([^()]*\bbool\b")
@@ -30,6 +34,16 @@ def test_all_exports_resolve(module_name):
     exported = getattr(module, "__all__", ())
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_readme_imports_resolve():
+    imports = README_IMPORT.findall(README.read_text(encoding="utf-8"))
+    assert imports, "README imports nothing from rislab"
+    for module_name, names in imports:
+        module = importlib.import_module(module_name)
+        wanted = [name.split(" as ")[0].strip("() ") for name in names.split(",")]
+        missing = [name for name in wanted if name and not hasattr(module, name)]
+        assert not missing, f"README imports {missing} from {module_name}"
 
 
 def test_benchmark_trace_targets_resolve_to_callables():

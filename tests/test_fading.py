@@ -96,7 +96,7 @@ def test_rician_mean_magnitude_stays_below_one_for_huge_factors():
         assert 0.0 < fd.Rician(k).magnitude_moment(1) < 1.0
     sc = ec.LrsScenario(1, 1.0, fd.Rician(1e300), fd.Rician(1e300), pm.NoError())
     assert ec.derive(sc).sigma_u2 > 0.0
-    (ber,) = mc.simulate_ber(mc.SimConfig(sc, 100, 1)).ber
+    (ber,) = mc.simulate_ber([sc], 100, 1).ber
     assert 0.0 < ber < 0.5
 
 

@@ -24,6 +24,20 @@ def ref_scenario(n=32, gamma0=1.0, pe=None):
     return ec.LrsScenario(n, gamma0, fd.Rician(1.0), fd.Rayleigh(), pe or pm.VonMises(8.0))
 
 
+def sweep(sc, gammas):
+    """The points of a BER sweep: ``sc`` at each single-reflector SNR of ``gammas``."""
+    return [replace(sc, gamma0=g) for g in gammas]
+
+
+def refuse_draws(monkeypatch):
+    """Make any draw fail: a bad argument must be rejected before the first block."""
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(mc, "_map_blocks", no_draws)
+
+
 # ---------------------------------------------------------------------------
 # composite-coefficient draws
 # ---------------------------------------------------------------------------
@@ -138,22 +152,20 @@ def test_standardized_re_part_converges_to_normal():
 
 
 def test_simulation_is_deterministic_and_worker_independent(monkeypatch):
-    cfg = mc.SimConfig(
-        ref_scenario(gamma0=0.02), trials=50000, master_seed=42, snr_points=(0.01, 0.02)
-    )
+    run = (sweep(ref_scenario(), (0.01, 0.02)), 50000, 42)
     monkeypatch.setenv("RIS_LAB_WORKERS", "1")
-    a = mc.simulate_ber(cfg)
-    b = mc.simulate_ber(cfg)
+    a = mc.simulate_ber(*run)
+    b = mc.simulate_ber(*run)
     monkeypatch.setenv("RIS_LAB_WORKERS", "3")
-    c = mc.simulate_ber(cfg)
+    c = mc.simulate_ber(*run)
     assert a == b == c
 
 
 def test_workers_env_override(monkeypatch):
-    cfg = mc.SimConfig(ref_scenario(gamma0=0.02), trials=30000, master_seed=11)
-    base = mc.simulate_ber(cfg)
+    run = ([ref_scenario(gamma0=0.02)], 30000, 11)
+    base = mc.simulate_ber(*run)
     monkeypatch.setenv("RIS_LAB_WORKERS", "2")
-    assert mc.simulate_ber(cfg).ber == base.ber
+    assert mc.simulate_ber(*run).ber == base.ber
 
 
 @pytest.mark.parametrize("raw", ["0", "-3", "2.5", "abc"])
@@ -173,18 +185,18 @@ def test_unset_or_empty_worker_count_means_one_worker(monkeypatch, raw):
 
 def test_estimators_agree():
     sc = ref_scenario(gamma0=10.0 ** (-1.8))
-    semi = mc.simulate_ber(mc.SimConfig(sc, 2 * 10**5, 5150, estimator="semianalytic"))
-    direct = mc.simulate_ber(mc.SimConfig(sc, 2 * 10**5, 5150, estimator="direct"))
+    semi = mc.simulate_ber([sc], 2 * 10**5, 5150, estimator="semianalytic")
+    direct = mc.simulate_ber([sc], 2 * 10**5, 5150, estimator="direct")
     combined = math.hypot(semi.ci_halfwidth[0], direct.ci_halfwidth[0])
     assert abs(semi.ber[0] - direct.ber[0]) <= 3.0 * combined
 
 
 def test_noise_free_limit():
     sc = ec.LrsScenario(32, 1e6, fd.Rayleigh(), fd.Rayleigh(), pm.NoError())
-    res = mc.simulate_ber(mc.SimConfig(sc, 10**5, 7, estimator="direct"))
+    res = mc.simulate_ber([sc], 10**5, 7, estimator="direct")
     assert res.ber[0] < 1e-6
     assert res.error_counts == (0,)
-    semi = mc.simulate_ber(mc.SimConfig(sc, 10**5, 7, estimator="semianalytic"))
+    semi = mc.simulate_ber([sc], 10**5, 7, estimator="semianalytic")
     assert semi.ber[0] < 1e-6
 
 
@@ -194,7 +206,7 @@ def test_uniform_errors_match_rayleigh_closed_form():
     sc = ec.LrsScenario(n, g0, fd.Rician(1.0), fd.Rayleigh(), pm.UniformCircle())
     gbar = n * g0
     closed = 0.5 * (1.0 - math.sqrt(gbar / (1.0 + gbar)))
-    res = mc.simulate_ber(mc.SimConfig(sc, 10**5, 99))
+    res = mc.simulate_ber([sc], 10**5, 99)
     assert abs(res.ber[0] - closed) <= 3.0 * res.ci_halfwidth[0]
 
 
@@ -202,7 +214,7 @@ def test_doubling_reflectors_shifts_curve_six_db():
     def sim_curve(n, seed, gdbs):
         pts = tuple(10.0 ** (g / 10.0) for g in gdbs)
         sc = ec.LrsScenario(n, pts[0], fd.Rayleigh(), fd.Rayleigh(), pm.NoError())
-        res = mc.simulate_ber(mc.SimConfig(sc, 5 * 10**4, seed, snr_points=pts))
+        res = mc.simulate_ber(sweep(sc, pts), 5 * 10**4, seed)
         return np.array(gdbs), np.array(res.ber)
 
     def crossing_db(gdbs, ber):
@@ -217,14 +229,13 @@ def test_doubling_reflectors_shifts_curve_six_db():
 
 def test_direct_estimator_wilson_interval_on_rare_errors():
     sc = ref_scenario(gamma0=0.05)
-    res = mc.simulate_ber(mc.SimConfig(sc, 20000, 3, estimator="direct"))
+    res = mc.simulate_ber([sc], 20000, 3, estimator="direct")
     assert res.error_counts[0] < 100
     assert res.ci_halfwidth[0] > 0.0
 
 
 def test_result_carries_metadata():
-    cfg = mc.SimConfig(ref_scenario(), trials=20000, master_seed=123, snr_points=(0.01, 0.02))
-    res = mc.simulate_ber(cfg)
+    res = mc.simulate_ber(sweep(ref_scenario(), (0.01, 0.02)), trials=20000, master_seed=123)
     assert len(res.ber) == len(res.ci_halfwidth) == 2
     assert res.error_counts is None  # only the direct estimator counts errors
     assert all(0.0 <= b <= 1.0 for b in res.ber)
@@ -238,21 +249,20 @@ def fine_sweep(start_db=-20.0, count=20, step_db=0.05):
 def test_semianalytic_ber_never_rises_along_a_sweep():
     pts = fine_sweep()
     for seed in (1, 2, 3, 4):
-        cfg = mc.SimConfig(ref_scenario(gamma0=pts[0]), 4096, seed, snr_points=pts)
-        ber = mc.simulate_ber(cfg).ber
+        ber = mc.simulate_ber(sweep(ref_scenario(), pts), 4096, seed).ber
         assert all(b <= a for a, b in zip(ber, ber[1:])), seed
 
 
 README_SWEEP = tuple(10.0 ** (g / 10.0) for g in range(-24, -9))
 
 
-def plain_and_control_variate(cfg, monkeypatch):
-    """``simulate_ber`` of ``cfg`` with the plain mean (beta = 0) and with
-    the control variates, on the same draws."""
+def plain_and_control_variate(monkeypatch, *run):
+    """``simulate_ber(*run)`` with the plain mean (beta = 0) and with the
+    control variates, on the same draws."""
     with monkeypatch.context() as m:
         m.setattr(mc, "_control_fit", lambda *args: None)
-        plain = mc.simulate_ber(cfg)
-    return plain, mc.simulate_ber(cfg)
+        plain = mc.simulate_ber(*run)
+    return plain, mc.simulate_ber(*run)
 
 
 def recorded_fits(monkeypatch):
@@ -264,9 +274,9 @@ def recorded_fits(monkeypatch):
 
 
 def test_control_variates_cut_the_halfwidth_on_the_same_draws(monkeypatch):
-    sc = ref_scenario(gamma0=README_SWEEP[0])
-    plain, cv = plain_and_control_variate(mc.SimConfig(sc, 1 << 17, 1, README_SWEEP), monkeypatch)
-    analytic = [pf.ber_bpsk(ch.m, ch.gamma_bar) for ch in (ec.derive(replace(sc, gamma0=g)) for g in README_SWEEP)]
+    points = sweep(ref_scenario(), README_SWEEP)
+    plain, cv = plain_and_control_variate(monkeypatch, points, 1 << 17, 1)
+    analytic = [pf.ber_bpsk(ch.m, ch.gamma_bar) for ch in map(ec.derive, points)]
     for ana, p, hw_p, b, hw in zip(analytic, plain.ber, plain.ci_halfwidth, cv.ber, cv.ci_halfwidth):
         assert 0.0 < b and abs(b - p) <= hw_p
         if ana >= 1e-3:
@@ -278,8 +288,8 @@ def test_control_variates_cut_the_halfwidth_on_the_same_draws(monkeypatch):
 def test_control_variate_intervals_cover_a_high_trial_reference():
     # BER about 1e-3; the reference's half-width is about 1/11 of each run's
     sc = ref_scenario(gamma0=10.0**-2.0)
-    ref = mc.simulate_ber(mc.SimConfig(sc, 1 << 20, 0)).ber[0]
-    runs = [mc.simulate_ber(mc.SimConfig(sc, 8192, seed)) for seed in range(1, 41)]
+    ref = mc.simulate_ber([sc], 1 << 20, 0).ber[0]
+    runs = [mc.simulate_ber([sc], 8192, seed) for seed in range(1, 41)]
     assert 5e-4 < ref < 2e-3
     covered = sum(abs(r.ber[0] - ref) <= r.ci_halfwidth[0] for r in runs)
     assert covered >= 34  # 85% of 40
@@ -292,8 +302,7 @@ def test_control_variate_estimates_stay_positive_and_never_rise(pe):
     # far below the noise of independent draws, never rise
     for seed in (5, 6, 7):
         for pts in (README_SWEEP, fine_sweep(start_db=-24.0, count=40)):
-            cfg = mc.SimConfig(ref_scenario(gamma0=pts[0], pe=pe), 4096, seed, snr_points=pts)
-            ber = mc.simulate_ber(cfg).ber
+            ber = mc.simulate_ber(sweep(ref_scenario(pe=pe), pts), 4096, seed).ber
             assert all(b > 0.0 for b in ber), seed
             assert all(b <= a for a, b in zip(ber, ber[1:])), seed
 
@@ -311,7 +320,7 @@ def test_control_variates_in_degenerate_cases(monkeypatch, n, pe, rank, used):
     fits = recorded_fits(monkeypatch)
     sc = ec.LrsScenario(n, 0.01, fd.Rician(1.0), fd.Rayleigh(), pe)
     points = (0.01 / n, 0.1 / n)
-    plain, cv = plain_and_control_variate(mc.SimConfig(sc, 20000, 3, points), monkeypatch)
+    plain, cv = plain_and_control_variate(monkeypatch, sweep(sc, points), 20000, 3)
     assert [f[3:] for f in fits] == [(rank, used)]
     assert cv.controls == (used, used) and plain.controls == (0, 0)
     for p, hw_p, b, hw, r in zip(plain.ber, plain.ci_halfwidth, cv.ber, cv.ci_halfwidth, cv.variance_ratio):
@@ -327,8 +336,8 @@ def test_few_trials_keep_positive_estimates(monkeypatch, trials):
     # errors leaves two)
     fits = recorded_fits(monkeypatch)
     for pe in CONTROL_MODELS:
-        cfg = mc.SimConfig(ref_scenario(n=8, gamma0=0.01, pe=pe), trials, 3, (0.01, 0.1))
-        plain, cv = plain_and_control_variate(cfg, monkeypatch)
+        points = sweep(ref_scenario(n=8, pe=pe), (0.01, 0.1))
+        plain, cv = plain_and_control_variate(monkeypatch, points, trials, 3)
         assert all(0.0 < b <= 0.5 and math.isfinite(hw) for b, hw in zip(cv.ber, cv.ci_halfwidth))
         if trials == 1 or (trials < 5 and pe.trig_moment(2) < 1.0):
             assert fits[-1] is None
@@ -341,8 +350,7 @@ def test_few_trials_keep_positive_estimates(monkeypatch, trials):
 def test_fit_on_few_residual_degrees_of_freedom_keeps_the_plain_mean(monkeypatch, pe, trials):
     # a fit on 1-2 residual degrees of freedom reported variance ratios of
     # 1.6e5 and 8.8e4 here, with a half-width far too narrow
-    cfg = mc.SimConfig(ref_scenario(n=8, gamma0=0.01, pe=pe), trials, 3)
-    plain, cv = plain_and_control_variate(cfg, monkeypatch)
+    plain, cv = plain_and_control_variate(monkeypatch, [ref_scenario(n=8, gamma0=0.01, pe=pe)], trials, 3)
     assert cv == plain and cv.variance_ratio == (1.0,)
 
 
@@ -439,16 +447,14 @@ def test_semianalytic_sweep_evaluates_q_once_per_block_and_point(monkeypatch):
 
     monkeypatch.setenv("RIS_LAB_WORKERS", "1")
     monkeypatch.setattr(nx, "gauss_q", counted)
-    cfg = mc.SimConfig(ref_scenario(n=4), 3 * mc.BLOCK_TRIALS, 5, snr_points=(0.01, 0.1, 1.0, 10.0))
-    mc.simulate_ber(cfg)
+    mc.simulate_ber(sweep(ref_scenario(n=4), (0.01, 0.1, 1.0, 10.0)), 3 * mc.BLOCK_TRIALS, 5)
     assert calls == [mc.BLOCK_TRIALS] * 12
 
 
 def test_direct_error_counts_never_rise_along_a_sweep():
     pts = fine_sweep(start_db=-22.0)
     # about 500 errors are expected at the first point
-    cfg = mc.SimConfig(ref_scenario(gamma0=pts[0]), 100000, 8, snr_points=pts, estimator="direct")
-    counts = mc.simulate_ber(cfg).error_counts
+    counts = mc.simulate_ber(sweep(ref_scenario(), pts), 100000, 8, estimator="direct").error_counts
     assert counts[0] > 100
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
@@ -467,14 +473,13 @@ def test_grouped_models_give_the_results_of_separate_calls(monkeypatch, estimato
     want = {}
     for pe in GROUPED_MODELS:
         own = [i for i, e in enumerate(errors) if e == pe]
-        cfg = mc.SimConfig(ref_scenario(n=8, pe=pe), trials, 31, tuple(points[i] for i in own), estimator)
-        res = mc.simulate_ber(cfg)
+        res = mc.simulate_ber(sweep(ref_scenario(n=8, pe=pe), [points[i] for i in own]), trials, 31, estimator)
         counts = res.error_counts or (None,) * len(own)
         want.update(zip(own, zip(res.ber, res.ci_halfwidth, counts)))
-    grouped = mc.SimConfig(ref_scenario(n=8), trials, 31, points, estimator, phase_errors=errors)
+    grouped = [ref_scenario(n=8, gamma0=g, pe=pe) for g, pe in zip(points, errors)]
     for workers in ("1", "2"):
         monkeypatch.setenv("RIS_LAB_WORKERS", workers)
-        res = mc.simulate_ber(grouped)
+        res = mc.simulate_ber(grouped, trials, 31, estimator)
         assert res.ber == tuple(want[i][0] for i in range(len(points)))
         assert res.ci_halfwidth == tuple(want[i][1] for i in range(len(points)))
         if estimator == "direct":
@@ -606,12 +611,12 @@ PINNED_KS = ("0x1.37963c45ec500p-9", "0x1.a5904e6541736p-1")
 def pinned_ber(name, estimator, trials=mc.BLOCK_TRIALS + 1000):
     pe, sr, rd = PINNED_KERNEL_SCENARIOS[name]
     sc = ec.LrsScenario(8, 0.01, sr, rd, pe)
-    return mc.simulate_ber(mc.SimConfig(sc, trials, 2024, (0.005, 0.02), estimator))
+    return mc.simulate_ber(sweep(sc, (0.005, 0.02)), trials, 2024, estimator)
 
 
 def pinned_snr(trials=mc.BLOCK_TRIALS + 1000):
     sc = ec.LrsScenario(8, 0.01, fd.Rician(1.0), fd.Rayleigh(), pm.VonMises(8.0))
-    smp = mc.sample_snr(mc.SimConfig(sc, trials, 2024), np.linspace(0.0, 4.0, 41))
+    smp = mc.sample_snr(sc, trials, 2024, np.linspace(0.0, 4.0, 41))
     return smp.values.tobytes() + smp.histogram.tobytes()
 
 
@@ -743,9 +748,7 @@ def test_hop_magnitudes_are_drawn_once_per_block(monkeypatch):
     tiles = sum(-(-count // (mc._TILE // 4)) for count in mc._block_counts(trials))
     for models in (GROUPED_MODELS[:1], GROUPED_MODELS):
         calls.clear()
-        errors = tuple(pe for pe in models for _ in range(2))
-        cfg = mc.SimConfig(ref_scenario(n=4), trials, 5, (0.01, 0.02) * len(models), phase_errors=errors)
-        mc.simulate_ber(cfg)
+        mc.simulate_ber([ref_scenario(n=4, gamma0=g, pe=pe) for pe in models for g in (0.01, 0.02)], trials, 5)
         assert len(calls) == tiles == 17
 
 
@@ -776,35 +779,50 @@ def test_block_reads_each_random_input_from_its_keyed_stream():
         np.testing.assert_array_equal(after, after_want)
 
 
-def test_config_validation():
-    sc = ref_scenario()
-    with pytest.raises(nx.DomainError):
-        mc.SimConfig(sc, trials=0, master_seed=1)
-    with pytest.raises(nx.DomainError):
-        mc.SimConfig(sc, trials=10, master_seed=1, snr_points=(0.0,))
-    with pytest.raises(nx.DomainError):
-        mc.SimConfig(sc, trials=10, master_seed=1, estimator="genie")
+def test_config_validation(monkeypatch):
+    refuse_draws(monkeypatch)
+    points = [ref_scenario()]
     with pytest.raises(mc.SimConfigError):
-        mc.SimConfig(sc, trials=10, master_seed=1, snr_points=(0.01, 0.02), phase_errors=(pm.NoError(),))
+        mc.simulate_ber(points, trials=0, master_seed=1)
     with pytest.raises(mc.SimConfigError):
-        mc.SimConfig(sc, trials=10, master_seed=1, phase_errors=(pm.NoError(), pm.NoError()))
+        mc.simulate_ber(points, trials=10, master_seed=1, estimator="genie")
+    with pytest.raises(mc.SimConfigError):
+        mc.sample_snr(points[0], trials=0, master_seed=1)
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [
-        {"trials": 1.5},
-        {"trials": True},
-        {"master_seed": 1.5},
-        {"master_seed": False},
-        {"snr_points": (0.01, math.inf)},
-        {"snr_points": (math.nan,)},
-    ],
-    ids=["fractional-trials", "bool-trials", "fractional-seed", "bool-seed", "inf-point", "nan-point"],
+    [{"trials": 1.5}, {"trials": True}, {"master_seed": 1.5}, {"master_seed": False}],
+    ids=["fractional-trials", "bool-trials", "fractional-seed", "bool-seed"],
 )
-def test_config_rejects_malformed_input(kwargs):
-    with pytest.raises(nx.DomainError):
-        mc.SimConfig(ref_scenario(), **{"trials": 10, "master_seed": 1, **kwargs})
+def test_config_rejects_malformed_input(monkeypatch, kwargs):
+    refuse_draws(monkeypatch)
+    run = {"trials": 10, "master_seed": 1, **kwargs}
+    with pytest.raises(mc.SimConfigError):
+        mc.simulate_ber([ref_scenario()], **run)
+    with pytest.raises(mc.SimConfigError):
+        mc.sample_snr(ref_scenario(), **run)
+
+
+def test_no_points_is_a_config_error(monkeypatch):
+    refuse_draws(monkeypatch)
+    with pytest.raises(mc.SimConfigError, match="one or more points"):
+        mc.simulate_ber([], 10, 1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 16), ("fading_sr", fd.Rician(2.0)), ("fading_rd", fd.Rician(1.0))],
+    ids=["n", "fading_sr", "fading_rd"],
+)
+def test_points_must_share_the_hop_draws(monkeypatch, field, value):
+    # every point of a run reads the same hop magnitudes; gamma0 and the
+    # phase-error model are each point's own
+    refuse_draws(monkeypatch)
+    sc = ref_scenario()
+    points = [sc, replace(sc, gamma0=0.5, phase_error=pm.NoError()), replace(sc, **{field: value})]
+    with pytest.raises(mc.SimConfigError, match="share n, fading_sr and fading_rd"):
+        mc.simulate_ber(points, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -815,13 +833,13 @@ def test_config_rejects_malformed_input(kwargs):
 def test_sample_snr_deterministic_n1_los():
     g0 = 0.37
     sc = ec.LrsScenario(1, g0, fd.Rician(1e12), fd.Rician(1e12), pm.NoError())
-    smp = mc.sample_snr(mc.SimConfig(sc, 5000, 17))
+    smp = mc.sample_snr(sc, 5000, 17)
     assert np.all(np.abs(smp.values - g0) < 1e-4)
 
 
 def test_sample_snr_mean_matches_exact_finite_n_moment():
     sc = ref_scenario(n=32, gamma0=0.2)
-    smp = mc.sample_snr(mc.SimConfig(sc, 2 * 10**5, 1717))
+    smp = mc.sample_snr(sc, 2 * 10**5, 1717)
     ch = ec.derive(sc)
     want = 32.0**2 * 0.2 * (ch.omega + ch.sigma_u2 + ch.sigma_v2)
     se = smp.values.std(ddof=1) / math.sqrt(smp.values.size)
@@ -831,7 +849,7 @@ def test_sample_snr_mean_matches_exact_finite_n_moment():
 def test_sample_snr_histogram_counts_all_trials():
     sc = ref_scenario(n=16, gamma0=1.0)
     edges = np.linspace(0.0, 3000.0, 31)
-    smp = mc.sample_snr(mc.SimConfig(sc, 40000, 5), bin_edges=edges)
+    smp = mc.sample_snr(sc, 40000, 5, bin_edges=edges)
     assert smp.histogram is not None
     assert smp.histogram.sum() <= 40000  # values beyond the last edge are out of range
     assert smp.histogram.sum() > 39000
@@ -846,22 +864,19 @@ def test_sample_snr_histogram_counts_all_trials():
 def test_sample_snr_rejects_bad_bin_edges_before_drawing(monkeypatch, edges):
     # such edges used to fail in np.histogram inside a worker, after the
     # first block was drawn
-    def no_draws(*args):
-        raise AssertionError("drew before checking the bin edges")
-
-    monkeypatch.setattr(mc, "_map_blocks", no_draws)
+    refuse_draws(monkeypatch)
     with pytest.raises(nx.DomainError, match="bin_edges"):
-        mc.sample_snr(mc.SimConfig(ref_scenario(n=4), 100, 5), bin_edges=np.array(edges))
+        mc.sample_snr(ref_scenario(n=4), 100, 5, bin_edges=np.array(edges))
 
 
 def test_sample_snr_worker_independent(monkeypatch):
-    cfg = mc.SimConfig(ref_scenario(n=16, gamma0=1.0), 40000, 9)
+    run = (ref_scenario(n=16, gamma0=1.0), 40000, 9)
     edges = np.linspace(0.0, 3000.0, 31)
     monkeypatch.setenv("RIS_LAB_WORKERS", "1")
-    a = mc.sample_snr(cfg, bin_edges=edges)
+    a = mc.sample_snr(*run, bin_edges=edges)
     for workers in ("2", "3"):
         monkeypatch.setenv("RIS_LAB_WORKERS", workers)
-        b = mc.sample_snr(cfg, bin_edges=edges)
+        b = mc.sample_snr(*run, bin_edges=edges)
         assert b.values.tobytes() == a.values.tobytes()
         np.testing.assert_array_equal(a.histogram, b.histogram)
 
@@ -870,12 +885,12 @@ def test_sample_snr_worker_independent(monkeypatch):
 def test_sample_snr_keeps_the_first_draws_under_the_cap(monkeypatch, workers):
     # a cap inside the second block: the kept values are the uncapped run's
     # first ones, and the histogram still counts every trial
-    cfg = mc.SimConfig(ref_scenario(n=16, gamma0=1.0), 40000, 9)
+    run = (ref_scenario(n=16, gamma0=1.0), 40000, 9)
     edges = np.linspace(0.0, 3000.0, 31)
     monkeypatch.setenv("RIS_LAB_WORKERS", workers)
-    full = mc.sample_snr(cfg, bin_edges=edges)
+    full = mc.sample_snr(*run, bin_edges=edges)
     monkeypatch.setattr(mc, "SNR_RETAIN_CAP", 20000)
-    capped = mc.sample_snr(cfg, bin_edges=edges)
+    capped = mc.sample_snr(*run, bin_edges=edges)
     assert capped.values.tobytes() == full.values[:20000].tobytes()
-    assert full.values.size == cfg.trials
+    assert full.values.size == 40000
     np.testing.assert_array_equal(capped.histogram, np.histogram(full.values, edges)[0])

@@ -284,6 +284,43 @@ def test_gamma_p_against_scipy_gammainc(m):
     assert scalars == out.tolist()
 
 
+@pytest.mark.parametrize("m", [1e5, 1e6, 1e7])
+def test_gamma_p_at_large_shape_against_scipy_gammainc(m):
+    # near x = m the series takes about 9 sqrt(m) terms and the fraction
+    # about sqrt(m); fixed caps of 10000 and 999 once returned partial
+    # sums, 7.8e-4 off at m = 1e7.  The grid is the bulk x = m + z sqrt(m),
+    # |z| <= 4, where P runs from 3e-5 to 1 - 3e-5: farther out scipy's
+    # own value is off by up to 3.6e-8 at m = 1e7 (z = -4.75)
+    gammainc = pytest.importorskip("scipy.special").gammainc
+    xs = m + math.sqrt(m) * np.linspace(-4.0, 4.0, 33)
+    assert np.max(np.abs(nx.regularized_gamma_p(m, xs) - gammainc(m, xs))) <= m * 1e-15
+
+
+def test_gamma_p_at_large_shape_against_mpmath():
+    # from m = 1000 on the prefactor exp(-x) x^m / Gamma(m) is formed in
+    # Stirling's form, with no terms of size m ln m to cancel in rounding
+    for m in (1e3, 1e5, 1e7):
+        xs = m + math.sqrt(m) * np.array([-8.0, -4.75, -1.0, 0.0, 2.5, 8.0])
+        want = [float(1 - mp.gammainc(m, x, mp.inf, regularized=True)) for x in xs]
+        np.testing.assert_allclose(nx.regularized_gamma_p(m, xs), want, rtol=0.0, atol=1e-13)
+
+
+def test_gamma_p_raises_at_its_term_cap_instead_of_returning_a_partial_sum():
+    # the series serves x < m + 1 and converges well inside its cap of
+    # 1000 + 12 sqrt(m) terms; at x = m + 3000 it would need about 4000
+    m = 1e4
+    prefactor = lambda v: np.exp(-v + m * np.log(v) - nx.ln_gamma(m))
+    with pytest.raises(nx.AccuracyError, match="after 2200 terms"):
+        nx._gamma_p_series(m, np.array([0.5 * m, m + 3000.0]), prefactor)
+    # at x = 1e30, b + 2 == b and the fraction's factors stay an ulp off 1;
+    # regularized_gamma_p runs no fraction where the prefactor underflows
+    prefactor = lambda v: np.exp(-v + 2.5 * np.log(v) - nx.ln_gamma(2.5))
+    with pytest.raises(nx.AccuracyError, match="after 1018 terms") as caught:
+        nx._gamma_q_cf(2.5, np.array([3.5, 1e30]), prefactor)
+    assert caught.value.estimate == 1.0
+    assert nx.regularized_gamma_p(2.5, np.array([1e30, 1e300])).tolist() == [1.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # Laguerre function of the Rician mean magnitude
 # ---------------------------------------------------------------------------

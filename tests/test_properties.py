@@ -218,13 +218,13 @@ def _at_workers(workers, run, *args):
 )
 def test_simulation_results_do_not_depend_on_the_worker_count(n, hops, model, blocks, rest, seed, points):
     trials = (blocks - 1) * mc.BLOCK_TRIALS + rest
-    scenario = ec.LrsScenario(n, points[0], *hops, model)
+    scenarios = [ec.LrsScenario(n, g, *hops, model) for g in points]
     for estimator in ("semianalytic", "direct"):
-        cfg = mc.SimConfig(scenario, trials, seed, tuple(points), estimator)
-        assert _at_workers(1, mc.simulate_ber, cfg) == _at_workers(2, mc.simulate_ber, cfg)
+        run = (scenarios, trials, seed, estimator)
+        assert _at_workers(1, mc.simulate_ber, *run) == _at_workers(2, mc.simulate_ber, *run)
     edges = np.linspace(0.0, 4.0 * n * n * points[0], 9)
-    one = _at_workers(1, mc.sample_snr, cfg, edges)
-    two = _at_workers(2, mc.sample_snr, cfg, edges)
+    one = _at_workers(1, mc.sample_snr, scenarios[0], trials, seed, edges)
+    two = _at_workers(2, mc.sample_snr, scenarios[0], trials, seed, edges)
     np.testing.assert_array_equal(one.values, two.values)
     np.testing.assert_array_equal(one.histogram, two.histogram)
 
@@ -242,9 +242,8 @@ def test_semianalytic_estimates_stay_positive_and_never_rise(n, hops, model, tri
     # whatever rung of controls the fit keeps (8, 5, 3 or none), every
     # weight is >= 0; the points n^2 gamma0 run from start_db in 0.5 dB
     # steps, where no Q(sqrt(2 n^2 gamma0) |H|) underflows
-    points = tuple(10.0 ** ((start_db + 0.5 * i) / 10.0) / (n * n) for i in range(8))
-    scenario = ec.LrsScenario(n, points[0], *hops, model)
-    res = mc.simulate_ber(mc.SimConfig(scenario, trials, seed, points))
+    points = [ec.LrsScenario(n, 10.0 ** ((start_db + 0.5 * i) / 10.0) / (n * n), *hops, model) for i in range(8)]
+    res = mc.simulate_ber(points, trials, seed)
     assert all(b > 0.0 for b in res.ber)
     assert all(b <= a for a, b in zip(res.ber, res.ber[1:]))
     assert set(res.controls) <= {0, 3, 5, 8} and len(set(res.controls)) == 1
@@ -494,9 +493,10 @@ ROUTED = {
     "coding-gain planner phi_1": (lambda v: pf.reflectors_for_coding_gain(10.0, 0.81, v, 0.5), UNIT_POSITIVE, nx.DomainError),
     "diversity planner a^2": (lambda v: pf.reflectors_for_diversity(10.0, v, 0.8, 0.5), UNIT_POSITIVE, nx.DomainError),
     "coding-gain planner a^2": (lambda v: pf.reflectors_for_coding_gain(10.0, v, 0.8, 0.5), UNIT_POSITIVE, nx.DomainError),
-    "SimConfig trials": (lambda v: mc.SimConfig(_scenario(), v, 1), count(1), mc.SimConfigError),
-    "SimConfig master_seed": (lambda v: mc.SimConfig(_scenario(), 10, v), count(), mc.SimConfigError),
-    "SimConfig snr point": (lambda v: mc.SimConfig(_scenario(), 10, 1, (1.0, v)), POSITIVE, mc.SimConfigError),
+    "simulate_ber trials": (lambda v: mc.simulate_ber([_scenario()], v, 1), count(1), mc.SimConfigError),
+    "simulate_ber master_seed": (lambda v: mc.simulate_ber([_scenario()], 10, v), count(), mc.SimConfigError),
+    "sample_snr trials": (lambda v: mc.sample_snr(_scenario(), v, 1), count(1), mc.SimConfigError),
+    "sample_snr master_seed": (lambda v: mc.sample_snr(_scenario(), 10, v), count(), mc.SimConfigError),
     "draw_h_batch size": (lambda v: mc.draw_h_batch(_scenario(), _rng(), v), count(1), nx.DomainError),
     "validate trials": (lambda v: validate.check_gaussian_limit(trials=v), count(100), mc.SimConfigError),
     "validate seed": (lambda v: validate.check_snr_fit(seed=v), count(), mc.SimConfigError),
