@@ -276,46 +276,16 @@ def _shape_mean_points(m: float, mean: float, mean_name: str, points, point_name
     return m, mean, arr
 
 
-def _log_mode_factor(m: float) -> float:
-    """ln(m^m e^-m / Gamma(m)) = (1/2) ln(m / 2 pi) - R(m), R the remainder of
-    Stirling's formula, from its series from m = 10 on so that terms of
-    size m ln m never meet."""
-    if m < 10.0:
-        return m * math.log(m) - m - numerics.ln_gamma(m)
-    return 0.5 * math.log(m / (2.0 * math.pi)) - numerics.stirling_remainder(m)
-
-
 def _gamma_kernel(m: float, mean: float, x: np.ndarray, square: bool):
-    """(m t)^m exp(-m t) / (Gamma(m) x), t = g / mean, g = x^2 if ``square``
-    else x, elementwise and without warnings: the gamma density of g, or
-    half the Nakagami density of x.  Its log, -m (t - 1 - ln t) - ln x +
-    ln(m^m e^-m / Gamma(m)), forms no term of size m.  Where |t - 1| < 1/4
-    the series u (d - 2 sum_{j>=1} u^(2j) / (2j + 1)), d = t - 1 (exact
-    through Veltkamp's split of x), u = d / (2 + d), gives t - 1 - ln t
-    to 2^-53 in ten terms; elsewhere ln t comes from x / sqrt(mean) or
-    x / mean, as g underflows below x ~ 1e-162.  At x = 0 the result is
-    the limit of x^power, power = 2m - 1 or m - 1, and at x = inf it is 0.
-    """
+    """(m t)^m exp(-m t) / (Gamma(m) x), t = g / mean, g = x^2 if ``square`` else
+    x, elementwise and without warnings, from the gamma law's log weight: the
+    gamma density of g, or half the Nakagami density of x.  At x = 0 it is the
+    limit of x^power, power = 2m - 1 or m - 1, and at x = inf it is 0."""
+    spread = numerics.gamma_spread(x, mean, square)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        if square:
-            g = x * x
-            c = 134217729.0 * x  # 2^27 + 1: x = hi + lo, each with an exact square
-            hi = c - (c - x)
-            lo = x - hi
-            d = ((g - mean) + (((hi * hi - g) + 2.0 * hi * lo) + lo * lo)) / mean
-            ln_t = 2.0 * np.log(x / math.sqrt(mean))
-        else:
-            g = x
-            d = (x - mean) / mean
-            ln_t = np.log(x / mean)
-        u = d / (2.0 + d)
-        s = np.zeros_like(u)
-        for j in range(10, 0, -1):
-            s = (s + 1.0 / (2 * j + 1)) * (u * u)
-        spread = np.where(np.abs(d) < 0.25, u * (d - 2.0 * s), (g / mean - 1.0) - ln_t)
         power = (2.0 * m if square else m) - 1.0
         at_zero = m * (1.0 - math.log(mean)) if power == 0.0 else math.copysign(math.inf, -power)
-        log_pdf = np.where(x > 0.0, -m * spread - np.log(x), at_zero) + _log_mode_factor(m)
+        log_pdf = np.where(x > 0.0, -m * spread - np.log(x), at_zero) + numerics.log_mode_factor(m)
         out = np.where(x < math.inf, np.exp(log_pdf), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -340,7 +310,8 @@ def snr_pdf(m: float, gamma_bar: float, gamma):
 def snr_cdf(m: float, gamma_bar: float, gamma):
     """Distribution function of the gamma law with shape m and mean gamma_bar."""
     m, gamma_bar, arr = _shape_mean_points(m, gamma_bar, "gamma_bar", gamma, "snr")
-    return numerics.regularized_gamma_p(m, arr * (m / gamma_bar))
+    with np.errstate(over="ignore"):  # for a finite m / gamma_bar, x m / gamma_bar overflows where P is 1
+        return numerics.regularized_gamma_p(m, arr * (m / gamma_bar))
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ class Rician(FadingModel):
         factor overflows or underflows at any finite K."""
         k = numerics.check_count(k, "moment order", 0, 4)
         if k == 1:
-            a = math.sqrt(math.pi / (4.0 * (self.k_factor + 1.0))) * numerics.laguerre_half(self.k_factor)
+            a = math.sqrt(0.25 * math.pi / (self.k_factor + 1.0)) * numerics.laguerre_half(self.k_factor)
             return min(a, _BELOW_ONE)
         x = 1.0 / (self.k_factor + 1.0)
         if k == 4:

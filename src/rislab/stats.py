@@ -107,8 +107,8 @@ def slope_fit(gamma_bar, ber) -> float:
     p = np.asarray(ber, dtype=float)
     if g.size < 3:
         raise numerics.DomainError("slope fit needs at least 3 points")
-    if np.any(p <= 0.0) or np.any(g <= 0.0):
-        raise numerics.DomainError("slope fit needs positive BER and SNR values")
+    if not (np.all((p > 0.0) & (p < math.inf)) and np.all((g > 0.0) & (g < math.inf))):
+        raise numerics.DomainError("slope fit needs finite positive BER and SNR values")
     lx = np.log(g)
     lx -= lx.mean()  # centering keeps the normal equations well conditioned
     ly = np.log(p)

@@ -236,6 +236,14 @@ def test_snr_pdf_rejects_too_few_trials_before_simulating(tmp_path):
     assert not (out / "snr_pdf.csv").exists()
 
 
+def test_largest_rice_factors_derive_a_channel(tmp_path):
+    # the hop mean magnitude stays positive up to the largest factors
+    cfg = write_config(tmp_path, {**REFERENCE_CONFIG, "fading_sr": {"type": "rician", "k_factor": 1e308}})
+    res = run_cli("equiv", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "out" / "equiv.json").read_text())["m"] > 0.0
+
+
 def test_infinite_rice_factor_is_a_config_error(tmp_path):
     # JSON reads 1e999 as inf; the hop model rejects it as it does a
     # negative factor, before anything is derived from it

@@ -6,20 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from _stubs import FixedMeanMagnitude, FixedMoments
 
 from rislab import equiv_channel as ec
 from rislab import fading as fd
 from rislab.config import ConfigError, scenario_from_config
 from rislab import numerics as nx
 from rislab import phase_models as pm
-
-
-def scenario_with(n=32, gamma0=1.0, phi1=1.0, phi2=1.0, a=None):
-    a = math.sqrt(math.pi) / 2.0 if a is None else a
-    return ec.LrsScenario(
-        n, gamma0, FixedMeanMagnitude(a), FixedMeanMagnitude(a), FixedMoments(phi1, phi2)
-    )
 
 
 REFERENCE = ec.LrsScenario(256, 1.0, fd.Rician(1.0), fd.Rayleigh(), pm.VonMises(8.0))
@@ -68,15 +60,15 @@ def test_uniform_errors_give_rayleigh_equivalent():
 
 def test_negative_phi1_rejected():
     with pytest.raises(nx.DomainError):
-        ec.derive(scenario_with(phi1=-0.2, phi2=0.5))
+        ec.channel_from_moments(32, 1.0, math.pi / 4.0, -0.2, 0.5)
 
 
 def test_average_snr_attenuation():
     # gamma_bar / (n^2 gamma0) equals phi1^2 a^4 exactly, subunit when phi1 < 1
     for phi1, phi2 in ((0.9, 0.7), (0.5, 0.3), (0.2, 0.1)):
-        sc = scenario_with(n=128, gamma0=0.3, phi1=phi1, phi2=phi2, a=0.8)
-        ch = ec.derive(sc)
-        x = phi1**2 * sc.a_squared**2
+        a_squared = 0.8 * 0.8
+        ch = ec.channel_from_moments(128, 0.3, a_squared, phi1, phi2)
+        x = phi1**2 * a_squared**2
         assert ch.gamma_bar / (128.0**2 * 0.3) == pytest.approx(x, rel=1e-13)
         assert ch.gamma_bar < 128.0**2 * 0.3
 
@@ -93,11 +85,12 @@ def test_shape_two_routes_identity():
         phi1 = float(rng.uniform(1e-3, 1.0))
         x = phi1**2 * a**4
         phi2 = float(rng.uniform(max(-1.0, 2.0 * x - 1.0) + 1e-9, 1.0))
-        sc = scenario_with(n=n, phi1=phi1, phi2=phi2, a=a)
+        a_squared = a * a
         with mp.workdps(40):
-            x = mp.mpf(phi1) ** 2 * mp.mpf(sc.a_squared) ** 2
+            x = mp.mpf(phi1) ** 2 * mp.mpf(a_squared) ** 2
             closed = float(n * x / (2 * (1 + mp.mpf(phi2) - 2 * x)))
-        assert ec.derive(sc).m == pytest.approx(closed, rel=1e-12, abs=0.0)
+        ch = ec.channel_from_moments(n, 1.0, a_squared, phi1, phi2)
+        assert ch.m == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_shape_monotone_in_error_concentration():
@@ -224,15 +217,20 @@ def test_density_kernels_reject_nan(kernel):
 
 
 @pytest.mark.parametrize(
-    "kernel, m",
-    [(ec.snr_pdf, 2.0), (ec.snr_pdf, 1.0), (ec.nakagami_pdf, 2.0)],
+    "kernel, m, mean, far",
+    [(ec.snr_pdf, 2.0, 1e-10, 1e308), (ec.snr_pdf, 1.0, 1e-10, 1e308), (ec.nakagami_pdf, 2.0, 1e-300, 1e160)],
     ids=["snr_pdf-m2", "snr_pdf-m1", "nakagami_pdf-m2"],
 )
-def test_densities_vanish_at_infinity(kernel, m):
+def test_densities_vanish_at_infinity(kernel, m, mean, far):
+    # at ``far`` the ratio t = x / mean (x^2 / mean) overflows, where the
+    # spread t - 1 - ln t must read inf, not inf - inf; the distribution
+    # function is 1 there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert kernel(m, 1.0, math.inf) == 0.0
         np.testing.assert_array_equal(kernel(m, 1.0, np.array([0.0, math.inf]))[1:], [0.0])
+        assert kernel(m, mean, far) == 0.0
+        assert ec.snr_cdf(m, mean, far) == 1.0
 
 
 @pytest.mark.parametrize("m", [0.3, 0.5, 1.0, 2.0])

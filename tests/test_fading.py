@@ -94,6 +94,10 @@ def test_rician_mean_magnitude_stays_below_one_for_huge_factors():
     assert fd.Rician(1.0).magnitude_moment(1).hex() == "0x1.d01abdf5e3897p-1"
     for k in (4060094842987756.0, 1e100, 1e300):
         assert 0.0 < fd.Rician(k).magnitude_moment(1) < 1.0
+    # 4 (K + 1) overflows from K = 4.5e307 on; the mean must not go through it
+    for k in (4.5e307, 1e308):
+        assert fd.Rician(k).magnitude_moment(1) == math.nextafter(1.0, 0.0)
+    assert 1.0 - 1e-15 < fd.Rician(1.7e308).magnitude_moment(1) < 1.0
     sc = ec.LrsScenario(1, 1.0, fd.Rician(1e300), fd.Rician(1e300), pm.NoError())
     assert ec.derive(sc).sigma_u2 > 0.0
     (ber,) = mc.simulate_ber([sc], 100, 1).ber

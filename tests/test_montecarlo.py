@@ -604,8 +604,10 @@ PINNED_KERNEL_SCENARIOS = {
 }
 # SHA-256 of the sample_snr values followed by its histogram counts
 PINNED_SNR_SHA256 = "fd33db2dc6496a0429298096ab835648928ba8794112c9b784d0707fdc783f2d"
-# float.hex of the KS statistic and p-value of PINNED_KS_SAMPLE against its gamma law
-PINNED_KS = ("0x1.37963c45ec500p-9", "0x1.a5904e6541736p-1")
+# float.hex of the KS statistic and p-value of the sample of pinned_ks against its gamma law;
+# the statistic sits at sorted sample 41201, where a 40-digit mpmath CDF
+# gives D = 0x1.37963c45ebb00p-9 (in double arithmetic)
+PINNED_KS = ("0x1.37963c45ec400p-9", "0x1.a5904e65418bap-1")
 
 
 def pinned_ber(name, estimator, trials=mc.BLOCK_TRIALS + 1000):

@@ -6,6 +6,7 @@ implementations under test.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -230,6 +231,10 @@ def test_gamma_p_boundaries():
     assert nx.regularized_gamma_p(2.0, np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
     for x in (0.2, 1.0, 5.0):
         assert nx.regularized_gamma_p(1.0, x) == pytest.approx(1.0 - math.exp(-x), abs=1e-12)
+    # where t = x / m overflows the prefactor is 0, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nx.regularized_gamma_p(1e-300, np.array([0.5, 1e10])).tolist() == [1.0, 1.0]
 
 
 def test_gamma_p_half_is_erf():
@@ -296,9 +301,37 @@ def test_gamma_p_at_large_shape_against_scipy_gammainc(m):
     assert np.max(np.abs(nx.regularized_gamma_p(m, xs) - gammainc(m, xs))) <= m * 1e-15
 
 
+@pytest.mark.parametrize("m", [0.5, 2.5, 7.09, 14.17, 113.4, 250.0, 999.9, 1e3, 1e5])
+def test_gamma_p_against_mpmath_across_the_bulk(m):
+    # the prefactor exp(-x) x^m / Gamma(m) is the gamma law's weight
+    # exp(L(m) - m (t - 1 - ln t)) at t = x / m for every m, with no terms
+    # of size m ln m to cancel.  Below m = 10, L(m) = m ln m - m -
+    # ln_gamma(m) carries ln_gamma's error (6.2e-15 at m = 7.09, 5.1e-15
+    # in L), which P takes on in proportion to its size below x = m + 1
+    xs = m + math.sqrt(m) * np.linspace(-10.0, 10.0, 81)
+    xs = xs[xs >= 0.0]
+    want = [float(mp.gammainc(m, 0, x, regularized=True)) for x in xs]
+    bound = 5e-15 if m < 10.0 else 3e-15
+    np.testing.assert_allclose(nx.regularized_gamma_p(m, xs), want, rtol=0.0, atol=bound)
+
+
+def test_gamma_spread_against_mpmath():
+    # t - 1 - ln t keeps its digits near t = 1, where it is about d^2 / 2,
+    # and is inf where t = x / mean or x^2 / mean overflows
+    xs = np.array([1e-300, 1e-160, 0.3, 0.8, 0.87, 0.999, 1.0, 1.0 + 2**-40, 1.11, 1.2, 1.25, 1.3, 7.0, 1e150])
+    for square in (False, True):
+        got = nx.gamma_spread(xs, 1.0, square)
+        for x, v in zip(xs, got):
+            t = mp.mpf(x) ** (2 if square else 1)
+            assert v == pytest.approx(float(t - 1 - mp.log(t)), rel=2e-15, abs=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nx.gamma_spread(np.array([1e300]), 1.0, True).tolist() == [math.inf]
+        assert nx.gamma_spread(np.array([1e10]), 1e-300).tolist() == [math.inf]
+
+
 def test_gamma_p_at_large_shape_against_mpmath():
-    # from m = 1000 on the prefactor exp(-x) x^m / Gamma(m) is formed in
-    # Stirling's form, with no terms of size m ln m to cancel in rounding
+    # the gamma law's weight keeps its digits at any shape
     for m in (1e3, 1e5, 1e7):
         xs = m + math.sqrt(m) * np.array([-8.0, -4.75, -1.0, 0.0, 2.5, 8.0])
         want = [float(1 - mp.gammainc(m, x, mp.inf, regularized=True)) for x in xs]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from _stubs import FixedMeanMagnitude, FixedMoments
 
 from rislab import equiv_channel as ec
 from rislab import fading as fd
@@ -191,13 +190,9 @@ def test_unit_shape_coding_gain_closed_form():
     x = (1.0 + phi2) / 4.0  # forces m = 1
     a = 0.5**0.25  # a^4 = 1/2
     phi1 = math.sqrt(x / math.sqrt(0.5) ** 2)  # phi1^2 a^4 = x
-    sc = ec.LrsScenario(
-        n, 1.0, FixedMeanMagnitude(a), FixedMeanMagnitude(a), FixedMoments(phi1, phi2)
-    )
-    ch = ec.derive(sc)
+    ch = ec.channel_from_moments(n, 1.0, a * a, phi1, phi2)
     assert ch.m == pytest.approx(1.0, rel=1e-12)
-    g = pf.gains(sc)
-    assert g.coding_gain == pytest.approx(4.0 * n**2 * x, rel=1e-10)
+    assert pf._coding_gain(ch.m, ch.gamma_bar) == pytest.approx(4.0 * n**2 * x, rel=1e-10)
 
 
 def test_gains_and_coding_planner_agree_exactly():

@@ -114,6 +114,15 @@ def test_slope_fit_needs_three_points():
         st.slope_fit(gbar, (2.0 * gbar) ** (-2.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_slope_fit_rejects_values_that_are_not_finite(bad):
+    # NaN fails every comparison, so a positivity test alone lets it through
+    good = [1.0, 2.0, 3.0]
+    for gbar, ber in (([1.0, 2.0, bad], good), (good, [1.0, bad, 3.0])):
+        with pytest.raises(nx.DomainError, match="finite"):
+            st.slope_fit(gbar, ber)
+
+
 def test_slope_fit_exact_ber_curve_deep_in_high_snr():
     from rislab import performance as pf
 
